@@ -19,11 +19,12 @@ lint: vet isolint
 isolint:
 	$(GO) run ./cmd/isolint ./...
 
+# -count=1: a cached "ok" is not a run.
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 # Full bench suite. The shard-sweep lines are sliced into per-subsystem
 # perf-trajectory artifacts by benchjson -match, out of the one shared

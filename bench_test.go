@@ -19,12 +19,16 @@ import (
 	"testing"
 
 	isolevel "isolevel"
+	"isolevel/internal/data"
 	"isolevel/internal/engine"
 	"isolevel/internal/exerciser"
 	"isolevel/internal/locking"
 	"isolevel/internal/matrix"
+	"isolevel/internal/mv"
 	"isolevel/internal/obs"
 	"isolevel/internal/obs/wallclock"
+	"isolevel/internal/predicate"
+	"isolevel/internal/sv"
 	"isolevel/internal/workload"
 )
 
@@ -739,6 +743,46 @@ func BenchmarkEngineMicro(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSelectRange reads one 32-row key range out of tables of 2,048
+// and 32,768 rows, straight at the two stores. Both answer from their
+// ordered per-stripe key index, so the time per read must stay flat as
+// the table grows 16x; a return to visiting every row shows as a 16x
+// step between the two sizes.
+func BenchmarkSelectRange(b *testing.B) {
+	const perGroup = 32
+	table := func(rows int) (tuples []data.Tuple, mid predicate.KeyRange) {
+		groups := rows / perGroup
+		for g := 0; g < groups; g++ {
+			for slot := 0; slot < 2*perGroup; slot += 2 { // odd slots stay free, as in scanmove
+				tuples = append(tuples, data.Tuple{Key: data.Key(fmt.Sprintf("grp:%04d:%03d", g, slot)), Row: data.Scalar(100)})
+			}
+		}
+		return tuples, predicate.KeyRange{
+			Lo: data.Key(fmt.Sprintf("grp:%04d:000", groups/2)),
+			Hi: data.Key(fmt.Sprintf("grp:%04d:000", groups/2+1)),
+		}
+	}
+	for _, rows := range []int{2048, 32768} {
+		tuples, mid := table(rows)
+		run := func(name string, sel func() []data.Tuple) {
+			b.Run(fmt.Sprintf("%s/rows=%d", name, rows), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if got := len(sel()); got != perGroup {
+						b.Fatalf("range read returned %d rows, want %d", got, perGroup)
+					}
+				}
+			})
+		}
+		svStore := sv.NewStore()
+		svStore.Load(tuples...)
+		run("sv", func() []data.Tuple { return svStore.Select(mid) })
+		mvStore := mv.NewStore()
+		mvStore.Load(1, tuples...)
+		run("mv", func() []data.Tuple { return mvStore.SelectAt(mid, 1) })
+	}
 }
 
 // BenchmarkCellSpot regenerates the two most expensive single cells.

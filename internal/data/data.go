@@ -10,8 +10,8 @@
 //
 // Besides the row model the package holds the two structural primitives
 // every striped component shares: Striper (the fixed key-to-stripe hash)
-// and OrderedSet (the per-stripe ordered key index that key-range locking
-// ranges over).
+// and OrderedSet (the per-stripe ordered key index that the stores' range
+// scans and key-range locking range over).
 //
 //isolint:deterministic
 package data

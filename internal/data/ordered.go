@@ -2,11 +2,12 @@ package data
 
 import "sort"
 
-// OrderedSet is an ordered index over keys: the sorted key space that
-// key-range (next-key) locking ranges over. Each store stripe maintains one
-// beside its hash map, under the stripe's existing latch, so range scans
-// and successor lookups need no global ordered structure — a cross-stripe
-// range is the merge of the per-stripe runs (MergeKeys).
+// OrderedSet is an ordered index over keys: the sorted key space that the
+// stores' range scans and key-range (next-key) locking range over. Each
+// store stripe maintains one beside its hash map, under the stripe's
+// existing latch, so range scans and successor lookups need no global
+// ordered structure — a cross-stripe range is the merge of the per-stripe
+// runs (MergeKeys).
 //
 // The representation is a sorted slice with binary-search insert/delete:
 // stores here hold at most a few thousand rows per stripe, where a flat
@@ -53,31 +54,38 @@ func (s *OrderedSet) Contains(k Key) bool {
 // Len returns the number of keys.
 func (s *OrderedSet) Len() int { return len(s.keys) }
 
-// Range returns a copy of the keys in the half-open interval [lo, hi),
-// ascending; with bounded == false it returns every key (the whole key
-// space, the range of an unbounded predicate).
-func (s *OrderedSet) Range(lo, hi Key, bounded bool) []Key {
+// View returns the keys in the half-open interval [lo, hi), ascending, as
+// a window onto the set's own storage; with bounded == false it returns
+// every key (the whole key space, the range of an unbounded predicate).
+// Nothing is copied, so the window is valid only until the set is next
+// modified: a store stripe hands it out under its latch and the scan
+// finishes with it before the latch drops. This is what keeps a range
+// read's cost proportional to the range, not the table.
+func (s *OrderedSet) View(lo, hi Key, bounded bool) []Key {
 	if !bounded {
-		return append([]Key(nil), s.keys...)
+		return s.keys
 	}
 	i, _ := s.search(lo)
 	j, _ := s.search(hi)
-	return append([]Key(nil), s.keys[i:j]...)
+	if j < i {
+		return nil // hi < lo: the empty interval
+	}
+	return s.keys[i:j]
 }
 
-// AppendRange appends the keys in the half-open interval [lo, hi) to dst,
-// ascending, and returns the extended slice; with bounded == false it
-// appends every key. The allocation-free sibling of Range: a caller that
+// Range returns a copy of View(lo, hi, bounded), safe to keep after the
+// stripe's latch is released.
+func (s *OrderedSet) Range(lo, hi Key, bounded bool) []Key {
+	return s.AppendRange(nil, lo, hi, bounded)
+}
+
+// AppendRange appends View(lo, hi, bounded) to dst and returns the
+// extended slice. The allocation-free sibling of Range: a caller that
 // recycles dst pays nothing once its capacity has grown to the working
 // set, which is what keeps a steady-state key-range lock install O(1)
 // allocations (lock.Manager feeds per-stripe runs into a reused KeyRuns).
 func (s *OrderedSet) AppendRange(dst []Key, lo, hi Key, bounded bool) []Key {
-	if !bounded {
-		return append(dst, s.keys...)
-	}
-	i, _ := s.search(lo)
-	j, _ := s.search(hi)
-	return append(dst, s.keys[i:j]...)
+	return append(dst, s.View(lo, hi, bounded)...)
 }
 
 // Higher returns the smallest key strictly greater than k, and whether one

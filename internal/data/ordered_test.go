@@ -24,6 +24,16 @@ func TestOrderedSetBasics(t *testing.T) {
 	if got := s.Range("a", "a", true); len(got) != 0 {
 		t.Fatalf("empty Range = %v", got)
 	}
+	// View is the same interval without the copy: a window onto the set.
+	if got := s.View("b", "n", true); !reflect.DeepEqual(got, []Key{"c", "m"}) || &got[0] != &s.keys[1] {
+		t.Fatalf("View[b,n) = %v (or a copy of it)", got)
+	}
+	if got := s.View("", "", false); len(got) != 4 {
+		t.Fatalf("full View = %v", got)
+	}
+	if got := s.View("n", "b", true); len(got) != 0 {
+		t.Fatalf("inverted View[n,b) = %v, want empty", got)
+	}
 	s.Delete("m")
 	s.Delete("nope")
 	if s.Contains("m") || !s.Contains("a") {

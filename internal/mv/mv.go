@@ -33,12 +33,32 @@
 // commit with timestamp <= t has fully installed. Engines start snapshots
 // at Safe, never Current, so a snapshot can never observe half of a
 // concurrent commit and no version with CommitTS <= a started snapshot
-// can appear after the fact.
+// can appear after the fact. A committer in turn returns only once Safe
+// has reached its own commit timestamp (WaitSafe), so the next snapshot
+// its session takes contains what it just committed.
+//
+// # Scans
+//
+// Each stripe keeps, beside its chains and under the same latch, an
+// ordered index (data.OrderedSet) of every key that has a chain. The
+// index is the scan path: SelectAt walks, per stripe, only the index run
+// inside the predicate's key bounds and resolves each key's visible
+// version on its chain in place, so a range read costs what the range
+// holds, not what the table holds; a predicate that says nothing about
+// keys walks the whole index through the same loop. The index is written
+// only when a chain is created — Load or Install of a key the store has
+// never held — so a commit that rewrites existing keys does not touch it.
+// It never shrinks: chains are append-only, a tombstone is a version, and
+// a key whose newest version is a tombstone is still a row to every
+// snapshot older than the delete. Until there is version GC to say no
+// live snapshot can see a chain, its key stays indexed, and a scan skips
+// it at the cost of one chain lookup.
 //
 //isolint:deterministic
 package mv
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,9 +74,11 @@ type TS uint64
 // installed watermark. The zero value is ready to use; the first timestamp
 // issued is 1.
 //
-// Contract: every timestamp obtained via Next for a commit (or Load) must
-// be reported back via Done once its versions are installed; Safe advances
-// only over Done timestamps.
+// Invariant: every timestamp obtained via Next is reported back via Done,
+// exactly once, whether or not its versions were installed — callers pair
+// the two with a defer. Safe advances only across consecutive Done
+// timestamps, so one that never arrives freezes the watermark below it for
+// good: snapshots go stale and every later WaitSafe spins forever.
 type Oracle struct {
 	now     atomic.Uint64
 	applied atomic.Uint64
@@ -101,6 +123,20 @@ func (o *Oracle) Done(ts TS) {
 // at Safe are stable — no version with CommitTS <= Safe can appear later.
 func (o *Oracle) Safe() TS { return TS(o.applied.Load()) }
 
+// WaitSafe returns once Safe() >= ts: every commit up to and including ts
+// has fully installed, so a snapshot taken next contains it. A committer
+// calls it on its own commit timestamp after Done — outside every latch —
+// because Done(ts) alone does not move the watermark while an earlier
+// timestamp is still installing. That earlier committer sits between Next
+// and Done, a stretch that never blocks, so the wait is a few yields, not
+// a latch — and it is unbounded only if the Oracle's Next/Done invariant
+// is broken.
+func (o *Oracle) WaitSafe(ts TS) {
+	for o.applied.Load() < uint64(ts) {
+		runtime.Gosched()
+	}
+}
+
 // Version is one committed version of a data item. Deleted marks a
 // tombstone (the delete is itself a committed version).
 type Version struct {
@@ -120,6 +156,10 @@ const DefaultShards = 16
 type shard struct {
 	mu     sync.RWMutex
 	chains map[data.Key][]Version
+	// index is the stripe's ordered set of every key that has a chain,
+	// under mu like the chains; see "Scans" in the package comment for
+	// when it is written and why it never shrinks.
+	index data.OrderedSet
 
 	// commitMu is the stripe's commit latch. It is separate from mu so
 	// that holding a write-set's commit latches (potentially across a
@@ -193,9 +233,32 @@ func (s *Store) Load(ts TS, tuples ...data.Tuple) {
 	for _, t := range tuples {
 		sh := s.shardOf(t.Key)
 		sh.mu.Lock()
-		sh.chains[t.Key] = append(sh.chains[t.Key], Version{CommitTS: ts, Row: t.Row.Clone()})
+		sh.append(t.Key, Version{CommitTS: ts, Row: t.Row.Clone()})
 		sh.mu.Unlock()
 	}
+}
+
+// append adds v to key's chain, indexing the key if that created the
+// chain — seen as the map growing, so an append to an existing chain stays
+// the single map operation it was. Caller holds sh.mu.
+func (sh *shard) append(key data.Key, v Version) {
+	n := len(sh.chains)
+	sh.chains[key] = append(sh.chains[key], v)
+	if len(sh.chains) != n {
+		sh.index.Insert(key)
+	}
+}
+
+// visibleAt returns the version of chain visible at snapshot ts — the one
+// with the largest CommitTS <= ts, tombstones included — or nil if the
+// chain has none that old.
+func visibleAt(chain []Version, ts TS) *Version {
+	for i := len(chain) - 1; i >= 0; i-- {
+		if chain[i].CommitTS <= ts {
+			return &chain[i]
+		}
+	}
+	return nil
 }
 
 // ReadAt returns the version of key visible at snapshot ts: the committed
@@ -206,18 +269,16 @@ func (s *Store) ReadAt(key data.Key, ts TS) (v Version, ok bool) {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	chain := sh.chains[key]
-	for i := len(chain) - 1; i >= 0; i-- {
-		if chain[i].CommitTS <= ts {
-			if chain[i].Deleted {
-				return chain[i], false
-			}
-			out := chain[i]
-			out.Row = out.Row.Clone()
-			return out, true
-		}
+	vis := visibleAt(sh.chains[key], ts)
+	if vis == nil {
+		return Version{}, false
 	}
-	return Version{}, false
+	if vis.Deleted {
+		return *vis, false
+	}
+	out := *vis
+	out.Row = out.Row.Clone()
+	return out, true
 }
 
 // LatestCommitTS returns the commit timestamp of the newest committed
@@ -251,22 +312,37 @@ func (s *Store) Install(ts TS, writer int, writes map[data.Key]data.Row) {
 		}
 		sh := s.shardOf(key)
 		sh.mu.Lock()
-		sh.chains[key] = append(sh.chains[key], v)
+		sh.append(key, v)
 		sh.mu.Unlock()
 	}
 }
 
 // SelectAt returns copies of all tuples visible at ts that satisfy p,
-// sorted by key.
+// sorted by key. It reads only the part of the key space p can cover: per
+// stripe, under the stripe's read latch, the index run inside
+// predicate.KeyBounds(p) — the whole index when p says nothing about keys
+// — resolving each key's visible version on its chain in place and cloning
+// only the hits. For ts <= Oracle.Safe the stripes need not be read at one
+// instant: every version with CommitTS <= ts is already installed, and
+// whatever a concurrent Install adds (a new version, a new key) carries a
+// larger timestamp and is skipped, so the answer is the same whenever each
+// stripe is visited.
 func (s *Store) SelectAt(p predicate.P, ts TS) []data.Tuple {
+	lo, hi, bounded := predicate.KeyBounds(p)
 	var out []data.Tuple
-	for _, k := range s.Keys() {
-		if v, ok := s.ReadAt(k, ts); ok {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for _, k := range sh.index.View(lo, hi, bounded) {
+			v := visibleAt(sh.chains[k], ts)
+			if v == nil || v.Deleted {
+				continue
+			}
 			t := data.Tuple{Key: k, Row: v.Row}
 			if p.Match(t) {
-				out = append(out, t)
+				out = append(out, t.Clone())
 			}
 		}
+		sh.mu.RUnlock()
 	}
 	data.SortTuples(out)
 	return out
@@ -299,16 +375,14 @@ func (s *Store) Chain(key data.Key) []Version {
 	return out
 }
 
-// Keys returns every key that has at least one version, sorted.
+// Keys returns every key that has at least one version, sorted: the merge
+// of the per-stripe index runs.
 func (s *Store) Keys() []data.Key {
-	var out []data.Key
-	for _, sh := range s.shards {
+	runs := make([][]data.Key, len(s.shards))
+	for i, sh := range s.shards {
 		sh.mu.RLock()
-		for k := range sh.chains {
-			out = append(out, k)
-		}
+		runs[i] = sh.index.Range("", "", false)
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return data.MergeKeys(runs...)
 }

@@ -24,7 +24,9 @@
 // between an RC install and an SI validation of the same key. Snapshots
 // (transaction- and statement-level alike) start at the oracle's
 // installed watermark (Oracle.Safe), so neither kind can observe half of
-// a concurrent commit.
+// a concurrent commit; and a Commit of either kind returns only once the
+// watermark has reached its commit timestamp, so a session's next
+// snapshot always contains its own last commit.
 //
 // The historical packages internal/snapshot and internal/oraclerc remain
 // as facades restricted to their single level; their types alias the ones
@@ -43,6 +45,7 @@ import (
 	"isolevel/internal/lock"
 	"isolevel/internal/mv"
 	"isolevel/internal/obs"
+	"isolevel/internal/predicate"
 )
 
 // Option configures a DB.
@@ -138,8 +141,26 @@ func (db *DB) DeliverNextGrant() (lock.TxID, bool) { return db.lm.DeliverNextGra
 // Load implements engine.DB: initial rows commit at a fresh timestamp.
 func (db *DB) Load(tuples ...data.Tuple) {
 	ts := db.oracle.Next()
+	defer db.oracle.Done(ts)
 	db.store.Load(ts, tuples...)
-	db.oracle.Done(ts)
+}
+
+// install commits writes for transaction id at a fresh timestamp — larger
+// than every start or commit timestamp issued so far — and returns it once
+// the watermark has reached it, so the session's next snapshot contains
+// the commit. The caller holds the write set's stripe latches; release
+// drops them. Done is deferred against the Next: a panic inside Install
+// has already lost this commit, and must not also leave a hole in the
+// watermark that every later committer would spin on in WaitSafe.
+func (db *DB) install(id int, writes map[data.Key]data.Row, release func()) mv.TS {
+	ts := db.oracle.Next()
+	func() {
+		defer db.oracle.Done(ts) // after the latches are released
+		defer release()
+		db.store.Install(ts, id, writes)
+	}()
+	db.oracle.WaitSafe(ts)
+	return ts
 }
 
 // ReadCommittedRow implements engine.DB.
@@ -202,6 +223,36 @@ func (db *DB) beginSI(start mv.TS) *SITx {
 	id := int(db.seq.Add(1))
 	db.obs.Begin(id, engine.SnapshotIsolation.Code())
 	return &SITx{db: db, id: id, start: start, writes: map[data.Key]data.Row{}}
+}
+
+// overlay lays a transaction's own uncommitted writes over base, the
+// store's answer to p at the transaction's snapshot: sorted by key and
+// already the caller's own copy. A written key leaves base; its new row,
+// if it is not a delete and satisfies p, joins the result in key order.
+// order lists the keys of writes, each once.
+func overlay(p predicate.P, base []data.Tuple, writes map[data.Key]data.Row, order []data.Key) []data.Tuple {
+	if len(order) == 0 {
+		return base
+	}
+	var own []data.Tuple
+	for _, key := range order {
+		if t := (data.Tuple{Key: key, Row: writes[key]}); p.Match(t) {
+			own = append(own, t.Clone())
+		}
+	}
+	data.SortTuples(own)
+	out := make([]data.Tuple, 0, len(base)+len(own))
+	for _, b := range base {
+		if _, written := writes[b.Key]; written {
+			continue
+		}
+		for len(own) > 0 && own[0].Key < b.Key {
+			out = append(out, own[0])
+			own = own[1:]
+		}
+		out = append(out, b)
+	}
+	return append(out, own...)
 }
 
 func levelList(levels []engine.Level) string {

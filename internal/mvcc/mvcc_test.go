@@ -2,10 +2,14 @@ package mvcc
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"isolevel/internal/data"
 	"isolevel/internal/engine"
+	"isolevel/internal/predicate"
 )
 
 func load(db *DB) {
@@ -109,5 +113,136 @@ func TestSharedIDSequence(t *testing.T) {
 	c, _ := db.Begin(engine.SnapshotIsolation)
 	if a.ID() == b.ID() || b.ID() == c.ID() || a.ID() == c.ID() {
 		t.Fatalf("duplicate ids: %d %d %d", a.ID(), b.ID(), c.ID())
+	}
+}
+
+// mapOverlay is the overlay Select used before the sorted merge, kept as
+// the reference: rebuild the base as a map, apply every own write, re-clone
+// and re-sort.
+func mapOverlay(p predicate.P, base []data.Tuple, writes map[data.Key]data.Row) []data.Tuple {
+	merged := map[data.Key]data.Row{}
+	for _, b := range base {
+		merged[b.Key] = b.Row
+	}
+	for key, row := range writes {
+		if row != nil && p.Match(data.Tuple{Key: key, Row: row}) {
+			merged[key] = row
+		} else {
+			delete(merged, key)
+		}
+	}
+	out := make([]data.Tuple, 0, len(merged))
+	for key, row := range merged {
+		out = append(out, data.Tuple{Key: key, Row: row.Clone()})
+	}
+	data.SortTuples(out)
+	return out
+}
+
+// TestSelectOverlaysOwnWrites: Select lays the transaction's own inserts,
+// updates and deletes — inside the scanned range, outside it, and moving
+// rows across the predicate's value term — over the snapshot exactly as
+// the map overlay did, at both multiversion levels.
+func TestSelectOverlaysOwnWrites(t *testing.T) {
+	type write struct {
+		key data.Key
+		val int64 // < 0 deletes
+	}
+	inRange := predicate.KeyRange{Lo: "k2", Hi: "k7"}
+	big := predicate.Field{Name: data.ValField, Op: predicate.GE, Arg: 50}
+	preds := []predicate.P{inRange, predicate.And{L: inRange, R: big}, big, predicate.True{}, predicate.KeyRange{Lo: "k7", Hi: "k2"}}
+	cases := []struct {
+		name   string
+		writes []write
+	}{
+		{"none", nil},
+		{"update inside", []write{{"k4", 99}}},
+		{"update outside", []write{{"k8", 99}}},
+		{"update out of the value term", []write{{"k6", 1}}},
+		{"update into the value term", []write{{"k2", 77}}},
+		{"insert inside", []write{{"k3", 60}}},
+		{"insert first and last of range", []write{{"k2a", 5}, {"k1", 5}, {"k6z", 90}, {"k7", 90}}},
+		{"insert outside", []write{{"k0", 60}, {"k9", 60}}},
+		{"delete inside", []write{{"k4", -1}}},
+		{"delete outside", []write{{"k8", -1}}},
+		{"delete absent", []write{{"k5", -1}}},
+		{"delete every row", []write{{"k2", -1}, {"k4", -1}, {"k6", -1}, {"k8", -1}}},
+		{"insert then delete", []write{{"k3", 60}, {"k3", -1}}},
+		{"delete then reinsert", []write{{"k4", -1}, {"k4", 70}}},
+		{"write order against key order", []write{{"k6", 66}, {"k5", 55}, {"k3", 33}, {"k4", -1}}},
+	}
+	for _, level := range []engine.Level{engine.SnapshotIsolation, engine.ReadConsistency} {
+		for _, c := range cases {
+			db := NewDB()
+			db.Load(
+				data.Tuple{Key: "k2", Row: data.Scalar(20)}, data.Tuple{Key: "k4", Row: data.Scalar(40)},
+				data.Tuple{Key: "k6", Row: data.Scalar(60)}, data.Tuple{Key: "k8", Row: data.Scalar(80)},
+			)
+			tx, err := db.Begin(level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own := map[data.Key]data.Row{}
+			for _, w := range c.writes {
+				if w.val < 0 {
+					err, own[w.key] = tx.Delete(w.key), nil
+				} else {
+					err, own[w.key] = engine.PutVal(tx, w.key, w.val), data.Scalar(w.val)
+				}
+				if err != nil {
+					t.Fatalf("%s/%s: write %s: %v", level, c.name, w.key, err)
+				}
+			}
+			for _, p := range preds {
+				got, err := tx.Select(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Nothing commits during the test, so the transaction's
+				// snapshot and every statement snapshot are the watermark.
+				want := mapOverlay(p, db.store.SelectAt(p, db.oracle.Safe()), own)
+				if !slices.EqualFunc(got, want, func(a, b data.Tuple) bool { return a.Key == b.Key && a.Row.Equal(b.Row) }) {
+					t.Errorf("%s/%s: Select(%s)\n got %v\nwant %v", level, c.name, p, got, want)
+				}
+			}
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestCommitReturnsAtWatermark is the session guarantee: Commit returns
+// only once the installed watermark has reached its commit timestamp, so
+// the snapshot the same session takes next contains its own last commit —
+// with other sessions committing disjoint keys in between. Run with -race
+// on more than one core.
+func TestCommitReturnsAtWatermark(t *testing.T) {
+	for _, level := range []engine.Level{engine.SnapshotIsolation, engine.ReadConsistency} {
+		db := NewDB()
+		const sessions, commits = 4, 200
+		var wg sync.WaitGroup
+		for s := 0; s < sessions; s++ {
+			wg.Add(1)
+			go func(key data.Key) {
+				defer wg.Done()
+				for i := int64(1); i <= commits; i++ {
+					tx, _ := db.Begin(level)
+					if err := engine.PutVal(tx, key, i); err != nil {
+						t.Errorf("%s: put %s: %v", level, key, err)
+						return
+					}
+					if err := tx.Commit(); err != nil {
+						t.Errorf("%s: commit %s=%d: %v", level, key, i, err)
+						return
+					}
+					if got := db.ReadCommittedRow(key).Val(); got != i {
+						t.Errorf("%s: %s = %d right after committing %d", level, key, got, i)
+						return
+					}
+				}
+			}(data.Key(fmt.Sprintf("s%d", s)))
+		}
+		wg.Wait()
 	}
 }

@@ -153,27 +153,7 @@ func (t *RCTx) Select(p predicate.P) ([]data.Tuple, error) {
 }
 
 func (t *RCTx) selectAt(p predicate.P, ts mv.TS) ([]data.Tuple, error) {
-	base := t.db.store.SelectAt(p, ts)
-	merged := make(map[data.Key]data.Row, len(base))
-	for _, b := range base {
-		merged[b.Key] = b.Row
-	}
-	for key, row := range t.writes {
-		if row == nil {
-			delete(merged, key)
-			continue
-		}
-		if p.Match(data.Tuple{Key: key, Row: row}) {
-			merged[key] = row
-		} else {
-			delete(merged, key)
-		}
-	}
-	out := make([]data.Tuple, 0, len(merged))
-	for key, row := range merged {
-		out = append(out, data.Tuple{Key: key, Row: row.Clone()})
-	}
-	data.SortTuples(out)
+	out := overlay(p, t.db.store.SelectAt(p, ts), t.writes, t.order)
 	t.db.rec.RecordPredRead(t.id, p)
 	if kr, ok := p.(predicate.KeyRange); ok && t.db.rec.Enabled() {
 		rr := RangeRead{Slot: 2*int64(ts) + 1, Lo: kr.Lo, Hi: kr.Hi}
@@ -286,11 +266,11 @@ func (t *RCTx) Commit() error {
 	t.done = true
 	if len(t.writes) > 0 {
 		release := t.db.store.LockWriteSet(t.order)
-		ts := t.db.oracle.Next()
-		t.db.store.Install(ts, t.id, t.writes)
-		release()
-		t.db.oracle.Done(ts)
-		t.commitTS = ts
+		// As in SITx.Commit, install waits for the watermark: the next
+		// statement snapshot must contain this commit, or a
+		// read-modify-write that follows overwrites it from a stale read —
+		// a lost update inside one session.
+		t.commitTS = t.db.install(t.id, t.writes, release)
 	} else {
 		t.commitTS = t.db.oracle.Safe()
 	}

@@ -154,27 +154,7 @@ func (t *SITx) Select(p predicate.P) ([]data.Tuple, error) {
 		return nil, engine.ErrTxDone
 	}
 	start := t.db.obs.Now()
-	base := t.db.store.SelectAt(p, t.start)
-	merged := make(map[data.Key]data.Row, len(base))
-	for _, b := range base {
-		merged[b.Key] = b.Row
-	}
-	for key, row := range t.writes {
-		if row == nil {
-			delete(merged, key)
-			continue
-		}
-		if p.Match(data.Tuple{Key: key, Row: row}) {
-			merged[key] = row
-		} else {
-			delete(merged, key)
-		}
-	}
-	out := make([]data.Tuple, 0, len(merged))
-	for key, row := range merged {
-		out = append(out, data.Tuple{Key: key, Row: row.Clone()})
-	}
-	data.SortTuples(out)
+	out := overlay(p, t.db.store.SelectAt(p, t.start), t.writes, t.order)
 	t.db.rec.RecordPredRead(t.id, p)
 	if kr, ok := p.(predicate.KeyRange); ok && t.db.rec.Enabled() {
 		rr := RangeRead{Slot: 2*int64(t.start) + 1, Lo: kr.Lo, Hi: kr.Hi}
@@ -274,10 +254,11 @@ func (t *SITx) Commit() error {
 				engine.ErrWriteConflict, key, ts, t.start)
 		}
 	}
-	ts := t.db.oracle.Next() // larger than any existing start or commit TS
-	t.db.store.Install(ts, t.id, t.writes)
-	release()
-	t.db.oracle.Done(ts) // advance the watermark: the commit is now readable
+	// install returns only once the watermark has passed ts: the session's
+	// next snapshot then contains this commit (it reads its own writes, and
+	// a rewrite of the same keys does not fail first-committer-wins against
+	// itself).
+	ts := t.db.install(t.id, t.writes, release)
 	t.done, t.committed = true, true
 	t.commitTS = ts
 	t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Commit, Version: -1})

@@ -9,6 +9,9 @@ import "isolevel/internal/data"
 // a range scan — any over-coverage is harmless, because conflicts are
 // refined by evaluating the predicate on the writer's row images, so the
 // extraction only ever trades precision for fewer locks, never soundness.
+// The stores' Select walks the same bounds on its ordered key index and
+// evaluates p on every row inside, under the same contract: over-coverage
+// costs rows visited, never rows returned.
 //
 // Bounds come from the key-addressing predicate forms:
 //

@@ -19,15 +19,19 @@
 // stripes just freed.
 //
 // Each stripe also maintains an ordered key index beside its hash map
-// (data.OrderedSet, under the same latch), giving the store an ordered
-// key space: RangeAnchors merges the per-stripe runs into the anchor set
-// a key-range (next-key) lock decomposes over.
+// (data.OrderedSet, under the same latch, holding exactly the present
+// keys). The index is the scan path: Select walks, per stripe, only the
+// index run inside the predicate's key bounds, so a range read costs what
+// the range holds, not what the table holds; a predicate that says nothing
+// about keys walks the whole index through the same loop. Keys and the
+// key-range (next-key) lock anchors (RangeAnchors) are merges of the same
+// per-stripe runs. The hash map stays the point path: Get, Put and Delete
+// never search the index for a row.
 //
 //isolint:deterministic
 package sv
 
 import (
-	"sort"
 	"sync"
 
 	"isolevel/internal/data"
@@ -43,8 +47,8 @@ type shard struct {
 	mu   sync.RWMutex
 	rows map[data.Key]data.Row
 	// index is the stripe's ordered key set, maintained beside the hash
-	// map under the same latch. Key-range locking scans it (RangeAnchors)
-	// to turn a predicate into next-key anchors; the hash paths ignore it.
+	// map under the same latch: what Select, Keys and the key-range lock
+	// anchors (RangeAnchors) read. Point reads and writes go by the map.
 	index data.OrderedSet
 }
 
@@ -150,14 +154,21 @@ func (s *Store) Restore(key data.Key, before data.Row) {
 	sh.mu.Unlock()
 }
 
-// Select returns copies of all tuples satisfying p, sorted by key.
+// Select returns copies of all tuples satisfying p, sorted by key. It
+// reads only the part of the key space p can cover: per stripe, under the
+// stripe's read latch, the index run inside predicate.KeyBounds(p) — the
+// whole index when p says nothing about keys — matching each row in place
+// and cloning only the hits. Each stripe is read atomically, the stripes
+// one after another; as everywhere in this store, a scan that must not
+// see a concurrent writer's half-done work holds a lock above it.
 func (s *Store) Select(p predicate.P) []data.Tuple {
 	start := s.obs.Now()
+	lo, hi, bounded := predicate.KeyBounds(p)
 	var out []data.Tuple
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for k, r := range sh.rows {
-			t := data.Tuple{Key: k, Row: r}
+		for _, k := range sh.index.View(lo, hi, bounded) {
+			t := data.Tuple{Key: k, Row: sh.rows[k]}
 			if p.Match(t) {
 				out = append(out, t.Clone())
 			}
@@ -174,18 +185,16 @@ func (s *Store) Snapshot() []data.Tuple {
 	return s.Select(predicate.True{})
 }
 
-// Keys returns all present keys, sorted.
+// Keys returns all present keys, sorted: the merge of the per-stripe
+// index runs.
 func (s *Store) Keys() []data.Key {
-	var out []data.Key
-	for _, sh := range s.shards {
+	runs := make([][]data.Key, len(s.shards))
+	for i, sh := range s.shards {
 		sh.mu.RLock()
-		for k := range sh.rows {
-			out = append(out, k)
-		}
+		runs[i] = sh.index.Range("", "", false)
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return data.MergeKeys(runs...)
 }
 
 // RangeAnchors returns the anchor set of a key-range scan over [lo, hi)

@@ -1,6 +1,9 @@
 package sv
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"isolevel/internal/data"
@@ -124,4 +127,91 @@ func TestUndoRecordsExposed(t *testing.T) {
 	if len(rs) != 1 || rs[0].Key != "x" || rs[0].Before.Val() != 1 {
 		t.Fatalf("records = %v", rs)
 	}
+}
+
+// scanPredicates is the predicate mix the indexed scan must answer exactly
+// as a filter over every row would: every key-addressing form KeyBounds
+// understands (empty and inverted ranges included), key and value terms
+// mixed under And/Or, and forms that say nothing about keys.
+func scanPredicates(rng *rand.Rand, key func() data.Key) []predicate.P {
+	val := predicate.Field{Name: data.ValField, Op: predicate.GE, Arg: int64(rng.Intn(100))}
+	lo, hi := key(), key()
+	return []predicate.P{
+		predicate.True{},
+		val,
+		predicate.KeyRange{Lo: lo, Hi: hi}, // inverted (empty) half the time
+		predicate.KeyRange{Lo: lo, Hi: lo},
+		predicate.KeyRange{Lo: "", Hi: "\xff"},
+		predicate.KeyEq{Key: key()},
+		predicate.KeyPrefix{Prefix: string(key()[:3])},
+		predicate.KeyPrefix{Prefix: ""},
+		predicate.And{L: predicate.KeyRange{Lo: lo, Hi: hi}, R: val},
+		predicate.And{L: val, R: predicate.KeyPrefix{Prefix: string(key()[:2])}},
+		predicate.And{L: predicate.KeyEq{Key: key()}, R: predicate.KeyEq{Key: key()}},
+		predicate.Or{L: predicate.KeyEq{Key: key()}, R: predicate.KeyRange{Lo: lo, Hi: hi}},
+		predicate.Or{L: predicate.KeyRange{Lo: lo, Hi: hi}, R: val},
+		predicate.Not{X: predicate.KeyRange{Lo: lo, Hi: hi}},
+	}
+}
+
+// TestSelectMatchesFullScan: after random Load/Put/Delete/Restore
+// sequences, Select through the ordered index returns exactly what
+// filtering every row does, at 1, 4 and 16 stripes.
+func TestSelectMatchesFullScan(t *testing.T) {
+	for _, shards := range []int{1, 4, 16} {
+		rng := rand.New(rand.NewSource(int64(17 + shards)))
+		key := func() data.Key { return data.Key(fmt.Sprintf("k%02d", rng.Intn(60))) }
+		s := NewStoreShards(shards)
+		ref := map[data.Key]data.Row{} // the model: every row, no index
+		for step := 0; step < 600; step++ {
+			k, row := key(), data.Scalar(int64(rng.Intn(100)))
+			switch rng.Intn(6) {
+			case 0:
+				s.Load(data.Tuple{Key: k, Row: row})
+				ref[k] = row
+			case 1, 2:
+				s.Put(k, row)
+				ref[k] = row
+			case 3:
+				s.Delete(k)
+				delete(ref, k)
+			case 4:
+				s.Restore(k, row)
+				ref[k] = row
+			case 5:
+				s.Restore(k, nil)
+				delete(ref, k)
+			}
+			if step%20 != 0 {
+				continue
+			}
+			for _, p := range scanPredicates(rng, key) {
+				var want []data.Tuple
+				for rk, rr := range ref {
+					if tp := (data.Tuple{Key: rk, Row: rr}); p.Match(tp) {
+						want = append(want, tp)
+					}
+				}
+				data.SortTuples(want)
+				if got := s.Select(p); !sameTuples(got, want) {
+					t.Fatalf("shards=%d step %d: Select(%s)\n got %v\nwant %v", shards, step, p, got, want)
+				}
+			}
+			if got, want := s.Keys(), data.Keys(s.Snapshot()); !slices.Equal(got, want) {
+				t.Fatalf("shards=%d step %d: Keys = %v, Snapshot keys = %v", shards, step, got, want)
+			}
+		}
+	}
+}
+
+func sameTuples(a, b []data.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Key != b[i].Key || !a[i].Row.Equal(b[i].Row) {
+			return false
+		}
+	}
+	return true
 }
