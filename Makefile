@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test race vet lint isolint bench bench-all bench-keyrange bench-mv bench-locking bench-compare fuzz fuzz-mixed fuzz-keyrange fuzz-escalation fuzz-dml fuzz-determinism serve-smoke
+.PHONY: verify build test race vet fmt lint isolint bench bench-all bench-keyrange bench-mv bench-locking bench-compare fuzz fuzz-mixed fuzz-keyrange fuzz-escalation fuzz-dml fuzz-determinism serve-smoke
 
 verify: lint build race ## what CI runs: vet + isolint + build + race-enabled tests
 
@@ -14,7 +14,11 @@ vet:
 # (cmd/isolint) — determinism (map-range order, unseeded randomness) and
 # latch discipline (declared hierarchy, lock pairing, install-then-refresh)
 # across every package.
-lint: vet isolint
+lint: vet fmt isolint
+
+# gofmt gate: prints and fails on any file gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 isolint:
 	$(GO) run ./cmd/isolint ./...

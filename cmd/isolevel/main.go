@@ -44,6 +44,7 @@ import (
 	"isolevel/internal/lock"
 	"isolevel/internal/locking"
 	"isolevel/internal/matrix"
+	"isolevel/internal/mvcc"
 	"isolevel/internal/obs"
 	"isolevel/internal/obs/obshttp"
 	"isolevel/internal/obs/wallclock"
@@ -587,7 +588,9 @@ func runBench(w io.Writer, args []string) error {
 	var ep *obshttp.Endpoint
 	if *httpAddr != "" {
 		var err error
-		ep, err = obshttp.Serve(*httpAddr, obshttp.Source{Sink: sink, Counters: func() map[string]int64 { return lockCounters(db) }})
+		ep, err = obshttp.Serve(*httpAddr, obshttp.Source{Sink: sink,
+			Counters: func() map[string]int64 { return engineCounters(db) },
+			Gauges:   func() map[string]int64 { return mvGauges(db) }})
 		if err != nil {
 			return err
 		}
@@ -735,15 +738,13 @@ func runBench(w io.Writer, args []string) error {
 
 // printObs prints the sink's latency histograms (nanoseconds, wall clock)
 // and, when a deadlock victim was selected under -flight, the captured
-// flight-recorder dump.
+// flight-recorder dump. Every histogram prints, empty ones at count=0:
+// whether a lock wait happened is the scheduler's choice on a multi-core
+// host, and which lines the report has must not be.
 func printObs(w io.Writer, sink *obs.Sink, deadlockDump string) {
 	fmt.Fprintln(w, "  latency histograms (ns):")
 	for _, nh := range sink.Histograms() {
-		s := nh.H.Snapshot()
-		if s.Count == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "    %-14s %s\n", nh.Name, s.Summary())
+		fmt.Fprintf(w, "    %-14s %s\n", nh.Name, nh.H.Snapshot().Summary())
 	}
 	if deadlockDump != "" {
 		fmt.Fprintln(w, "  first deadlock flight dump:")
@@ -777,6 +778,46 @@ func lockCounters(db engine.DB) map[string]int64 {
 		"frag_gcs":        st.FragGCs,
 		"frags_reclaimed": st.FragsReclaimed,
 		"gate_acquires":   st.GateAcquires,
+	}
+}
+
+// mvStats reads a multiversion engine's version-store bookkeeping; ok is
+// false for engines that keep no versions.
+func mvStats(db engine.DB) (st mvcc.Stats, ok bool) {
+	mv, ok := db.(interface{ MVStats() mvcc.Stats })
+	if !ok {
+		return st, false
+	}
+	return mv.MVStats(), true
+}
+
+// engineCounters is lockCounters plus, for a multiversion engine, what
+// version GC has forgotten so far.
+func engineCounters(db engine.DB) map[string]int64 {
+	m := lockCounters(db)
+	if st, ok := mvStats(db); ok {
+		if m == nil {
+			m = map[string]int64{}
+		}
+		m["mv_versions_reclaimed"] = st.VersionsReclaimed
+		m["mv_chains_reclaimed"] = st.ChainsReclaimed
+	}
+	return m
+}
+
+// mvGauges are the multiversion engine's gauges behind /metrics (nil for
+// other engines): mv_watermark_lag is commits allocated and not yet
+// visible; mv_horizon_lag is how far the oldest open snapshot holds version
+// GC back — a value that only grows is a stalled or leaked session.
+func mvGauges(db engine.DB) map[string]int64 {
+	st, ok := mvStats(db)
+	if !ok {
+		return nil
+	}
+	return map[string]int64{
+		"mv_watermark_lag":    st.WatermarkLag,
+		"mv_horizon_lag":      st.HorizonLag,
+		"mv_snapshots_active": st.SnapshotsActive,
 	}
 }
 

@@ -91,12 +91,13 @@ func cmdServe(args []string) error {
 	if *httpAddr != "" {
 		counters := func() map[string]int64 {
 			m := srv.Counters()
-			for k, v := range lockCounters(db) {
+			for k, v := range engineCounters(db) {
 				m[k] = v
 			}
 			return m
 		}
-		ep, err := obshttp.Serve(*httpAddr, obshttp.Source{Sink: sink, Counters: counters, Hists: srv.Hists})
+		gauges := func() map[string]int64 { return mvGauges(db) }
+		ep, err := obshttp.Serve(*httpAddr, obshttp.Source{Sink: sink, Counters: counters, Gauges: gauges, Hists: srv.Hists})
 		if err != nil {
 			return err
 		}

@@ -137,6 +137,10 @@ var (
 	// ErrUnsupported: the engine does not implement the operation (e.g.
 	// AsOf on a locking engine).
 	ErrUnsupported = errors.New("engine: unsupported operation")
+	// ErrSnapshotTooOld: a multiversion transaction was asked to start as
+	// of a timestamp older than every open snapshot; the versions visible
+	// there may already have been forgotten.
+	ErrSnapshotTooOld = errors.New("engine: snapshot too old")
 	// ErrNotFound: Get on an absent row. Distinct from a nil error with a
 	// nil row so detectors never confuse "absent" with "zero".
 	ErrNotFound = errors.New("engine: row not found")

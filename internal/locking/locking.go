@@ -92,9 +92,9 @@ func WithPhantomProtection(p Phantom) Option {
 
 // DB is a locking-scheduler database.
 type DB struct {
-	store   *sv.Store
-	lm      *lock.Manager
-	seq     atomic.Int64
+	store      *sv.Store
+	lm         *lock.Manager
+	seq        atomic.Int64
 	rec        *engine.Recorder
 	shards     int
 	phantom    Phantom

@@ -167,7 +167,10 @@ func TestSelectAtStableUnderConcurrentInstalls(t *testing.T) {
 // when a chain is created, so installs onto preloaded keys — the whole of
 // a transfer workload — leave it untouched and allocate only the cloned
 // row (map header and bucket), the chain growth amortising to less than
-// one.
+// one. That holds with nothing forgotten (Install, horizon 0) and with the
+// horizon moving right behind the commits, where chains stop growing at
+// all; and a tombstoned key keeps its index entry exactly until the
+// horizon has passed the tombstone and the clock hand has come round.
 func TestInstallOnExistingChainsSkipsIndex(t *testing.T) {
 	s := NewStore()
 	keys := make([]data.Key, 64)
@@ -184,23 +187,58 @@ func TestInstallOnExistingChainsSkipsIndex(t *testing.T) {
 	ts, i := TS(1), 0
 	writes := map[data.Key]data.Row{}
 	row := data.Scalar(7)
-	allocs := testing.AllocsPerRun(640, func() {
-		ts++
-		i++
-		key := keys[i%len(keys)]
-		writes[key] = row
-		s.Install(ts, 1, writes)
-		delete(writes, key)
-	})
-	if allocs != 2 {
-		t.Errorf("Install on a preloaded key: %v allocs, want 2", allocs)
+	for _, moving := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(640, func() {
+			ts++
+			i++
+			key := keys[i%len(keys)]
+			writes[key] = row
+			if moving {
+				s.InstallAbove(ts-1, ts, 1, writes)
+			} else {
+				s.Install(ts, 1, writes)
+			}
+			delete(writes, key)
+		})
+		if allocs != 2 {
+			t.Errorf("Install on a preloaded key, horizon moving = %v: %v allocs, want 2", moving, allocs)
+		}
+		if got := indexed(); got != len(keys) {
+			t.Errorf("index holds %d keys after installs onto %d preloaded chains", got, len(keys))
+		}
 	}
-	if got := indexed(); got != len(keys) {
-		t.Errorf("index holds %d keys after installs onto %d preloaded chains", got, len(keys))
+	for _, k := range keys {
+		if n := s.VersionCount(k); n > 2 {
+			t.Errorf("%s: %d versions with the horizon one commit behind, want at most 2", k, n)
+		}
 	}
-	s.Install(ts+1, 1, map[data.Key]data.Row{"acct:new": row, keys[0]: nil})
+
+	ts++
+	tomb := ts
+	s.InstallAbove(tomb-1, tomb, 1, map[data.Key]data.Row{"acct:new": row, keys[0]: nil})
 	if got := indexed(); got != len(keys)+1 {
-		t.Errorf("index holds %d keys, want %d: a new key joins, a tombstoned one stays", got, len(keys)+1)
+		t.Errorf("index holds %d keys, want %d: a new key joins, a tombstoned one stays while the horizon is below it", got, len(keys)+1)
+	}
+	// Fresh keys move the hand of the stripe they land on; enough of them
+	// bring keys[0]'s round to it. Below the tombstone the hand passes by.
+	gone := func() bool { return s.VersionCount(keys[0]) == 0 && !slices.Contains(s.Keys(), keys[0]) }
+	for n := 0; n < 1000; n++ {
+		ts++
+		s.InstallAbove(tomb-1, ts, 1, map[data.Key]data.Row{data.Key(fmt.Sprintf("low:%04d", n)): row})
+	}
+	if gone() {
+		t.Fatalf("%s was forgotten with the horizon (%d) still below its tombstone (%d)", keys[0], tomb-1, tomb)
+	}
+	for n := 0; n < 1000 && !gone(); n++ {
+		ts++
+		s.InstallAbove(tomb, ts, 1, map[data.Key]data.Row{data.Key(fmt.Sprintf("high:%04d", n)): row})
+	}
+	if !gone() {
+		t.Fatalf("%s still has a chain (%d versions) or an index entry after 1000 hand-moving installs at a horizon past its tombstone",
+			keys[0], s.VersionCount(keys[0]))
+	}
+	if _, chains := s.Reclaimed(); chains != 1 {
+		t.Errorf("Reclaimed reports %d chains, want 1", chains)
 	}
 }
 

@@ -28,6 +28,37 @@
 // watermark has reached its commit timestamp, so a session's next
 // snapshot always contains its own last commit.
 //
+// # Registering readers
+//
+// Every commit forgets, on the chains it writes, the versions no reader
+// can still see (mv "Forgetting"), which it knows from the oracle's
+// horizon: the oldest timestamp any read is registered at. So every read
+// of the store happens at a registered timestamp, taken from before the
+// timestamp is chosen until the last access at it — choosing Safe first
+// and reading at it afterwards leaves a window in which two commits to the
+// same key forget the version the read was about to see, and it would
+// report a live row missing.
+//
+//   - An SITx registers its Start-Timestamp at Begin (BeginAsOf: at the
+//     historical timestamp, refused with engine.ErrSnapshotTooOld below the
+//     horizon) and releases it exactly once, at whichever transition ends
+//     it: read-only commit, first-committer-wins abort, commit, Abort.
+//     The registration spans validation: LatestCommitTS of a reclaimed
+//     tombstone chain reads 0, which is only "no conflict" for a
+//     transaction the horizon has not passed.
+//   - An RCTx registers per statement — Get, the before-image read of a
+//     write, Select, the before-image read of UpdateCurrent — and never
+//     across a lock wait. DB.ReadCommittedRow does the same.
+//   - An RC cursor keeps the snapshot of its OpenCursor registered until
+//     Close or the end of the transaction, because UpdateCurrent compares
+//     LatestCommitTS(key) with it: a row deleted after the open has to be
+//     remembered for as long as somebody may ask whether it changed.
+//
+// There is no retention setting. History is kept as the paper keeps it, by
+// an active Start-Timestamp: a caller that wants to travel back to a
+// timestamp later holds a snapshot open at or before it
+// (examples/timetravel).
+//
 // The historical packages internal/snapshot and internal/oraclerc remain
 // as facades restricted to their single level; their types alias the ones
 // here. The differential fuzzer's mixed mode (internal/exerciser) runs
@@ -128,6 +159,37 @@ func (db *DB) Recorder() *engine.Recorder { return db.rec }
 // SI transactions never touch the lock manager).
 func (db *DB) LockStats() lock.Stats { return db.lm.Stats() }
 
+// Stats is a point-in-time reading of the version store's bookkeeping: how
+// far commits are from being visible, how far the oldest open snapshot
+// holds forgetting back, and how much has been forgotten.
+type Stats struct {
+	WatermarkLag      int64 // Current − Safe: timestamps allocated and not yet visible
+	HorizonLag        int64 // Safe − Horizon: commits whose predecessors the oldest open snapshot keeps alive
+	SnapshotsActive   int64 // registered readers: open SI transactions, RC cursors, statements in flight
+	VersionsReclaimed int64 // versions dropped from chains, tombstones of reclaimed chains included
+	ChainsReclaimed   int64 // keys whose chain and index entry were dropped whole
+}
+
+// MVStats reads Stats. It costs the engine nothing until called: the gauges
+// are computed here and the counters are kept under latches the store
+// takes anyway. A HorizonLag that only grows is a session that began a
+// transaction and stalled, or leaked it.
+func (db *DB) MVStats() Stats {
+	// Horizon <= Safe <= Current at every instant and each only rises, so
+	// reading them in that order keeps both differences non-negative.
+	horizon := db.oracle.Horizon()
+	safe := db.oracle.Safe()
+	current := db.oracle.Current()
+	versions, chains := db.store.Reclaimed()
+	return Stats{
+		WatermarkLag:      int64(current - safe),
+		HorizonLag:        int64(safe - horizon),
+		SnapshotsActive:   int64(db.oracle.ActiveSnapshots()),
+		VersionsReclaimed: versions,
+		ChainsReclaimed:   chains,
+	}
+}
+
 // SetObserver forwards a wait observer to the lock manager.
 func (db *DB) SetObserver(o lock.Observer) { db.lm.SetObserver(o) }
 
@@ -157,15 +219,26 @@ func (db *DB) install(id int, writes map[data.Key]data.Row, release func()) mv.T
 	func() {
 		defer db.oracle.Done(ts) // after the latches are released
 		defer release()
-		db.store.Install(ts, id, writes)
+		db.store.InstallAbove(db.oracle.Horizon(), ts, id, writes)
 	}()
 	db.oracle.WaitSafe(ts)
 	return ts
 }
 
+// readCommitted reads key at the installed watermark, registered from
+// before the timestamp is chosen until the read has returned — unregistered,
+// a commit in between could forget the version visible there and the read
+// would report a live row missing. It returns the timestamp it read at.
+func (db *DB) readCommitted(key data.Key) (v mv.Version, ok bool, ts mv.TS) {
+	ts = db.oracle.Acquire()
+	defer db.oracle.Release(ts)
+	v, ok = db.store.ReadAt(key, ts)
+	return v, ok, ts
+}
+
 // ReadCommittedRow implements engine.DB.
 func (db *DB) ReadCommittedRow(key data.Key) data.Row {
-	v, ok := db.store.ReadAt(key, db.oracle.Safe())
+	v, ok, _ := db.readCommitted(key)
 	if !ok {
 		return nil
 	}
@@ -197,7 +270,7 @@ func (db *DB) Begin(level engine.Level) (engine.Tx, error) {
 		// installing, and a snapshot taken in that window would watch the
 		// commit appear piecemeal (and could even slip past
 		// first-committer-wins validation).
-		return db.beginSI(db.oracle.Safe()), nil
+		return db.beginSI(db.oracle.Acquire()), nil
 	case engine.ReadConsistency:
 		id := int(db.seq.Add(1))
 		db.obs.Begin(id, level.Code())
@@ -211,14 +284,27 @@ func (db *DB) Begin(level engine.Level) (engine.Tx, error) {
 // perspective of the database — while never blocking or being blocked by
 // writes". Updates are allowed but will abort at commit if they conflict
 // with anything committed after ts.
-func (db *DB) BeginAsOf(ts mv.TS) engine.Tx {
-	return db.beginSI(ts)
+//
+// History is kept only as far back as somebody is reading it (§4.2: the
+// system remembers "all updates belonging to any transaction that commits
+// after the Start-Timestamp of each active transaction"): a ts below the
+// oldest open snapshot fails with engine.ErrSnapshotTooOld rather than
+// read newer versions in place of forgotten ones. To travel to a
+// timestamp later, hold a snapshot open at or before it.
+func (db *DB) BeginAsOf(ts mv.TS) (engine.Tx, error) {
+	if !db.oracle.AcquireAt(ts) {
+		return nil, fmt.Errorf("%w: as of ts %d, history kept from ts %d",
+			engine.ErrSnapshotTooOld, ts, db.oracle.Horizon())
+	}
+	return db.beginSI(ts), nil
 }
 
 // CurrentTS returns the newest fully installed committed timestamp (for
 // AsOf bookkeeping).
 func (db *DB) CurrentTS() mv.TS { return db.oracle.Safe() }
 
+// beginSI starts an SI transaction at start, which the caller registered
+// with the oracle; the transaction releases it when it terminates.
 func (db *DB) beginSI(start mv.TS) *SITx {
 	id := int(db.seq.Add(1))
 	db.obs.Begin(id, engine.SnapshotIsolation.Code())

@@ -47,6 +47,10 @@ type RCTx struct {
 	// rangeReads records each key-range scan's result set with its
 	// statement-snapshot slot for the harness's range-read certification.
 	rangeReads []RangeRead
+
+	// cursors are the cursors this transaction opened; each holds its
+	// snapshot registered until it is closed, here at the latest.
+	cursors []*rcCursor
 }
 
 // TimedRead is one recorded read together with the statement-snapshot
@@ -71,10 +75,12 @@ func (t *RCTx) lockErr(err error) error {
 	return err
 }
 
-// statementTS returns a fresh statement-level snapshot: the most recent
-// fully installed committed timestamp right now (the watermark, so a
-// statement never sees a torn concurrent commit).
-func (t *RCTx) statementTS() mv.TS { return t.db.oracle.Safe() }
+// statementTS registers and returns a fresh statement-level snapshot: the
+// most recent fully installed committed timestamp right now (the
+// watermark, so a statement never sees a torn concurrent commit). The
+// statement releases it after its last store access (DB.readCommitted says
+// what goes wrong otherwise).
+func (t *RCTx) statementTS() mv.TS { return t.db.oracle.Acquire() }
 
 // Get implements engine.Tx: a single-row statement; reads the latest
 // committed value as of statement start, overlaid by own writes.
@@ -92,8 +98,7 @@ func (t *RCTx) Get(key data.Key) (data.Row, error) {
 		t.db.obs.RecordOp(start)
 		return row.Clone(), nil
 	}
-	ts := t.statementTS()
-	v, ok := t.db.store.ReadAt(key, ts)
+	v, ok, ts := t.db.readCommitted(key)
 	if !ok {
 		op := history.Op{Tx: t.id, Kind: history.Read, Item: key, Version: -1}
 		t.reads = append(t.reads, TimedRead{TS: ts, Op: op})
@@ -123,7 +128,7 @@ func (t *RCTx) write(key data.Key, row data.Row) error {
 	}
 	start := t.db.obs.Now()
 	var before data.Row
-	if v, ok := t.db.store.ReadAt(key, t.statementTS()); ok {
+	if v, ok, _ := t.db.readCommitted(key); ok {
 		before = v.Row
 	}
 	if err := t.db.lm.AcquireItem(lock.TxID(t.id), key, lock.X, lock.Images{Before: before, After: row}); err != nil {
@@ -147,7 +152,9 @@ func (t *RCTx) Select(p predicate.P) ([]data.Tuple, error) {
 		return nil, engine.ErrTxDone
 	}
 	start := t.db.obs.Now()
-	out, err := t.selectAt(p, t.statementTS())
+	ts := t.statementTS()
+	out, err := t.selectAt(p, ts)
+	t.db.oracle.Release(ts)
 	t.db.obs.RecordOp(start)
 	return out, err
 }
@@ -171,7 +178,10 @@ func (t *RCTx) RangeReads() []RangeRead { return t.rangeReads }
 
 // OpenCursor implements engine.Tx: "The members of a cursor set are as of
 // the time of the Open Cursor" — the cursor pins the statement snapshot of
-// its open.
+// its open, and keeps it registered until Close or the end of the
+// transaction: UpdateCurrent compares LatestCommitTS against it, and a
+// row deleted after the open must still be there to compare — a reclaimed
+// tombstone chain reads as 0, "never changed".
 func (t *RCTx) OpenCursor(p predicate.P) (engine.Cursor, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
@@ -179,9 +189,21 @@ func (t *RCTx) OpenCursor(p predicate.P) (engine.Cursor, error) {
 	ts := t.statementTS()
 	tuples, err := t.selectAt(p, ts)
 	if err != nil {
+		t.db.oracle.Release(ts)
 		return nil, err
 	}
-	return &rcCursor{tx: t, snapTS: ts, tuples: tuples, pos: -1}, nil
+	c := &rcCursor{tx: t, snapTS: ts, tuples: tuples, pos: -1}
+	t.cursors = append(t.cursors, c)
+	return c, nil
+}
+
+// closeCursors ends the registrations of the cursors still open when the
+// transaction terminates.
+func (t *RCTx) closeCursors() {
+	for _, c := range t.cursors {
+		_ = c.Close()
+	}
+	t.cursors = nil
 }
 
 type rcCursor struct {
@@ -229,7 +251,7 @@ func (c *rcCursor) UpdateCurrent(row data.Row) error {
 	}
 	t := c.tx
 	var before data.Row
-	if v, ok := t.db.store.ReadAt(cur.Key, t.statementTS()); ok {
+	if v, ok, _ := t.db.readCommitted(cur.Key); ok {
 		before = v.Row
 	}
 	if err := t.db.lm.AcquireItem(lock.TxID(t.id), cur.Key, lock.X, lock.Images{Before: before, After: row}); err != nil {
@@ -247,7 +269,14 @@ func (c *rcCursor) UpdateCurrent(row data.Row) error {
 	return nil
 }
 
-func (c *rcCursor) Close() error { c.closed = true; return nil }
+// Close ends the cursor and the registration of its snapshot.
+func (c *rcCursor) Close() error {
+	if !c.closed {
+		c.closed = true
+		c.tx.db.oracle.Release(c.snapTS)
+	}
+	return nil
+}
 
 // Commit implements engine.Tx: install versions at a fresh commit
 // timestamp under the write set's store stripe latches, then release
@@ -264,6 +293,7 @@ func (t *RCTx) Commit() error {
 	}
 	start := t.db.obs.Now()
 	t.done = true
+	t.closeCursors()
 	if len(t.writes) > 0 {
 		release := t.db.store.LockWriteSet(t.order)
 		// As in SITx.Commit, install waits for the watermark: the next
@@ -325,6 +355,7 @@ func (t *RCTx) Abort() error {
 		return engine.ErrTxDone
 	}
 	t.done = true
+	t.closeCursors()
 	t.writes = nil
 	t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Abort, Version: -1})
 	t.db.obs.Abort(t.id)

@@ -228,7 +228,8 @@ func (t *SITx) Commit() error {
 	start := t.db.obs.Now()
 	if len(t.writes) == 0 {
 		// Read-only transactions always commit, at their snapshot.
-		t.done, t.committed = true, true
+		t.finish()
+		t.committed = true
 		t.commitTS = t.start
 		t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Commit, Version: -1})
 		t.db.obs.Commit(t.id)
@@ -246,7 +247,7 @@ func (t *SITx) Commit() error {
 	for _, key := range t.order {
 		if ts := t.db.store.LatestCommitTS(key); ts > t.start {
 			release()
-			t.done = true
+			t.finish()
 			t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Abort, Version: -1})
 			t.db.obs.Abort(t.id)
 			t.db.obs.RecordCommitLatency(start)
@@ -259,7 +260,8 @@ func (t *SITx) Commit() error {
 	// a rewrite of the same keys does not fail first-committer-wins against
 	// itself).
 	ts := t.db.install(t.id, t.writes, release)
-	t.done, t.committed = true, true
+	t.finish()
+	t.committed = true
 	t.commitTS = ts
 	t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Commit, Version: -1})
 	t.db.obs.Commit(t.id)
@@ -272,11 +274,21 @@ func (t *SITx) Abort() error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	t.done = true
+	t.finish()
 	t.writes = nil
 	t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Abort, Version: -1})
 	t.db.obs.Abort(t.id)
 	return nil
+}
+
+// finish is the done transition, taken exactly once on every way out:
+// nothing reads the store at t.start after it, so the snapshot's
+// registration ends here. It comes after first-committer-wins validation,
+// which compares LatestCommitTS against t.start and would take a reclaimed
+// tombstone chain (it reads as 0) for a key nobody deleted.
+func (t *SITx) finish() {
+	t.done = true
+	t.db.oracle.Release(t.start)
 }
 
 // MVTxn exports the transaction's execution as a deps.MVTxn-shaped record

@@ -29,14 +29,25 @@ func WriteMetrics(w io.Writer, s *Sink, counters map[string]int64, extra ...Name
 		fmt.Fprintf(w, "%s_sum %d\n", name, snap.Sum)
 		fmt.Fprintf(w, "%s_count %d\n", name, snap.Count)
 	}
-	names := make([]string, 0, len(counters))
-	for name := range counters {
+	writeFlat(w, counters, "_total", "counter")
+}
+
+// WriteGauges renders a flat gauge map — values that go down as well as
+// up, like how far the oldest open snapshot holds version GC back — as
+// isolevel_<name> gauges, in sorted order like WriteMetrics' counters.
+func WriteGauges(w io.Writer, gauges map[string]int64) {
+	writeFlat(w, gauges, "", "gauge")
+}
+
+func writeFlat(w io.Writer, values map[string]int64, suffix, kind string) {
+	names := make([]string, 0, len(values))
+	for name := range values {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		full := "isolevel_" + name + "_total"
-		fmt.Fprintf(w, "# TYPE %s counter\n", full)
-		fmt.Fprintf(w, "%s %d\n", full, counters[name])
+		full := "isolevel_" + name + suffix
+		fmt.Fprintf(w, "# TYPE %s %s\n", full, kind)
+		fmt.Fprintf(w, "%s %d\n", full, values[name])
 	}
 }

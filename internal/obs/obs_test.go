@@ -250,8 +250,10 @@ func TestWriteMetrics(t *testing.T) {
 	}
 	var b strings.Builder
 	WriteMetrics(&b, s, map[string]int64{"lock_grants": 42, "lock_deadlocks": 1})
+	WriteGauges(&b, map[string]int64{"mv_watermark_lag": 0, "mv_horizon_lag": 9})
 	out := b.String()
 	for _, want := range []string{
+		"# TYPE isolevel_mv_horizon_lag gauge\nisolevel_mv_horizon_lag 9\n# TYPE isolevel_mv_watermark_lag gauge\nisolevel_mv_watermark_lag 0\n",
 		"# TYPE isolevel_op_latency summary",
 		`isolevel_op_latency{quantile="0.99"}`,
 		"isolevel_op_latency_count 10",

@@ -1,12 +1,14 @@
 // Package obshttp serves the runtime observability endpoint: /metrics in
-// Prometheus text format fed from histogram + engine counter snapshots,
-// net/http/pprof under /debug/pprof/, and expvar under /debug/vars. It
-// is stdlib-only and lives outside the deterministic set (net/http and
+// Prometheus text format fed from histogram + engine counter and gauge
+// snapshots, net/http/pprof under /debug/pprof/, and expvar — plus the
+// same counters and gauges as one "isolevel" object — under /debug/vars.
+// It is stdlib-only and lives outside the deterministic set (net/http and
 // pprof are free to read the wall clock).
 package obshttp
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -20,14 +22,24 @@ import (
 )
 
 // Source supplies the data behind /metrics. Sink may be nil (no
-// histograms); Counters may be nil (no counters); Hists may be nil (no
-// extra histograms). Counters and Hists are called per scrape so the
-// page tracks live state — Hists carries histograms that live outside a
-// Sink, like the server's statement-latency histogram.
+// histograms); Counters may be nil (no counters); Gauges may be nil (no
+// gauges); Hists may be nil (no extra histograms). Counters, Gauges and
+// Hists are called per scrape so the page tracks live state, and nothing
+// is computed between scrapes — Hists carries histograms that live outside
+// a Sink, like the server's statement-latency histogram.
 type Source struct {
 	Sink     *obs.Sink
 	Counters func() map[string]int64
+	Gauges   func() map[string]int64
 	Hists    func() []obs.NamedHist
+}
+
+// flat calls f if there is one.
+func flat(f func() map[string]int64) map[string]int64 {
+	if f == nil {
+		return nil
+	}
+	return f()
 }
 
 // Handler returns the endpoint's mux: /metrics, /debug/pprof/*,
@@ -36,22 +48,36 @@ func Handler(src Source) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		var counters map[string]int64
-		if src.Counters != nil {
-			counters = src.Counters()
-		}
 		var extra []obs.NamedHist
 		if src.Hists != nil {
 			extra = src.Hists()
 		}
-		obs.WriteMetrics(w, src.Sink, counters, extra...)
+		obs.WriteMetrics(w, src.Sink, flat(src.Counters), extra...)
+		obs.WriteGauges(w, flat(src.Gauges))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
+		// expvar.Handler's page with one more member: the source's counters
+		// and gauges under their /metrics names.
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		fmt.Fprint(w, "{\n")
+		expvar.Do(func(kv expvar.KeyValue) { fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value) })
+		values := map[string]int64{}
+		for _, m := range []map[string]int64{flat(src.Counters), flat(src.Gauges)} {
+			for name, v := range m {
+				values[name] = v
+			}
+		}
+		enc, err := json.Marshal(values)
+		if err != nil {
+			enc = []byte("{}") // a map of integers always encodes
+		}
+		fmt.Fprintf(w, "%q: %s\n}\n", "isolevel", enc)
+	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)

@@ -1,6 +1,7 @@
 package obshttp
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -30,6 +31,7 @@ func TestEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler(Source{
 		Sink:     sink,
 		Counters: func() map[string]int64 { return map[string]int64{"lock_grants": 7} },
+		Gauges:   func() map[string]int64 { return map[string]int64{"mv_horizon_lag": 3} },
 	}))
 	defer srv.Close()
 
@@ -37,7 +39,8 @@ func TestEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
-	for _, want := range []string{"isolevel_op_latency_count 1", "isolevel_lock_grants_total 7"} {
+	for _, want := range []string{"isolevel_op_latency_count 1", "isolevel_lock_grants_total 7",
+		"# TYPE isolevel_mv_horizon_lag gauge\nisolevel_mv_horizon_lag 3\n"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
@@ -46,8 +49,16 @@ func TestEndpoint(t *testing.T) {
 	if code, _ := get(t, srv, "/debug/pprof/"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/ status %d", code)
 	}
-	if code, body := get(t, srv, "/debug/vars"); code != http.StatusOK || !strings.Contains(body, "memstats") {
-		t.Errorf("/debug/vars status %d", code)
+	code, body = get(t, srv, "/debug/vars")
+	var vars struct {
+		Memstats map[string]any   `json:"memstats"`
+		Isolevel map[string]int64 `json:"isolevel"`
+	}
+	if err := json.Unmarshal([]byte(body), &vars); code != http.StatusOK || err != nil || vars.Memstats == nil {
+		t.Errorf("/debug/vars status %d, decode error %v:\n%s", code, err, body)
+	}
+	if vars.Isolevel["lock_grants"] != 7 || vars.Isolevel["mv_horizon_lag"] != 3 {
+		t.Errorf("/debug/vars isolevel = %v, want the source's counters and gauges", vars.Isolevel)
 	}
 	if code, _ := get(t, srv, "/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown path status %d, want 404", code)
@@ -63,6 +74,9 @@ func TestMetricsNilSource(t *testing.T) {
 	}
 	if strings.Contains(body, "isolevel_") {
 		t.Errorf("nil source should render an empty page, got:\n%s", body)
+	}
+	if code, body := get(t, srv, "/debug/vars"); code != http.StatusOK || !json.Valid([]byte(body)) {
+		t.Errorf("/debug/vars with a nil source: status %d, body\n%s", code, body)
 	}
 }
 

@@ -47,14 +47,14 @@ func (k EventKind) String() string {
 // Event is one flight-recorder entry. Fields that don't apply to a kind
 // are zero ("" / -1 / 0) and omitted from the rendering.
 type Event struct {
-	Tick   int64     // clock instant (ticks or ns, per the sink's Clock)
+	Tick   int64 // clock instant (ticks or ns, per the sink's Clock)
 	Kind   EventKind
-	Tx     int       // transaction id
-	Key    string    // data item, anchor, or predicate tag; "" if none
-	Stripe int       // lock-table stripe; -1 if not stripe-scoped
-	Class  string    // lock class: item/pred/range/gap; "" if not a lock event
-	Level  string    // isolation level code on EvBegin; "" otherwise
-	Aux    int64     // kind-specific (see EventKind comments)
+	Tx     int    // transaction id
+	Key    string // data item, anchor, or predicate tag; "" if none
+	Stripe int    // lock-table stripe; -1 if not stripe-scoped
+	Class  string // lock class: item/pred/range/gap; "" if not a lock event
+	Level  string // isolation level code on EvBegin; "" otherwise
+	Aux    int64  // kind-specific (see EventKind comments)
 }
 
 // String renders the event as one stable line.

@@ -368,3 +368,52 @@ func TestServerLoadgenDMLKeyrange(t *testing.T) {
 		t.Fatalf("GapGrants = 0: the insert/gap path never fired (stats %+v)", st)
 	}
 }
+
+// TestServerDisconnectReleasesSnapshot: a client that vanishes with a
+// SNAPSHOT ISOLATION transaction open must not hold version GC back for
+// the life of the server — closing the session aborts the transaction,
+// which releases its snapshot, and the horizon catches up with the commits
+// it was holding.
+func TestServerDisconnectReleasesSnapshot(t *testing.T) {
+	db := mvcc.NewDB()
+	db.Load(data.Tuple{Key: "x", Row: data.Scalar(1)})
+	srv := server.New(server.Config{DB: db, DefaultLevel: engine.SnapshotIsolation, Family: "mv"})
+	defer srv.Close()
+
+	sc, cc := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeConn(sc)
+	}()
+	holder := &wireClient{t: t, conn: cc, br: bufio.NewReader(cc)}
+	defer cc.Close()
+	if got := holder.readLine(); got != "+HELLO isolevel family=mv level=SI" {
+		t.Fatalf("greeting = %q", got)
+	}
+	holder.do("BEGIN ISOLATION LEVEL SNAPSHOT_ISOLATION", "+OK T1 SI")
+	holder.do("GET x", ":1")
+
+	wr := pipeClient(t, srv, "+HELLO isolevel family=mv level=SI")
+	const writes = 5
+	for i := 2; i < 2+writes; i++ {
+		wr.do(fmt.Sprintf("SET x %d", i), "+OK")
+	}
+	if st := db.MVStats(); st.SnapshotsActive != 1 || st.HorizonLag != writes {
+		t.Fatalf("with the transaction open: %+v, want 1 snapshot holding the horizon %d commits back", st, writes)
+	}
+	if n := len(db.Chain("x")); n != 1+writes {
+		t.Fatalf("x holds %d versions under the open snapshot, want all %d", n, 1+writes)
+	}
+	holder.do("GET x", ":1")
+
+	cc.Close() // no COMMIT, no ABORT, no QUIT
+	<-served
+	if st := db.MVStats(); st.SnapshotsActive != 0 || st.HorizonLag != 0 {
+		t.Fatalf("after the disconnect: %+v, want nothing registered and the horizon at the watermark", st)
+	}
+	wr.do("SET x 99", "+OK")
+	if n := len(db.Chain("x")); n != 2 {
+		t.Fatalf("x holds %d versions after the next commit, want 2", n)
+	}
+}

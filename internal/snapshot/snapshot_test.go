@@ -254,29 +254,67 @@ func TestNoReadSkew(t *testing.T) {
 	_ = t1.Commit()
 }
 
-// Time travel: a transaction begun AsOf an old timestamp sees history.
+// Time travel: a transaction begun AsOf an old timestamp sees history — as
+// far back as some snapshot has been holding it, and no further.
 func TestTimeTravelAsOf(t *testing.T) {
 	db := NewDB()
 	load(db, map[string]int64{"x": 1})
 	ts1 := db.CurrentTS()
-	t1 := begin(t, db)
-	_ = engine.PutVal(t1, "x", 2)
-	if err := t1.Commit(); err != nil {
+	// History is remembered from the oldest open snapshot on: hold one at
+	// ts1 before history moves on.
+	bookmark, err := db.BeginAsOf(ts1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	old := db.BeginAsOf(ts1)
+	update := func(v int64) {
+		t.Helper()
+		tx := begin(t, db)
+		_ = engine.PutVal(tx, "x", v)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update(2)
+	update(3)
+	old, err := db.BeginAsOf(ts1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if v, _ := engine.GetVal(old, "x"); v != 1 {
 		t.Fatalf("time travel read = %d, want 1", v)
 	}
 	_ = old.Commit()
+	mid, err := db.BeginAsOf(ts1 + 1)
+	if err != nil {
+		t.Fatalf("a timestamp after the held one must be reachable: %v", err)
+	}
+	if v, _ := engine.GetVal(mid, "x"); v != 2 {
+		t.Fatalf("time travel read at ts1+1 = %d, want 2", v)
+	}
+	_ = mid.Commit()
 	// An update transaction with a very old timestamp aborts if it writes
 	// data updated since ("update transactions with very old timestamps
 	// would abort if they tried to update any data item that had been
 	// updated by more recent transactions").
-	old2 := db.BeginAsOf(ts1)
+	old2, err := db.BeginAsOf(ts1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_ = engine.PutVal(old2, "x", 9)
 	if err := old2.Commit(); !errors.Is(err, engine.ErrWriteConflict) {
 		t.Fatalf("stale updater got %v, want ErrWriteConflict", err)
+	}
+	// With nothing held at ts1 any more, it is below the horizon: a typed
+	// refusal, never a silent read of a newer version.
+	_ = bookmark.Commit()
+	update(4)
+	if tx, err := db.BeginAsOf(ts1); !errors.Is(err, engine.ErrSnapshotTooOld) {
+		t.Fatalf("BeginAsOf(%d) with nothing held there got (%v, %v), want ErrSnapshotTooOld", ts1, tx, err)
+	}
+	if tx, err := db.BeginAsOf(db.CurrentTS()); err != nil {
+		t.Fatalf("BeginAsOf(now) got %v", err)
+	} else if v, _ := engine.GetVal(tx, "x"); v != 4 {
+		t.Fatalf("read as of now = %d, want 4", v)
 	}
 }
 

@@ -54,9 +54,12 @@ func (m Metrics) AbortRate() float64 {
 	return float64(m.Aborts) / float64(total)
 }
 
+// String renders the metrics as one line. The wall clock prints in one
+// fixed unit: a Duration's own String switches between µs, ms and s with
+// the value, and a run near a boundary would change the line's shape.
 func (m Metrics) String() string {
-	return fmt.Sprintf("commits=%d aborts=%d (%.1f%%) reads=%d writes=%d in %v",
-		m.Commits, m.Aborts, 100*m.AbortRate(), m.Reads, m.Writes, m.WallClock)
+	return fmt.Sprintf("commits=%d aborts=%d (%.1f%%) reads=%d writes=%d in %.3fms",
+		m.Commits, m.Aborts, 100*m.AbortRate(), m.Reads, m.Writes, float64(m.WallClock)/float64(time.Millisecond))
 }
 
 type counters struct {

@@ -56,12 +56,13 @@ type Cursor = engine.Cursor
 
 // Engine errors (errors.Is-compatible).
 var (
-	ErrDeadlock      = engine.ErrDeadlock
-	ErrWriteConflict = engine.ErrWriteConflict
-	ErrRowChanged    = engine.ErrRowChanged
-	ErrNotFound      = engine.ErrNotFound
-	ErrTxDone        = engine.ErrTxDone
-	ErrUnsupported   = engine.ErrUnsupported
+	ErrDeadlock       = engine.ErrDeadlock
+	ErrWriteConflict  = engine.ErrWriteConflict
+	ErrRowChanged     = engine.ErrRowChanged
+	ErrNotFound       = engine.ErrNotFound
+	ErrTxDone         = engine.ErrTxDone
+	ErrUnsupported    = engine.ErrUnsupported
+	ErrSnapshotTooOld = engine.ErrSnapshotTooOld
 )
 
 // NewLockingDB returns the Table 2 locking engine (Degree 0, READ
@@ -109,7 +110,8 @@ func NewKeyrangeDBEscalated(shards, threshold int) *locking.DB {
 }
 
 // NewSnapshotDB returns the §4.2 Snapshot Isolation engine
-// (first-committer-wins, snapshot reads, time travel via BeginAsOf).
+// (first-committer-wins, snapshot reads, time travel via BeginAsOf — back
+// to the oldest snapshot still held open; older is ErrSnapshotTooOld).
 func NewSnapshotDB() *snapshot.DB { return snapshot.NewDB() }
 
 // NewSnapshotDBFirstUpdaterWins returns the eager-conflict ablation of the
