@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test race vet fmt lint isolint bench bench-all bench-keyrange bench-mv bench-locking bench-compare fuzz fuzz-mixed fuzz-keyrange fuzz-escalation fuzz-dml fuzz-determinism serve-smoke
+.PHONY: verify build test race vet fmt lint isolint bench bench-all bench-keyrange bench-mv bench-locking bench-compare fuzz fuzz-mixed fuzz-keyrange fuzz-dml fuzz-determinism serve-smoke
 
 verify: lint build race ## what CI runs: vet + isolint + build + race-enabled tests
 
@@ -59,18 +59,17 @@ bench-mv bench-locking:
 	$(GO) run ./cmd/isolevel benchjson -match 'ShardSweepDisjointBatch|ShardSweepTransfer' < /tmp/bench-sweeps.out > BENCH_mv.json
 	$(GO) run ./cmd/isolevel benchjson -match 'ShardSweepLockingDisjoint|LockingLockstep' < /tmp/bench-sweeps.out > BENCH_locking.json
 
-# All four perf-trajectory artifacts out of ONE shared run (same build,
-# same host, same run): mv, locking, keyrange, escalation. This is what
+# All three perf-trajectory artifacts out of ONE shared run (same build,
+# same host, same run): mv, locking, keyrange. This is what
 # CI runs and uploads; regenerate + commit before a perf PR lands.
 # Two steps, not a pipeline: a failed bench assertion must fail the
 # target (a pipe's exit status would be benchjson's, masking it).
 bench-all:
-	$(GO) test -run '^$$' -bench 'ShardSweep|LockingLockstep|Keyrange|Escalation' -benchmem . > /tmp/bench-all4.out
+	$(GO) test -run '^$$' -bench 'ShardSweep|LockingLockstep|Keyrange' -benchmem . > /tmp/bench-all4.out
 	cat /tmp/bench-all4.out
 	$(GO) run ./cmd/isolevel benchjson -match 'ShardSweepDisjointBatch|ShardSweepTransfer' < /tmp/bench-all4.out > BENCH_mv.json
 	$(GO) run ./cmd/isolevel benchjson -match 'ShardSweepLockingDisjoint|LockingLockstep' < /tmp/bench-all4.out > BENCH_locking.json
 	$(GO) run ./cmd/isolevel benchjson -match 'Keyrange' < /tmp/bench-all4.out > BENCH_keyrange.json
-	$(GO) run ./cmd/isolevel benchjson -match 'Escalation' < /tmp/bench-all4.out > BENCH_escalation.json
 
 # Alloc-regression guard: rerun the keyrange benches and compare
 # allocs/op against the committed BENCH_keyrange.json baseline. CI runs
@@ -139,20 +138,12 @@ fuzz-mixed:
 	$(GO) run ./cmd/isolevel fuzz -mixed -seed 1 -n 500
 
 # The keyrange family alone: the locking scheduler under key-range
-# (next-key) phantom prevention, uniform and mixed.
+# (next-key) phantom prevention, uniform and mixed. There is one keyrange
+# protocol — the exact, image-refined one — so this and fuzz-dml are the
+# only keyrange modes.
 fuzz-keyrange:
 	$(GO) run ./cmd/isolevel fuzz -engines keyrange -seed 1 -n 1000
 	$(GO) run ./cmd/isolevel fuzz -engines keyrange -mixed -seed 1 -n 500
-
-# Escalation on (threshold 2, 2 stripes so real runs escalate): coarse
-# blocking deliberately diverges from the exact protocols, so the
-# campaign is keyrange-alone and oracle-only — zero Table 4 violations
-# is the bar, and determinism still holds byte for byte.
-fuzz-escalation:
-	$(GO) run ./cmd/isolevel fuzz -engines keyrange -escalation 2 -shards 2 -seed 1 -n 300 > /tmp/isolevel-fuzz-ea.out
-	cat /tmp/isolevel-fuzz-ea.out
-	$(GO) run ./cmd/isolevel fuzz -engines keyrange -escalation 2 -shards 2 -seed 1 -n 300 > /tmp/isolevel-fuzz-eb.out
-	diff /tmp/isolevel-fuzz-ea.out /tmp/isolevel-fuzz-eb.out
 
 # DML grammar: inserts, deletes, and range reads join the classic op
 # mix, so every family replays schedules that create and destroy rows

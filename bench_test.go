@@ -22,7 +22,6 @@ import (
 	"isolevel/internal/data"
 	"isolevel/internal/engine"
 	"isolevel/internal/exerciser"
-	"isolevel/internal/locking"
 	"isolevel/internal/matrix"
 	"isolevel/internal/mv"
 	"isolevel/internal/obs"
@@ -36,10 +35,10 @@ import (
 // reports the distribution as p50-ns/p90-ns/p99-ns/max-ns bench metrics,
 // which the benchjson pipeline embeds into the BENCH_*.json artifacts
 // (compare with `benchjson -compare ... -metric p99`). ns/op only shows
-// the mean; the percentiles expose tail effects — a gate convoy or an
-// escalation stall widens p99 long before it moves the mean. The timer is
-// harness-side: the engines under test keep their nil obs hooks, so the
-// allocs/op regression guard measures the disabled-hook cost.
+// the mean; the percentiles expose tail effects — a gate convoy widens p99
+// long before it moves the mean. The timer is harness-side: the engines
+// under test keep their nil obs hooks, so the allocs/op regression guard
+// measures the disabled-hook cost.
 type latencyTimer struct {
 	clk obs.Clock
 	h   obs.Histogram
@@ -495,107 +494,6 @@ func BenchmarkKeyrangePhantomStorm(b *testing.B) {
 					b.Fatalf("storm drifted: %+v", res)
 				}
 			}
-			b.ReportMetric(float64(b.N*rounds)/b.Elapsed().Seconds(), "rounds/s")
-			lt.report(b)
-		})
-	}
-}
-
-// --- Lock escalation benches ---
-// (`make bench-all` slices these into BENCH_escalation.json.)
-
-// BenchmarkEscalationScan prices a whole-space scan under the three
-// phantom-protection configurations: the gated predicate table, exact
-// key-range fragments, and key-range with escalation (threshold 4 at 128
-// keys over 16 stripes escalates every stripe, so the install collapses
-// ~8 per-key fragments into one coarse entry per stripe). The
-// escalations/op metric confirms the coarse path actually runs.
-func BenchmarkEscalationScan(b *testing.B) {
-	const keys, shards, threshold = 128, 16, 4
-	for _, cfg := range []string{"predicate", "keyrange", "keyrange-esc"} {
-		b.Run(cfg, func(b *testing.B) {
-			var db *locking.DB
-			switch cfg {
-			case "predicate":
-				db = isolevel.NewLockingDBShards(shards)
-			case "keyrange":
-				db = isolevel.NewKeyrangeDBShards(shards)
-			case "keyrange-esc":
-				db = isolevel.NewKeyrangeDBEscalated(shards, threshold)
-			}
-			for i := 0; i < keys; i++ {
-				db.Load(isolevel.Scalar(isolevel.Key(fmt.Sprintf("acct:%d", i)), int64(i)))
-			}
-			p := isolevel.MustPredicate("val >= 100000")
-			lt := newLatencyTimer()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := lt.start()
-				tx, err := db.Begin(isolevel.Serializable)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tx.Select(p); err != nil {
-					b.Fatal(err)
-				}
-				if err := tx.Commit(); err != nil {
-					b.Fatal(err)
-				}
-				lt.stop(t0)
-			}
-			b.StopTimer()
-			st := db.LockStats()
-			if cfg != "predicate" && st.GateAcquires != 0 {
-				b.Fatalf("keyrange scan took the gate %d times", st.GateAcquires)
-			}
-			if cfg == "keyrange-esc" && st.Escalations == 0 {
-				b.Fatal("escalated config never escalated — threshold not exercised")
-			}
-			b.ReportMetric(float64(st.Escalations)/float64(b.N), "escalations/op")
-			lt.report(b)
-		})
-	}
-}
-
-// BenchmarkEscalationStorm runs the lockstep escalation scenario end to
-// end on all three configurations: same workload, increasingly coarse
-// blocking. blocked-writes/round is the precision cost (0 exact, > 0
-// escalated), rounds/s the throughput each configuration sustains.
-func BenchmarkEscalationStorm(b *testing.B) {
-	const keys, writers, rounds, shards, threshold = 64, 8, 5, 16, 4
-	for _, cfg := range []string{"predicate", "keyrange", "keyrange-esc"} {
-		b.Run(cfg, func(b *testing.B) {
-			var blocked int64
-			lt := newLatencyTimer()
-			for i := 0; i < b.N; i++ {
-				var db *locking.DB
-				switch cfg {
-				case "predicate":
-					db = isolevel.NewLockingDBShards(shards)
-				case "keyrange":
-					db = isolevel.NewKeyrangeDBShards(shards)
-				case "keyrange-esc":
-					db = isolevel.NewKeyrangeDBEscalated(shards, threshold)
-				}
-				t0 := lt.start()
-				res, err := workload.EscalationStorm(db, isolevel.Serializable, keys, writers, rounds)
-				lt.stop(t0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if cfg != "predicate" && res.GateAcquires != 0 {
-					b.Fatalf("gate acquired %d times", res.GateAcquires)
-				}
-				esc, _ := workload.EscalatedStripes(keys, shards, threshold)
-				if cfg == "keyrange-esc" && res.Escalations != int64(rounds*esc) {
-					b.Fatalf("escalations drifted: %d, want %d", res.Escalations, rounds*esc)
-				}
-				if cfg != "keyrange-esc" && res.BlockedWrites != 0 {
-					b.Fatalf("exact protocol blocked %d non-matching writes", res.BlockedWrites)
-				}
-				blocked += int64(res.BlockedWrites)
-			}
-			b.ReportMetric(float64(blocked)/float64(b.N*rounds), "blocked-writes/round")
 			b.ReportMetric(float64(b.N*rounds)/b.Elapsed().Seconds(), "rounds/s")
 			lt.report(b)
 		})

@@ -147,9 +147,6 @@ commands:
                -engines locking,keyrange,snapshot,oraclerc
                         (mixed: locking,keyrange,mv)
                -levels L1,L2 -workers W -shards N -start I -oracle LEVEL -v
-               -escalation N (keyrange lock escalation threshold; coarse
-                blocking is a deliberate divergence, so pair it with
-                -engines keyrange for an oracle-only campaign)
                -http ADDR (live pprof/expvar/metrics while the campaign runs)
         findings carry a flight-recorder timeline: the engine-level event
         sequence (begins, waits, grants, upgrades, commits) behind the
@@ -774,7 +771,6 @@ func lockCounters(db engine.DB) map[string]int64 {
 		"range_waits":     st.RangeWaits,
 		"gap_grants":      st.GapGrants,
 		"gap_waits":       st.GapWaits,
-		"escalations":     st.Escalations,
 		"frag_gcs":        st.FragGCs,
 		"frags_reclaimed": st.FragsReclaimed,
 		"gate_acquires":   st.GateAcquires,
@@ -878,7 +874,6 @@ func cmdFuzz(args []string) error {
 	workers := fs.Int("workers", 1, "campaign worker goroutines (report is identical at any count)")
 	shards := fs.Int("shards", 0, "engine stripe count (0 = default)")
 	mixed := fs.Bool("mixed", false, "per-transaction level assignments: sample a level per transaction from each family's set and judge with the per-transaction oracle")
-	escalation := fs.Int("escalation", 0, "keyrange lock-escalation fragment threshold (0 = off; > 0 coarsens blocking, so select -engines keyrange alone and expect oracle-only checking)")
 	oracleLevel := fs.String("oracle", "", "check every trace against this level's forbidden set instead of its own (testing hook)")
 	noShrink := fs.Bool("no-shrink", false, "skip minimizing findings")
 	maxShrink := fs.Int("max-shrink", 5, "maximum findings to minimize (each minimization reruns the schedule many times)")
@@ -923,8 +918,7 @@ func cmdFuzz(args []string) error {
 	opts := exerciser.Options{
 		Seed: *seed, N: *n, Start: *start,
 		Params: params, Shards: *shards, Workers: *workers,
-		Mixed: *mixed, Escalation: *escalation,
-		Shrink: !*noShrink, MaxShrink: *maxShrink,
+		Mixed: *mixed, Shrink: !*noShrink, MaxShrink: *maxShrink,
 	}
 	if *engines != "" {
 		opts.Families = strings.Split(*engines, ",")

@@ -107,7 +107,7 @@
 // An observability sink (internal/obs) rides alongside every stage: the
 // replay wires a per-run virtual-clock flight recorder into the engine
 // under test, so a finding carries a deterministic event timeline
-// (begin/wait/grant/upgrade/escalate/commit/abort/deadlock) next to its
+// (begin/wait/grant/upgrade/commit/abort/deadlock) next to its
 // minimized history, and the bench CLI wires the same hooks to wall-clock
 // latency histograms, a deadlock flight dump, and a /metrics + pprof
 // endpoint (-http). Hooks are nil-safe: with no sink attached the hot

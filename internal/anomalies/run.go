@@ -3,9 +3,8 @@ package anomalies
 import (
 	"isolevel/internal/engine"
 	"isolevel/internal/locking"
-	"isolevel/internal/oraclerc"
+	"isolevel/internal/mvcc"
 	"isolevel/internal/schedule"
-	"isolevel/internal/snapshot"
 )
 
 // NewDBFor instantiates the engine implementing the given isolation level:
@@ -15,9 +14,9 @@ import (
 func NewDBFor(level engine.Level) engine.DB {
 	switch level {
 	case engine.SnapshotIsolation:
-		return snapshot.NewDB()
+		return mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	case engine.ReadConsistency:
-		return oraclerc.NewDB()
+		return mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency))
 	default:
 		return locking.NewDB()
 	}
@@ -33,9 +32,9 @@ func NewDBForShards(level engine.Level, shards int) engine.DB {
 	}
 	switch level {
 	case engine.SnapshotIsolation:
-		return snapshot.NewDB(snapshot.WithShards(shards))
+		return mvcc.NewDB(mvcc.WithShards(shards), mvcc.WithLevels(engine.SnapshotIsolation))
 	case engine.ReadConsistency:
-		return oraclerc.NewDB(oraclerc.WithShards(shards))
+		return mvcc.NewDB(mvcc.WithShards(shards), mvcc.WithLevels(engine.ReadConsistency))
 	default:
 		return locking.NewDB(locking.WithShards(shards))
 	}

@@ -16,8 +16,6 @@ import (
 	"isolevel/internal/engine"
 	"isolevel/internal/locking"
 	"isolevel/internal/mvcc"
-	"isolevel/internal/oraclerc"
-	"isolevel/internal/snapshot"
 )
 
 // families lists one constructor per engine configuration with the level
@@ -34,8 +32,8 @@ func families() map[string]struct {
 		"locking-keyrange":  {locking.NewDB(locking.WithPhantomProtection(locking.PhantomKeyrange)), engine.Serializable},
 		"mvcc-si":           {mvcc.NewDB(), engine.SnapshotIsolation},
 		"mvcc-rc":           {mvcc.NewDB(), engine.ReadConsistency},
-		"snapshot":          {snapshot.NewDB(), engine.SnapshotIsolation},
-		"oraclerc":          {oraclerc.NewDB(), engine.ReadConsistency},
+		"snapshot":          {mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation)), engine.SnapshotIsolation},
+		"oraclerc":          {mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency)), engine.ReadConsistency},
 	}
 }
 
@@ -102,7 +100,7 @@ func TestTxDoneAfterFailedFCWCommit(t *testing.T) {
 			if name == "mvcc-si" {
 				db = mvcc.NewDB()
 			} else {
-				db = snapshot.NewDB()
+				db = mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 			}
 			db.Load(data.Tuple{Key: "x", Row: data.Scalar(0)})
 			t1, err := db.Begin(engine.SnapshotIsolation)

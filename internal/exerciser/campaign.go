@@ -39,13 +39,6 @@ type Options struct {
 	Mixed bool
 	// Families restricts the engine families ran (nil/empty = all).
 	Families []string
-	// Escalation, when > 0, runs the keyrange family with lock escalation
-	// at that fragment threshold. Escalated blocking is strictly coarser
-	// than the predicate table's, so an escalated campaign should select
-	// the keyrange family alone and is judged oracle-only: zero Table 4
-	// violations are still required, cross-family trace equivalence is
-	// not expected.
-	Escalation int
 	// Levels restricts the isolation levels ran — for mixed campaigns,
 	// the set levels are sampled from (nil/empty = all).
 	Levels []engine.Level
@@ -146,9 +139,6 @@ func (o Options) configs() []config {
 			if len(famFilter) > 0 && !famFilter[fam.Name] {
 				continue
 			}
-			if o.Escalation > 0 && fam.Name == "keyrange" {
-				fam = keyrangeFamily(o.Escalation)
-			}
 			if len(lvlFilter) > 0 {
 				var kept []engine.Level
 				for _, lvl := range fam.Levels {
@@ -168,9 +158,6 @@ func (o Options) configs() []config {
 	for _, fam := range Families() {
 		if len(famFilter) > 0 && !famFilter[fam.Name] {
 			continue
-		}
-		if o.Escalation > 0 && fam.Name == "keyrange" {
-			fam = keyrangeFamily(o.Escalation)
 		}
 		for _, lvl := range fam.Levels {
 			if len(lvlFilter) > 0 && !lvlFilter[lvl] {
@@ -397,7 +384,7 @@ func Run(opts Options) (*Report, error) {
 			if f.Kind == "divergence" {
 				continue
 			}
-			fam, ok := familyByName(f.Family, opts.Mixed, opts.Escalation)
+			fam, ok := familyByName(f.Family, opts.Mixed)
 			if !ok {
 				continue
 			}
@@ -412,18 +399,14 @@ func Run(opts Options) (*Report, error) {
 }
 
 // familyByName resolves a finding's family for reproduction (the
-// shrinker); esc re-applies the campaign's escalation threshold so the
-// replayed engine blocks exactly like the one that produced the finding.
-func familyByName(name string, mixed bool, esc int) (Family, bool) {
+// shrinker).
+func familyByName(name string, mixed bool) (Family, bool) {
 	fams := Families()
 	if mixed {
 		fams = MixedFamilies()
 	}
 	for _, fam := range fams {
 		if fam.Name == name {
-			if esc > 0 && name == "keyrange" {
-				fam = keyrangeFamily(esc)
-			}
 			return fam, true
 		}
 	}

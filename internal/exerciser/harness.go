@@ -14,10 +14,8 @@ import (
 	"isolevel/internal/locking"
 	"isolevel/internal/mvcc"
 	"isolevel/internal/obs"
-	"isolevel/internal/oraclerc"
 	"isolevel/internal/phenomena"
 	"isolevel/internal/schedule"
-	"isolevel/internal/snapshot"
 )
 
 // Family is one concurrency-control engine family and the isolation
@@ -41,19 +39,9 @@ type Family struct {
 func Families() []Family {
 	return []Family{
 		lockingFamily(),
-		keyrangeFamily(0),
-		{Name: "snapshot", Levels: []engine.Level{engine.SnapshotIsolation}, Multiversion: true, New: func(s int) engine.DB {
-			if s > 0 {
-				return snapshot.NewDB(snapshot.WithShards(s))
-			}
-			return snapshot.NewDB()
-		}},
-		{Name: "oraclerc", Levels: []engine.Level{engine.ReadConsistency}, Multiversion: true, New: func(s int) engine.DB {
-			if s > 0 {
-				return oraclerc.NewDB(oraclerc.WithShards(s))
-			}
-			return oraclerc.NewDB()
-		}},
+		keyrangeFamily(),
+		mvFamily("snapshot", engine.SnapshotIsolation),
+		mvFamily("oraclerc", engine.ReadConsistency),
 	}
 }
 
@@ -61,19 +49,26 @@ func Families() []Family {
 // locking scheduler (whose six Table 2 degrees interleave in one lock
 // manager, under either phantom protocol) and the unified multiversion
 // engine (whose SNAPSHOT ISOLATION and READ CONSISTENCY transactions
-// share one store — see internal/mvcc). The snapshot/oraclerc facades
+// share one store — see internal/mvcc). The snapshot/oraclerc families
 // disappear here: they are single-level restrictions of the mv family.
 func MixedFamilies() []Family {
 	return []Family{
 		lockingFamily(),
-		keyrangeFamily(0),
-		{Name: "mv", Levels: []engine.Level{engine.SnapshotIsolation, engine.ReadConsistency}, Multiversion: true, New: func(s int) engine.DB {
-			if s > 0 {
-				return mvcc.NewDB(mvcc.WithShards(s))
-			}
-			return mvcc.NewDB()
-		}},
+		keyrangeFamily(),
+		mvFamily("mv", engine.SnapshotIsolation, engine.ReadConsistency),
 	}
+}
+
+// mvFamily is the unified multiversion engine (internal/mvcc) restricted
+// to levels: one level is the dedicated §4.2 or §4.3 engine, both is the
+// mixed-mode engine.
+func mvFamily(name string, levels ...engine.Level) Family {
+	return Family{Name: name, Levels: levels, Multiversion: true, New: func(s int) engine.DB {
+		if s > 0 {
+			return mvcc.NewDB(mvcc.WithShards(s), mvcc.WithLevels(levels...))
+		}
+		return mvcc.NewDB(mvcc.WithLevels(levels...))
+	}}
 }
 
 func lockingFamily() Family {
@@ -88,21 +83,13 @@ func lockingFamily() Family {
 // keyrangeFamily is the locking scheduler with key-range (next-key)
 // phantom prevention instead of the gated predicate table. Same Table 2
 // levels, same oracle rows — any divergence from the locking family is a
-// bug in one of the two protocols. With esc > 0 the family runs with lock
-// escalation at that threshold: blocking turns strictly coarser than the
-// predicate table's, so escalated campaigns must select this family alone
-// (oracle-only — the Table 4 guarantees still hold; trace equivalence
-// does not).
-func keyrangeFamily(esc int) Family {
+// bug in one of the two protocols.
+func keyrangeFamily() Family {
 	return Family{Name: "keyrange", Levels: locking.LockingLevels, New: func(s int) engine.DB {
-		opts := []locking.Option{locking.WithPhantomProtection(locking.PhantomKeyrange)}
 		if s > 0 {
-			opts = append(opts, locking.WithShards(s))
+			return locking.NewDB(locking.WithPhantomProtection(locking.PhantomKeyrange), locking.WithShards(s))
 		}
-		if esc > 0 {
-			opts = append(opts, locking.WithEscalation(esc))
-		}
-		return locking.NewDB(opts...)
+		return locking.NewDB(locking.WithPhantomProtection(locking.PhantomKeyrange))
 	}}
 }
 
@@ -386,8 +373,8 @@ type Finding struct {
 	Minimized history.History
 	// Timeline is the run's flight-recorder tail (virtual-clock ticks, so
 	// identical across reruns and worker counts): the engine-level event
-	// sequence — begins, lock waits, grants, upgrades, escalations,
-	// commits, aborts — that led to the finding.
+	// sequence — begins, lock waits, grants, upgrades, commits,
+	// aborts — that led to the finding.
 	Timeline []string
 }
 

@@ -47,23 +47,17 @@
 // free-list (all under rangeMu, so no pool latch exists), making a
 // steady-state scan install O(1) allocations.
 //
-// # Escalation and fragment GC
+// # Fragment GC
 //
-// Two mechanisms bound the fragment population. With SetEscalation(n), a
-// handle that would hold n or more fragments in one stripe collapses them
-// into a coarse whole-stripe entry plus one global gap entry — unrefined,
-// strictly coarser blocking, the [GLPT] granularity-hierarchy move —
-// counted in Stats.Escalations (default off: coarser blocking breaks the
-// exact predicate equivalence, so the differential fuzzer runs escalation
-// configs oracle-only). With SetRowPresent, drains periodically sweep
-// *dead anchors* — anchor keys with no row, no item-lock entry and no
-// queued item request, the residue gap inheritance leaves behind under
-// insert/delete storms — migrating their fragments to the next live anchor
-// (deduplicated per handle), which preserves every covering set exactly:
-// a gap position previously owned by the dead anchor is owned by its
-// successor afterwards, with a fragment superset whose extra members
-// cannot match there (a fragment's predicate never matches outside its
-// key bounds, and a nil-row image satisfies no predicate).
+// With SetRowPresent, drains periodically sweep *dead anchors* — anchor
+// keys with no row, no item-lock entry and no queued item request, the
+// residue gap inheritance leaves behind under insert/delete storms —
+// migrating their fragments to the next live anchor (deduplicated per
+// handle), which preserves every covering set exactly: a gap position
+// previously owned by the dead anchor is owned by its successor
+// afterwards, with a fragment superset whose extra members cannot match
+// there (a fragment's predicate never matches outside its key bounds, and
+// a nil-row image satisfies no predicate).
 //
 // Range acquisition is optimistic install-then-validate: fragments are
 // installed stripe by stripe under each stripe's latch, then the conflict
@@ -91,8 +85,7 @@ type RangeHandle int64
 // coverage of its anchor key and the gap below it, refined by the scan's
 // predicate. All fragments are Shared — scans are reads; writers never
 // install persistent range state (an insert's "exclusive gap lock" is the
-// AcquireGap conflict check itself, insert-intention style). An escalated
-// coarse entry is a fragment with a nil pred used unrefined.
+// AcquireGap conflict check itself, insert-intention style).
 type fragment struct {
 	tx     TxID
 	handle RangeHandle
@@ -109,17 +102,14 @@ type anchoredFrag struct {
 }
 
 // rangeHold is one handle's location book: per-stripe fragment counts
-// (parallel stripes/counts slices), the escalated stripes, and whether the
-// handle holds a supremum fragment and a global coarse gap entry. Exact
-// release needs only this — not per-fragment locations: a release filters
-// each counted stripe's slice by (tx, handle) in one pass. Holds are
-// recycled through Manager.holdFree. All access under rangeMu.
+// (parallel stripes/counts slices) and whether the handle holds a supremum
+// fragment. Exact release needs only this — not per-fragment locations: a
+// release filters each counted stripe's slice by (tx, handle) in one pass.
+// Holds are recycled through Manager.holdFree. All access under rangeMu.
 type rangeHold struct {
 	stripes []int
 	counts  []int
-	esc     []int
 	sup     bool
-	gapC    bool
 }
 
 // slot returns the index of stripe in the hold's parallel count slices,
@@ -135,22 +125,10 @@ func (h *rangeHold) slot(stripe int) int {
 	return len(h.stripes) - 1
 }
 
-// escIn reports whether the handle is escalated in stripe.
-func (h *rangeHold) escIn(stripe int) bool {
-	for _, s := range h.esc {
-		if s == stripe {
-			return true
-		}
-	}
-	return false
-}
-
 func (h *rangeHold) reset() {
 	h.stripes = h.stripes[:0]
 	h.counts = h.counts[:0]
-	h.esc = h.esc[:0]
 	h.sup = false
-	h.gapC = false
 }
 
 // newHold takes a hold from the free-list (or allocates the pool's next
@@ -188,23 +166,20 @@ const gcInheritThreshold = 16
 // Hi; "" anchors the above-range gap at the supremum instead). Bounded
 // false means the whole key space.
 //
-// Snapshot, when set, supersedes the static Anchors/Ceiling: the manager
-// calls it at install time, under the range mutex, so the anchor set
-// reflects the store at the serialization point of the range lock rather
-// than at some earlier moment in the caller — a key inserted and
+// SnapshotInto, when set, supersedes the static Anchors/Ceiling: the
+// manager calls it at install time, under the range mutex, so the anchor
+// set reflects the store at the serialization point of the range lock
+// rather than at some earlier moment in the caller — a key inserted and
 // committed between a caller-side snapshot and the acquisition would
 // otherwise be a permanent hole in the scan's coverage. Queued range
-// requests re-snapshot when finally granted, for the same reason.
-//
-// SnapshotInto, when set, supersedes both: it appends the anchor set as
-// per-stripe sorted runs into the manager's reusable buffer (see
-// sv.Store.AppendRangeAnchors) and returns only the ceiling, so the
-// snapshot itself costs no allocations at steady state.
+// requests re-snapshot when finally granted, for the same reason. It
+// appends the anchor set as per-stripe sorted runs into the manager's
+// reusable buffer (see sv.Store.AppendRangeAnchors) and returns only the
+// ceiling, so the snapshot itself costs no allocations at steady state.
 type RangeSpec struct {
 	Pred         predicate.P
 	Anchors      []data.Key
 	Ceiling      data.Key
-	Snapshot     func() (anchors []data.Key, ceiling data.Key)
 	SnapshotInto func(*data.KeyRuns) (ceiling data.Key)
 	Lo, Hi       data.Key
 	Bounded      bool
@@ -367,18 +342,10 @@ func (m *Manager) acquireGap(tx TxID, key data.Key, im Images, count bool) error
 	on := unionTxIDs(gapConflicts(tx, key, im, gc), holders)
 	spIdx := m.stripeIndex(key)
 	if len(on) == 0 {
-		escalated := m.inheritLocked(key, gc)
+		m.inheritLocked(key, gc)
 		if count {
 			m.gapGrants++
 			m.gapStripe[spIdx].grants++
-		}
-		// An escalation inside the inheritance coarsened some handle's
-		// blocking; waiters' conflict sets may have grown, so their wait
-		// edges must be recomputed before the next deadlock decision (with
-		// no admitted waiter there is nothing to refresh — same guard as
-		// the AcquireRange grant path).
-		if escalated && (m.rangeQLen.Load() != 0 || !m.wf.Empty()) {
-			m.refreshAllRangeAwareLocked()
 		}
 		m.rangeMu.Unlock()
 		m.obs.RecordRangeMuHold(rs)
@@ -498,10 +465,9 @@ func (m *Manager) rangeConflictHoldersLocked(req *request) []TxID {
 // anchorNeedsFragment), and a supremum fragment when no ceiling exists.
 // Per stripe, the three sorted key sources (bucketed snapshot run,
 // in-range item keys, existing anchors) merge into one run that a single
-// backward pass splices into the stripe's fragment slice; with an
-// escalation threshold configured, a run at or over it installs one
-// coarse stripe entry instead. All staging lives in recycled Manager
-// scratch. Called with rangeMu held; latches one stripe at a time.
+// backward pass splices into the stripe's fragment slice. All staging
+// lives in recycled Manager scratch. Called with rangeMu held; latches one
+// stripe at a time.
 //
 //isolint:grant-mutator
 func (m *Manager) installRangeLocked(req *request) RangeHandle {
@@ -518,17 +484,6 @@ func (m *Manager) installRangeLocked(req *request) RangeHandle {
 		run := m.stripeInstallRunLocked(sp, req.spec, ceiling, m.runBuckets[i])
 		if len(run) == 0 {
 			sp.mu.Unlock()
-			continue
-		}
-		if m.escalation > 0 && len(run) >= m.escalation {
-			sp.coarse = append(sp.coarse, f)
-			sp.mu.Unlock()
-			hold.esc = append(hold.esc, i)
-			m.noteGapCoarseLocked(hold, f)
-			m.escalations++
-			if m.obs != nil {
-				m.obs.Escalate(int(req.tx), i)
-			}
 			continue
 		}
 		insertFragRun(sp, run, f)
@@ -596,23 +551,16 @@ func (m *Manager) densifyAnchorsLocked(spec RangeSpec, ceiling data.Key) {
 }
 
 // snapshotAnchorsLocked fills m.snapRuns with the spec's anchor set —
-// via SnapshotInto (zero-copy), Snapshot, or the static Anchors — and
-// returns the ceiling. Called with rangeMu held.
+// via SnapshotInto (zero-copy) or the static Anchors — and returns the
+// ceiling. Called with rangeMu held.
 func (m *Manager) snapshotAnchorsLocked(spec RangeSpec) data.Key {
 	m.snapRuns.Reset()
-	switch {
-	case spec.SnapshotInto != nil:
+	if spec.SnapshotInto != nil {
 		return spec.SnapshotInto(&m.snapRuns)
-	case spec.Snapshot != nil:
-		anchors, ceiling := spec.Snapshot()
-		m.snapRuns.Keys = append(m.snapRuns.Keys, anchors...)
-		m.snapRuns.EndRun()
-		return ceiling
-	default:
-		m.snapRuns.Keys = append(m.snapRuns.Keys, spec.Anchors...)
-		m.snapRuns.EndRun()
-		return spec.Ceiling
 	}
+	m.snapRuns.Keys = append(m.snapRuns.Keys, spec.Anchors...)
+	m.snapRuns.EndRun()
+	return spec.Ceiling
 }
 
 // bucketAnchorsLocked distributes m.snapRuns (plus the ceiling) into the
@@ -799,8 +747,8 @@ func removeHandleFrags(sp *stripe, tx TxID, h RangeHandle) int {
 	return removed
 }
 
-// dropCoarse filters (tx, h)'s entries out of a coarse/supremum fragment
-// slice in place.
+// dropCoarse filters (tx, h)'s entries out of the supremum fragment slice
+// in place.
 func dropCoarse(frags []fragment, tx TxID, h RangeHandle) []fragment {
 	kept := frags[:0]
 	for _, f := range frags {
@@ -814,21 +762,9 @@ func dropCoarse(frags []fragment, tx TxID, h RangeHandle) []fragment {
 	return kept
 }
 
-// noteGapCoarseLocked installs the handle's global coarse gap entry (once
-// per handle): it conflicts, unrefined, with every other transaction's
-// insert anywhere — the gap side of escalating to the coarser granule.
+// removeRangeHoldLocked deletes every fragment of (tx, h) — per-anchor and
+// supremum — and returns the set of stripe indexes that lost entries.
 // Called with rangeMu held.
-func (m *Manager) noteGapCoarseLocked(hold *rangeHold, f fragment) {
-	if hold.gapC {
-		return
-	}
-	hold.gapC = true
-	m.gapCoarse = append(m.gapCoarse, fragment{tx: f.tx, handle: f.handle})
-}
-
-// removeRangeHoldLocked deletes every fragment of (tx, h) — per-anchor,
-// coarse, supremum and gap-coarse — and returns the set of stripe indexes
-// that lost entries. Called with rangeMu held.
 func (m *Manager) removeRangeHoldLocked(tx TxID, h RangeHandle) map[int]bool {
 	touched := map[int]bool{}
 	hm := m.rangeHolds[tx]
@@ -850,18 +786,8 @@ func (m *Manager) removeRangeHoldLocked(tx TxID, h RangeHandle) map[int]bool {
 		sp.mu.Unlock()
 		touched[spIdx] = true
 	}
-	for _, spIdx := range hold.esc {
-		sp := m.stripes[spIdx]
-		sp.mu.Lock()
-		sp.coarse = dropCoarse(sp.coarse, tx, h)
-		sp.mu.Unlock()
-		touched[spIdx] = true
-	}
 	if hold.sup {
 		m.supFrags = dropCoarse(m.supFrags, tx, h)
-	}
-	if hold.gapC {
-		m.gapCoarse = dropCoarse(m.gapCoarse, tx, h)
 	}
 	m.freeHold(hold)
 	return touched
@@ -887,14 +813,12 @@ func (m *Manager) releaseAllRangesLocked(tx TxID) (map[int]bool, []*request) {
 
 // gapCover is the read-only view a gap check evaluates against: the
 // entries at the covering anchor (the smallest anchor at or above the
-// insert position) or the supremum fragments when none exists, plus the
-// escalated gap entries, which cover every position. Views alias the live
-// slices — valid only while rangeMu is held, and callers that mutate
-// fragment state (inheritance) must copy before inserting.
+// insert position) or the supremum fragments when none exists. Views alias
+// the live slices — valid only while rangeMu is held, and callers that
+// mutate fragment state (inheritance) must copy before inserting.
 type gapCover struct {
 	frags    []anchoredFrag
 	sup      []fragment
-	coarse   []fragment
 	anchor   data.Key
 	anchored bool
 }
@@ -904,7 +828,7 @@ type gapCover struct {
 // by us) alongside the stripe latch, so no mutation can be concurrent —
 // this is what lets the view be zero-copy. Called with rangeMu held.
 func (m *Manager) gapCoverLocked(key data.Key) gapCover {
-	gc := gapCover{coarse: m.gapCoarse}
+	var gc gapCover
 	found := false
 	var best data.Key
 	var bestSp *stripe
@@ -931,9 +855,8 @@ func (m *Manager) gapCoverLocked(key data.Key) gapCover {
 }
 
 // gapConflicts filters the cover down to the conflicting holders: a
-// refined fragment of another transaction whose predicate is satisfied by
-// either image of the insert, or any other transaction's escalated gap
-// entry (unrefined — conservative by construction).
+// fragment of another transaction whose predicate is satisfied by either
+// image of the insert.
 func gapConflicts(tx TxID, key data.Key, im Images, gc gapCover) []TxID {
 	var seen map[TxID]bool
 	add := func(owner TxID) {
@@ -949,11 +872,6 @@ func gapConflicts(tx TxID, key data.Key, im Images, gc gapCover) []TxID {
 	}
 	for _, f := range gc.sup {
 		if f.tx != tx && im.matches(f.pred, key) {
-			add(f.tx)
-		}
-	}
-	for _, f := range gc.coarse {
-		if f.tx != tx {
 			add(f.tx)
 		}
 	}
@@ -1019,97 +937,47 @@ func unionTxIDs(a, b []TxID) []TxID {
 
 // inheritLocked copies the covering fragments onto key (the next-key
 // inheritance of a granted insert), registering each copy in its owner's
-// hold so release stays exact, and escalating any handle whose per-stripe
-// count crosses the threshold. The cover is copied into scratch before the
-// splice — the view may alias the very slice the splice shifts. Handles
-// already escalated in key's stripe are skipped: their coarse entry covers
-// the whole stripe. A no-op when key is already the covering anchor.
-// Reports whether any escalation happened. Called with rangeMu held.
-func (m *Manager) inheritLocked(key data.Key, gc gapCover) bool {
+// hold so release stays exact. The cover is copied into scratch before the
+// splice — the view may alias the very slice the splice shifts. A no-op
+// when key is already the covering anchor. Called with rangeMu held.
+func (m *Manager) inheritLocked(key data.Key, gc gapCover) {
 	if (len(gc.frags) == 0 && len(gc.sup) == 0) || (gc.anchored && gc.anchor == key) {
-		return false
+		return
 	}
 	spIdx := m.stripeIndex(key)
 	sp := m.stripes[spIdx]
 	copies := m.fragCopy[:0]
 	for _, e := range gc.frags {
-		if hold := m.rangeHolds[e.f.tx][e.f.handle]; hold != nil && hold.escIn(spIdx) {
-			continue
-		}
 		copies = append(copies, e.f)
 	}
-	for _, f := range gc.sup {
-		if hold := m.rangeHolds[f.tx][f.handle]; hold != nil && hold.escIn(spIdx) {
-			continue
-		}
-		copies = append(copies, f)
-	}
+	copies = append(copies, gc.sup...)
 	m.fragCopy = copies
-	if len(copies) == 0 {
-		return false
-	}
 	sp.mu.Lock()
 	insertFragsAt(sp, key, copies)
 	sp.mu.Unlock()
-	escalated := false
 	for _, f := range copies {
-		hold := m.rangeHolds[f.tx][f.handle]
-		if hold == nil {
-			continue
-		}
-		idx := hold.slot(spIdx)
-		hold.counts[idx]++
-		if m.escalation > 0 && hold.counts[idx] >= m.escalation {
-			m.escalateLocked(f, hold, spIdx)
-			escalated = true
+		if hold := m.rangeHolds[f.tx][f.handle]; hold != nil {
+			hold.counts[hold.slot(spIdx)]++
 		}
 	}
 	m.inheritsSinceGC += len(copies)
-	return escalated
-}
-
-// escalateLocked collapses (f.tx, f.handle)'s per-anchor fragments in
-// stripe spIdx into one coarse whole-stripe entry plus the handle's global
-// gap entry, and counts the escalation. Called with rangeMu held.
-func (m *Manager) escalateLocked(f fragment, hold *rangeHold, spIdx int) {
-	sp := m.stripes[spIdx]
-	sp.mu.Lock()
-	removeHandleFrags(sp, f.tx, f.handle)
-	sp.coarse = append(sp.coarse, fragment{tx: f.tx, handle: f.handle})
-	sp.mu.Unlock()
-	hold.counts[hold.slot(spIdx)] = 0
-	hold.esc = append(hold.esc, spIdx)
-	m.noteGapCoarseLocked(hold, f)
-	m.escalations++
-	if m.obs != nil {
-		m.obs.Escalate(int(f.tx), spIdx)
-	}
 }
 
 // fragmentConflictHolders returns the holders of fragments anchored at
-// req.key — plus the stripe's escalated coarse entries, which conflict
-// unrefined — that an exclusive item request conflicts with. Called with
-// the key's stripe latched.
+// req.key that an exclusive item request conflicts with. Called with the
+// key's stripe latched.
 func fragmentConflictHolders(sp *stripe, req *request) []TxID {
-	if req.mode != X || (len(sp.frags) == 0 && len(sp.coarse) == 0) {
+	if req.mode != X || len(sp.frags) == 0 {
 		return nil
 	}
 	var seen map[TxID]bool
-	add := func(owner TxID) {
-		if seen == nil {
-			seen = map[TxID]bool{}
-		}
-		seen[owner] = true
-	}
 	i, j := fragWindow(sp.frags, req.key)
 	for _, e := range sp.frags[i:j] {
 		if e.f.tx != req.tx && req.im.matches(e.f.pred, req.key) {
-			add(e.f.tx)
-		}
-	}
-	for _, f := range sp.coarse {
-		if f.tx != req.tx {
-			add(f.tx)
+			if seen == nil {
+				seen = map[TxID]bool{}
+			}
+			seen[e.f.tx] = true
 		}
 	}
 	return sortedTxIDs(seen)

@@ -1,9 +1,8 @@
 package lock
 
 // Tests for the fragment-storage internals layered on the key-range
-// protocol: lock escalation (coarse stripe entries, install-time and
-// inheritance-time), the dead-anchor fragment GC, and the above-range
-// stale-anchor shadowing rule the coalesced install has to honor.
+// protocol: the dead-anchor fragment GC and the above-range stale-anchor
+// shadowing rule the coalesced install has to honor.
 
 import (
 	"testing"
@@ -55,86 +54,6 @@ func TestStaleAnchorAboveRangeDoesNotShadowCeiling(t *testing.T) {
 		}
 		m.ReleaseAll(5)
 		m.ReleaseAll(6)
-	}
-}
-
-// Install-time escalation: a scan whose per-stripe anchor run reaches the
-// threshold installs one coarse stripe entry instead, which blocks even
-// non-matching writes (and inserts anywhere) until release.
-func TestEscalationCoarsensBlocking(t *testing.T) {
-	m := NewManagerShards(1)
-	m.SetEscalation(3)
-	mustRange(t, m, 1, rangeSpec(ge(100), "a", "b", "c", "d"))
-	if st := m.Stats(); st.Escalations != 1 {
-		t.Fatalf("Escalations = %d, want 1", st.Escalations)
-	}
-	// Non-matching write on a covered key: the exact protocol admits it
-	// (see TestRangeIgnoresNonMatchingWrite); the coarse entry blocks it.
-	wGot := make(chan error, 1)
-	go func() { wGot <- m.AcquireItem(2, "c", X, Images{Before: row(1), After: row(2)}) }()
-	// Non-matching insert far from any anchor: blocked by the global
-	// coarse gap entry.
-	gGot := make(chan error, 1)
-	go func() { gGot <- m.AcquireGap(3, "zz", Images{After: row(1)}) }()
-	select {
-	case <-wGot:
-		t.Fatal("non-matching write admitted under an escalated stripe")
-	case <-gGot:
-		t.Fatal("insert admitted under an escalated handle's gap entry")
-	case <-time.After(50 * time.Millisecond):
-	}
-	m.ReleaseAll(1)
-	if err := <-wGot; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-gGot; err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.GateAcquires != 0 {
-		t.Fatalf("GateAcquires = %d, want 0", st.GateAcquires)
-	}
-	// After release nothing coarse lingers: a fresh write sails through.
-	if err := m.AcquireItem(4, "b", X, Images{Before: row(1), After: row(2)}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Inheritance-time escalation: a handle below the threshold at install
-// crosses it as inserts inherit its fragments, collapsing the stripe and
-// deduplicating against re-inheritance (the coarse entry covers the whole
-// stripe, so later inserts must not re-copy fragments into it).
-func TestEscalationOnInheritance(t *testing.T) {
-	m := NewManagerShards(1)
-	m.SetEscalation(4)
-	mustRange(t, m, 1, rangeSpec(ge(100), "b", "d"))
-	if st := m.Stats(); st.Escalations != 0 {
-		t.Fatalf("escalated at install with run 2 < threshold 4: %d", st.Escalations)
-	}
-	// Two non-matching inserts inherit the covering fragment: counts go
-	// 2 -> 3 -> 4, crossing the threshold on the second.
-	for i, key := range []data.Key{"a", "c"} {
-		if err := m.AcquireGap(TxID(10+i), key, Images{After: row(1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := m.Stats(); st.Escalations != 1 {
-		t.Fatalf("Escalations = %d, want 1", st.Escalations)
-	}
-	// Further inserts find the coarse entry and block (T1's handle now
-	// blocks unrefined) rather than re-inheriting per-key fragments.
-	got := make(chan error, 1)
-	go func() { got <- m.AcquireGap(12, "cc", Images{After: row(1)}) }()
-	select {
-	case <-got:
-		t.Fatal("insert admitted under the escalated handle")
-	case <-time.After(50 * time.Millisecond):
-	}
-	m.ReleaseAll(1)
-	if err := <-got; err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.Escalations != 1 {
-		t.Fatalf("Escalations moved after the collapse: %d", st.Escalations)
 	}
 }
 

@@ -260,10 +260,6 @@ type Stats struct {
 	RangeWaits  int64
 	GapGrants   int64
 	GapWaits    int64
-	// Escalations counts handle×stripe lock escalations: fragment sets
-	// collapsed into a coarse whole-stripe entry (zero unless the manager
-	// was configured with SetEscalation).
-	Escalations int64
 	// FragGCs counts fragment-GC sweeps; FragsReclaimed counts fragments
 	// the sweeps deduplicated away while migrating dead anchors.
 	FragGCs        int64
@@ -359,20 +355,12 @@ type stripe struct {
 	// gap check is one binary search, and releases filter in place — no
 	// per-anchor map churn, no per-fragment heap nodes.
 	//
-	// Guard discipline: frags (and coarse) are written only while BOTH
-	// rangeMu and this stripe's latch are held, so a reader holding either
-	// one sees consistent state — item paths read under the stripe latch
-	// they already hold, range paths under rangeMu alone (gapCoverLocked
-	// returns zero-copy views on that basis).
+	// Guard discipline: frags is written only while BOTH rangeMu and this
+	// stripe's latch are held, so a reader holding either one sees
+	// consistent state — item paths read under the stripe latch they
+	// already hold, range paths under rangeMu alone (gapCoverLocked returns
+	// zero-copy views on that basis).
 	frags []anchoredFrag
-
-	// coarse holds whole-stripe escalated range entries (keyrange.go): when
-	// a handle's fragment count in this stripe crosses the escalation
-	// threshold, its per-anchor fragments collapse into one entry here that
-	// conflicts with every other transaction's exclusive item request in
-	// the stripe, unrefined — the [GLPT]-style coarser granule. Same guard
-	// discipline as frags.
-	coarse []fragment
 
 	grants int64
 	waits  int64
@@ -408,11 +396,11 @@ type Manager struct {
 	// operations against each other; item operations never take it from
 	// inside a stripe latch, and only at all while range waiters exist
 	// (rangeQLen) or fragments are live (rangeActivity — the predActivity
-	// pattern). rangeHolds, rangeQ, supFrags, gapCoarse, gapStripe, the
-	// range/gap counters and every scratch buffer below are touched only
-	// under rangeMu; fragments themselves (stripe.frags/coarse) are written
-	// under rangeMu plus the stripe's latch and readable under either (see
-	// the stripe fields).
+	// pattern). rangeHolds, rangeQ, supFrags, gapStripe, the range/gap
+	// counters and every scratch buffer below are touched only under
+	// rangeMu; fragments themselves (stripe.frags) are written under
+	// rangeMu plus the stripe's latch and readable under either (see the
+	// stripe fields).
 	rangeMu       sync.Mutex
 	rangeQ        []*request
 	rangeQLen     atomic.Int64
@@ -425,18 +413,6 @@ type Manager struct {
 	rangeWaits    int64
 	gapGrants     int64
 	gapWaits      int64
-
-	// escalation is the lock-escalation threshold: a handle whose fragment
-	// count in one stripe reaches it collapses to a coarse entry
-	// (stripe.coarse + gapCoarse). Zero disables escalation — the default,
-	// preserving exact predicate↔keyrange equivalence. Set before use.
-	escalation  int
-	escalations int64 // under rangeMu
-
-	// gapCoarse holds one unrefined entry per escalated handle: it
-	// conflicts with every other transaction's gap (insert) check anywhere
-	// in the key space — the gap side of the coarser granule. Under rangeMu.
-	gapCoarse []fragment
 
 	// rowPresent, when set (SetRowPresent), lets the fragment GC decide
 	// whether an anchor key still has a row in the store. Nil disables the
@@ -535,8 +511,8 @@ func (m *Manager) stripeOf(key data.Key) *stripe {
 // use.
 func (m *Manager) SetObserver(o Observer) { m.observer = o }
 
-// SetObs attaches an observability sink: wait/grant/upgrade/escalate/
-// GC-sweep/deadlock events for its flight recorder, wait-latency and
+// SetObs attaches an observability sink: wait/grant/upgrade/GC-sweep/
+// deadlock events for its flight recorder, wait-latency and
 // gate/rangeMu-hold histograms. Nil detaches. Must be called before
 // concurrent use, like SetObserver.
 func (m *Manager) SetObs(s *obs.Sink) { m.obs = s }
@@ -602,16 +578,6 @@ func (m *Manager) obsDeadlock(tx TxID, on []TxID) {
 	m.obs.Deadlock(int(tx), out)
 }
 
-// SetEscalation sets the lock-escalation threshold: when one range
-// handle's fragment count in a single stripe reaches threshold — at
-// install, or later through gap inheritance — the fragments collapse into
-// one coarse whole-stripe entry plus one global gap entry, both unrefined
-// ([GLPT]-style: the coarser granule keeps the lock's mode but drops the
-// predicate refinement, so blocking is strictly coarser and every conflict
-// the fine granules would have found is still found). Zero (the default)
-// disables escalation. Must be called before concurrent use.
-func (m *Manager) SetEscalation(threshold int) { m.escalation = threshold }
-
 // SetRowPresent gives the fragment GC its liveness oracle: f reports
 // whether a row currently exists at a key. With it set, drains
 // periodically sweep dead anchors — anchor keys with no row, no item-lock
@@ -636,7 +602,6 @@ func (m *Manager) Stats() Stats {
 	m.rangeMu.Lock()
 	st.RangeGrants, st.RangeWaits = m.rangeGrants, m.rangeWaits
 	st.GapGrants, st.GapWaits = m.gapGrants, m.gapWaits
-	st.Escalations = m.escalations
 	st.FragGCs, st.FragsReclaimed = m.fragGCs, m.fragsReclaimed
 	for i := range m.gapStripe {
 		st.PerStripe[i].GapGrants = m.gapStripe[i].grants

@@ -43,19 +43,6 @@ func WithShards(n int) Option {
 	return func(db *DB) { db.shards = n }
 }
 
-// WithEscalation sets the keyrange protocol's lock-escalation threshold
-// (default 0, off): a scan handle holding that many next-key fragments in
-// one lock stripe collapses them into a single coarse whole-stripe entry —
-// the [GLPT] granularity move, trading precision for fragment population.
-// Escalated entries block unrefined (any other transaction's write in the
-// stripe, any insert anywhere), so blocking is strictly coarser than the
-// exact protocol: behavioral equivalence with the predicate engine no
-// longer holds, but every Table-4 guarantee still does. No effect on the
-// predicate protocol.
-func WithEscalation(threshold int) Option {
-	return func(db *DB) { db.escalation = threshold }
-}
-
 // Phantom selects the engine's phantom-prevention protocol: how the lock
 // scheduler implements the predicate-lock rows of Table 2.
 type Phantom uint8
@@ -92,14 +79,13 @@ func WithPhantomProtection(p Phantom) Option {
 
 // DB is a locking-scheduler database.
 type DB struct {
-	store      *sv.Store
-	lm         *lock.Manager
-	seq        atomic.Int64
-	rec        *engine.Recorder
-	shards     int
-	phantom    Phantom
-	escalation int
-	obs        *obs.Sink
+	store   *sv.Store
+	lm      *lock.Manager
+	seq     atomic.Int64
+	rec     *engine.Recorder
+	shards  int
+	phantom Phantom
+	obs     *obs.Sink
 }
 
 // NewDB returns an empty locking database.
@@ -114,9 +100,6 @@ func NewDB(opts ...Option) *DB {
 	// sweeps); harmless on the predicate protocol, which never installs
 	// fragments.
 	db.lm.SetRowPresent(db.store.Exists)
-	if db.escalation > 0 {
-		db.lm.SetEscalation(db.escalation)
-	}
 	return db
 }
 

@@ -309,7 +309,7 @@ type Version struct {
 
 // DefaultShards is the stripe count of NewStore. It trades map-latch
 // contention against per-operation hashing cost; engines expose it as a
-// knob (snapshot.WithShards, oraclerc.WithShards) for sweeps.
+// knob (mvcc.WithShards) for sweeps.
 const DefaultShards = 16
 
 // shard is one stripe of the store: a latch-protected slice of the chains

@@ -59,10 +59,10 @@
 // timestamp later holds a snapshot open at or before it
 // (examples/timetravel).
 //
-// The historical packages internal/snapshot and internal/oraclerc remain
-// as facades restricted to their single level; their types alias the ones
-// here. The differential fuzzer's mixed mode (internal/exerciser) runs
-// this DB unrestricted as the "mv" family.
+// A dedicated single-level engine is this DB narrowed with WithLevels
+// (isolevel.NewSnapshotDB, isolevel.NewOracleRCDB, the fuzzer's
+// "snapshot" and "oraclerc" families). The differential fuzzer's mixed
+// mode (internal/exerciser) runs it unrestricted as the "mv" family.
 //
 //isolint:deterministic
 package mvcc
@@ -97,8 +97,8 @@ func WithShards(n int) Option {
 }
 
 // WithLevels restricts which multiversion levels Begin accepts (default:
-// both SNAPSHOT ISOLATION and READ CONSISTENCY). The snapshot and
-// oraclerc facades use it to keep their historical single-level contract.
+// both SNAPSHOT ISOLATION and READ CONSISTENCY): the single-level §4.2
+// and §4.3 engines are this DB with one level allowed.
 func WithLevels(levels ...engine.Level) Option {
 	return func(db *DB) { db.allowed = levels }
 }

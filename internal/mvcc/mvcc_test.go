@@ -86,7 +86,7 @@ func TestRCCommitTriggersSIFirstCommitterWins(t *testing.T) {
 	}
 }
 
-// TestLevelRestriction: the facades' WithLevels narrowing rejects the
+// TestLevelRestriction: the WithLevels narrowing rejects the
 // other multiversion level with ErrUnsupported.
 func TestLevelRestriction(t *testing.T) {
 	db := NewDB(WithLevels(engine.SnapshotIsolation))

@@ -1,4 +1,4 @@
-package oraclerc
+package mvcc
 
 import (
 	"errors"
@@ -10,15 +10,7 @@ import (
 	"isolevel/internal/predicate"
 )
 
-func load(db *DB, kv map[string]int64) {
-	var ts []data.Tuple
-	for k, v := range kv {
-		ts = append(ts, data.Tuple{Key: data.Key(k), Row: data.Scalar(v)})
-	}
-	db.Load(ts...)
-}
-
-func begin(t *testing.T, db *DB) engine.Tx {
+func beginRC(t *testing.T, db *DB) engine.Tx {
 	t.Helper()
 	tx, err := db.Begin(engine.ReadConsistency)
 	if err != nil {
@@ -27,8 +19,8 @@ func begin(t *testing.T, db *DB) engine.Tx {
 	return tx
 }
 
-func TestBeginRejectsOtherLevels(t *testing.T) {
-	db := NewDB()
+func TestBeginRejectsOtherLevelsRC(t *testing.T) {
+	db := NewDB(WithLevels(engine.ReadConsistency))
 	if _, err := db.Begin(engine.SnapshotIsolation); !errors.Is(err, engine.ErrUnsupported) {
 		t.Fatalf("got %v", err)
 	}
@@ -37,13 +29,13 @@ func TestBeginRejectsOtherLevels(t *testing.T) {
 // Statement-level snapshots: each Get sees the latest committed value, so
 // reads are NOT repeatable (P2 possible) — unlike SI.
 func TestStatementSnapshotsAreFresh(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 50})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	loadKV(db, map[string]int64{"x": 50})
+	t1 := beginRC(t, db)
 	if v, _ := engine.GetVal(t1, "x"); v != 50 {
 		t.Fatal("first read")
 	}
-	t2 := begin(t, db)
+	t2 := beginRC(t, db)
 	_ = engine.PutVal(t2, "x", 10)
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
@@ -57,11 +49,11 @@ func TestStatementSnapshotsAreFresh(t *testing.T) {
 // No dirty reads: an uncommitted write is invisible (versions install at
 // commit only).
 func TestNoDirtyRead(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 1})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	loadKV(db, map[string]int64{"x": 1})
+	t1 := beginRC(t, db)
 	_ = engine.PutVal(t1, "x", 99)
-	t2 := begin(t, db)
+	t2 := beginRC(t, db)
 	if v, _ := engine.GetVal(t2, "x"); v != 1 {
 		t.Fatalf("dirty read: %d", v)
 	}
@@ -72,10 +64,10 @@ func TestNoDirtyRead(t *testing.T) {
 // First-writer-wins: the second writer BLOCKS (rather than aborting) and
 // proceeds after the first commits.
 func TestFirstWriterWinsBlocks(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 100})
-	t1 := begin(t, db)
-	t2 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	loadKV(db, map[string]int64{"x": 100})
+	t1 := beginRC(t, db)
+	t2 := beginRC(t, db)
 	if err := engine.PutVal(t1, "x", 120); err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +95,10 @@ func TestFirstWriterWinsBlocks(t *testing.T) {
 // General lost update (P4) is possible: reads take no locks and writes are
 // first-writer-wins, so H4 executes to completion with T2's update lost.
 func TestH4LostUpdatePossible(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 100})
-	t1 := begin(t, db)
-	t2 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	loadKV(db, map[string]int64{"x": 100})
+	t1 := beginRC(t, db)
+	t2 := beginRC(t, db)
 	v1, _ := engine.GetVal(t1, "x")
 	v2, _ := engine.GetVal(t2, "x")
 	_ = engine.PutVal(t2, "x", v2+20)
@@ -124,11 +116,11 @@ func TestH4LostUpdatePossible(t *testing.T) {
 
 // Read skew (A5A) is possible: two statements, two snapshots.
 func TestReadSkewPossible(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 50, "y": 50})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	loadKV(db, map[string]int64{"x": 50, "y": 50})
+	t1 := beginRC(t, db)
 	x, _ := engine.GetVal(t1, "x")
-	t2 := begin(t, db)
+	t2 := beginRC(t, db)
 	_ = engine.PutVal(t2, "x", 10)
 	_ = engine.PutVal(t2, "y", 90)
 	if err := t2.Commit(); err != nil {
@@ -145,9 +137,9 @@ func TestReadSkewPossible(t *testing.T) {
 // then fails with ErrRowChanged — P4C not possible (§4.3: Read Consistency
 // "disallows cursor lost updates (P4C)").
 func TestCursorLostUpdatePrevented(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 100})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	loadKV(db, map[string]int64{"x": 100})
+	t1 := beginRC(t, db)
 	cur, err := t1.OpenCursor(predicate.KeyEq{Key: "x"})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +147,7 @@ func TestCursorLostUpdatePrevented(t *testing.T) {
 	if _, err := cur.Fetch(); err != nil { // rc1[x=100]
 		t.Fatal(err)
 	}
-	t2 := begin(t, db)
+	t2 := beginRC(t, db)
 	_ = engine.PutVal(t2, "x", 120)
 	if err := t2.Commit(); err != nil { // w2[x=120] c2
 		t.Fatal(err)
@@ -171,9 +163,9 @@ func TestCursorLostUpdatePrevented(t *testing.T) {
 }
 
 func TestCursorUpdateCleanPath(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 100})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	loadKV(db, map[string]int64{"x": 100})
+	t1 := beginRC(t, db)
 	cur, _ := t1.OpenCursor(predicate.KeyEq{Key: "x"})
 	_, _ = cur.Fetch()
 	if err := cur.UpdateCurrent(data.Scalar(101)); err != nil {
@@ -191,12 +183,12 @@ func TestCursorUpdateCleanPath(t *testing.T) {
 // Phantoms (P3) possible: two Selects in one transaction see different
 // committed sets.
 func TestPhantomsPossible(t *testing.T) {
-	db := NewDB()
+	db := NewDB(WithLevels(engine.ReadConsistency))
 	db.Load(data.Tuple{Key: "e1", Row: data.Row{"active": 1}})
 	p := predicate.MustParse("active == 1")
-	t1 := begin(t, db)
+	t1 := beginRC(t, db)
 	rows1, _ := t1.Select(p)
-	t2 := begin(t, db)
+	t2 := beginRC(t, db)
 	_ = t2.Put("e2", data.Row{"active": 1})
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
@@ -209,9 +201,9 @@ func TestPhantomsPossible(t *testing.T) {
 }
 
 func TestOwnWritesOverlay(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 1})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	loadKV(db, map[string]int64{"x": 1})
+	t1 := beginRC(t, db)
 	_ = engine.PutVal(t1, "x", 5)
 	if v, _ := engine.GetVal(t1, "x"); v != 5 {
 		t.Fatal("own write invisible")
@@ -228,10 +220,10 @@ func TestOwnWritesOverlay(t *testing.T) {
 }
 
 func TestDeadlockBetweenWriters(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 1, "y": 1})
-	t1 := begin(t, db)
-	t2 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	loadKV(db, map[string]int64{"x": 1, "y": 1})
+	t1 := beginRC(t, db)
+	t2 := beginRC(t, db)
 	_ = engine.PutVal(t1, "x", 2)
 	_ = engine.PutVal(t2, "y", 2)
 	first := make(chan error, 1)
@@ -249,9 +241,9 @@ func TestDeadlockBetweenWriters(t *testing.T) {
 }
 
 func TestAbortDropsBufferedWrites(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 1})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	loadKV(db, map[string]int64{"x": 1})
+	t1 := beginRC(t, db)
 	_ = engine.PutVal(t1, "x", 9)
 	_ = t1.Abort()
 	if got := db.ReadCommittedRow("x").Val(); got != 1 {
@@ -260,8 +252,8 @@ func TestAbortDropsBufferedWrites(t *testing.T) {
 }
 
 func TestTxDoneGuards(t *testing.T) {
-	db := NewDB()
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.ReadConsistency))
+	t1 := beginRC(t, db)
 	_ = t1.Commit()
 	if _, err := t1.Get("x"); !errors.Is(err, engine.ErrTxDone) {
 		t.Fatal("Get after commit")

@@ -1,4 +1,4 @@
-package snapshot
+package mvcc
 
 import (
 	"errors"
@@ -17,7 +17,7 @@ import (
 func TestStripedCommitDisjointWriteSets(t *testing.T) {
 	for _, shards := range []int{1, 4, 64} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db := NewDB(WithShards(shards))
+			db := NewDB(WithShards(shards), WithLevels(engine.SnapshotIsolation))
 			if got := db.ShardCount(); got != shards {
 				t.Fatalf("ShardCount = %d, want %d", got, shards)
 			}
@@ -70,7 +70,7 @@ func TestStripedCommitDisjointWriteSets(t *testing.T) {
 func TestStripedCommitOverlappingWriteSets(t *testing.T) {
 	for _, shards := range []int{1, 3, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db := NewDB(WithShards(shards))
+			db := NewDB(WithShards(shards), WithLevels(engine.SnapshotIsolation))
 			const keys = 5
 			var tuples []data.Tuple
 			for i := 0; i < keys; i++ {
@@ -119,7 +119,7 @@ func TestStripedCommitOverlappingWriteSets(t *testing.T) {
 // A snapshot begun while commits are in flight must be stable: it can
 // never see half of a concurrent multi-key commit. Run with -race.
 func TestSnapshotNeverSeesTornCommit(t *testing.T) {
-	db := NewDB(WithShards(8))
+	db := NewDB(WithShards(8), WithLevels(engine.SnapshotIsolation))
 	db.Load(data.Tuple{Key: "x", Row: data.Scalar(0)}, data.Tuple{Key: "y", Row: data.Scalar(0)})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

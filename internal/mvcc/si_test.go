@@ -1,4 +1,4 @@
-package snapshot
+package mvcc
 
 import (
 	"errors"
@@ -12,7 +12,7 @@ import (
 	"isolevel/internal/predicate"
 )
 
-func load(db *DB, kv map[string]int64) {
+func loadKV(db *DB, kv map[string]int64) {
 	var ts []data.Tuple
 	for k, v := range kv {
 		ts = append(ts, data.Tuple{Key: data.Key(k), Row: data.Scalar(v)})
@@ -20,7 +20,7 @@ func load(db *DB, kv map[string]int64) {
 	db.Load(ts...)
 }
 
-func begin(t *testing.T, db *DB) engine.Tx {
+func beginSI(t *testing.T, db *DB) engine.Tx {
 	t.Helper()
 	tx, err := db.Begin(engine.SnapshotIsolation)
 	if err != nil {
@@ -29,22 +29,22 @@ func begin(t *testing.T, db *DB) engine.Tx {
 	return tx
 }
 
-func TestBeginRejectsOtherLevels(t *testing.T) {
-	db := NewDB()
+func TestBeginRejectsOtherLevelsSI(t *testing.T) {
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
 	if _, err := db.Begin(engine.Serializable); !errors.Is(err, engine.ErrUnsupported) {
 		t.Fatalf("got %v", err)
 	}
 }
 
 func TestSnapshotReadsAreStable(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 50})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 50})
+	t1 := beginSI(t, db)
 	if v, _ := engine.GetVal(t1, "x"); v != 50 {
 		t.Fatal("initial read")
 	}
 	// Concurrent committed update is invisible to T1 (A2 impossible).
-	t2 := begin(t, db)
+	t2 := beginSI(t, db)
 	_ = engine.PutVal(t2, "x", 10)
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestSnapshotReadsAreStable(t *testing.T) {
 	}
 	_ = t1.Commit() // read-only: always commits
 	// A fresh transaction sees the new value.
-	t3 := begin(t, db)
+	t3 := beginSI(t, db)
 	if v, _ := engine.GetVal(t3, "x"); v != 10 {
 		t.Fatalf("new txn read = %d", v)
 	}
@@ -62,9 +62,9 @@ func TestSnapshotReadsAreStable(t *testing.T) {
 }
 
 func TestOwnWritesVisible(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 1})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 1})
+	t1 := beginSI(t, db)
 	_ = engine.PutVal(t1, "x", 2)
 	if v, _ := engine.GetVal(t1, "x"); v != 2 {
 		t.Fatal("own write invisible")
@@ -82,10 +82,10 @@ func TestOwnWritesVisible(t *testing.T) {
 // First-committer-wins: the paper's defining feature. T1 and T2 write the
 // same item from overlapping intervals; the second committer aborts.
 func TestFirstCommitterWins(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 100})
-	t1 := begin(t, db)
-	t2 := begin(t, db)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 100})
+	t1 := beginSI(t, db)
+	t2 := beginSI(t, db)
 	_ = engine.PutVal(t1, "x", 120)
 	_ = engine.PutVal(t2, "x", 130)
 	if err := t1.Commit(); err != nil {
@@ -102,10 +102,10 @@ func TestFirstCommitterWins(t *testing.T) {
 
 // Lost update (P4) is therefore impossible: H4's interleaving aborts T1.
 func TestH4LostUpdatePrevented(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 100})
-	t1 := begin(t, db)
-	t2 := begin(t, db)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 100})
+	t1 := beginSI(t, db)
+	t2 := beginSI(t, db)
 	v1, _ := engine.GetVal(t1, "x") // r1[x=100]
 	v2, _ := engine.GetVal(t2, "x") // r2[x=100]
 	_ = engine.PutVal(t2, "x", v2+20)
@@ -124,10 +124,10 @@ func TestH4LostUpdatePrevented(t *testing.T) {
 // Disjoint write sets both commit — which is exactly why write skew (A5B)
 // is possible under SI (H5).
 func TestWriteSkewAllowed(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 50, "y": 50})
-	t1 := begin(t, db)
-	t2 := begin(t, db)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 50, "y": 50})
+	t1 := beginSI(t, db)
+	t2 := beginSI(t, db)
 	x1, _ := engine.GetVal(t1, "x")
 	y1, _ := engine.GetVal(t1, "y")
 	x2, _ := engine.GetVal(t2, "x")
@@ -154,11 +154,11 @@ func TestWriteSkewAllowed(t *testing.T) {
 // readers proceed (no lock manager in the engine at all). Structural: a
 // read completes while another txn has written the same key uncommitted.
 func TestReadsNeverBlock(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 1})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 1})
+	t1 := beginSI(t, db)
 	_ = engine.PutVal(t1, "x", 2) // uncommitted write
-	t2 := begin(t, db)
+	t2 := beginSI(t, db)
 	v, err := engine.GetVal(t2, "x")
 	if err != nil || v != 1 {
 		t.Fatalf("reader saw %d, %v (must see committed snapshot, not block)", v, err)
@@ -170,15 +170,15 @@ func TestReadsNeverBlock(t *testing.T) {
 // No A3 phantoms: a re-evaluated predicate returns the same set even after
 // a concurrent committed insert (Remark 10).
 func TestNoA3Phantom(t *testing.T) {
-	db := NewDB()
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
 	db.Load(
 		data.Tuple{Key: "t1", Row: data.Row{"hours": 4}},
 		data.Tuple{Key: "t2", Row: data.Row{"hours": 3}},
 	)
 	p := predicate.MustParse("hours > 0")
-	t1 := begin(t, db)
+	t1 := beginSI(t, db)
 	rows1, _ := t1.Select(p)
-	t2 := begin(t, db)
+	t2 := beginSI(t, db)
 	_ = t2.Put("t3", data.Row{"hours": 1})
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestNoA3Phantom(t *testing.T) {
 // But P3 constraint phantoms remain possible: two transactions each check
 // sum(hours) <= 8 then insert disjoint tasks; both commit; constraint broken.
 func TestP3ConstraintPhantomPossible(t *testing.T) {
-	db := NewDB()
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
 	db.Load(
 		data.Tuple{Key: "task:1", Row: data.Row{"hours": 4}},
 		data.Tuple{Key: "task:2", Row: data.Row{"hours": 3}},
@@ -211,8 +211,8 @@ func TestP3ConstraintPhantomPossible(t *testing.T) {
 		}
 		return s
 	}
-	t1 := begin(t, db)
-	t2 := begin(t, db)
+	t1 := beginSI(t, db)
+	t2 := beginSI(t, db)
 	if s := sum(t1); s+1 > 8 {
 		t.Fatal("setup: T1 should believe it can add 1 hour")
 	}
@@ -227,7 +227,7 @@ func TestP3ConstraintPhantomPossible(t *testing.T) {
 	if err := t2.Commit(); err != nil {
 		t.Fatalf("disjoint inserts are not caught by FCW: %v", err)
 	}
-	t3 := begin(t, db)
+	t3 := beginSI(t, db)
 	if s := sum(t3); s <= 8 {
 		t.Fatalf("total = %d; the P3 phantom should have broken the <= 8 constraint", s)
 	}
@@ -237,11 +237,11 @@ func TestP3ConstraintPhantomPossible(t *testing.T) {
 // Read skew (A5A) impossible: T1 reads x and y around T2's committed
 // update of both; the snapshot keeps them consistent (Remark 8's proof).
 func TestNoReadSkew(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 50, "y": 50})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 50, "y": 50})
+	t1 := beginSI(t, db)
 	x, _ := engine.GetVal(t1, "x")
-	t2 := begin(t, db)
+	t2 := beginSI(t, db)
 	_ = engine.PutVal(t2, "x", 10)
 	_ = engine.PutVal(t2, "y", 90)
 	if err := t2.Commit(); err != nil {
@@ -257,8 +257,8 @@ func TestNoReadSkew(t *testing.T) {
 // Time travel: a transaction begun AsOf an old timestamp sees history — as
 // far back as some snapshot has been holding it, and no further.
 func TestTimeTravelAsOf(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 1})
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 1})
 	ts1 := db.CurrentTS()
 	// History is remembered from the oldest open snapshot on: hold one at
 	// ts1 before history moves on.
@@ -268,7 +268,7 @@ func TestTimeTravelAsOf(t *testing.T) {
 	}
 	update := func(v int64) {
 		t.Helper()
-		tx := begin(t, db)
+		tx := beginSI(t, db)
 		_ = engine.PutVal(tx, "x", v)
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
@@ -320,10 +320,10 @@ func TestTimeTravelAsOf(t *testing.T) {
 
 // First-updater-wins ablation: the conflict surfaces at write time.
 func TestFirstUpdaterWinsAblation(t *testing.T) {
-	db := NewDB(FirstUpdaterWins())
-	load(db, map[string]int64{"x": 1})
-	t1 := begin(t, db)
-	t2 := begin(t, db)
+	db := NewDB(FirstUpdaterWins(), WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 1})
+	t1 := beginSI(t, db)
+	t2 := beginSI(t, db)
 	_ = engine.PutVal(t1, "x", 2)
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
@@ -336,9 +336,9 @@ func TestFirstUpdaterWinsAblation(t *testing.T) {
 }
 
 func TestSnapshotCursor(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"a": 1, "b": 2})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"a": 1, "b": 2})
+	t1 := beginSI(t, db)
 	cur, err := t1.OpenCursor(predicate.True{})
 	if err != nil {
 		t.Fatal(err)
@@ -366,11 +366,11 @@ func TestSnapshotCursor(t *testing.T) {
 }
 
 func TestReadOnlyAlwaysCommits(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 1})
-	t1 := begin(t, db)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 1})
+	t1 := beginSI(t, db)
 	_, _ = engine.GetVal(t1, "x")
-	t2 := begin(t, db)
+	t2 := beginSI(t, db)
 	_ = engine.PutVal(t2, "x", 2)
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
@@ -384,12 +384,12 @@ func TestReadOnlyAlwaysCommits(t *testing.T) {
 // serializable dataflows (H1.SI, §4.2), while the write-skew execution
 // does not.
 func TestLiveH1SIMappingSerializable(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 50, "y": 50})
-	t1 := begin(t, db).(*Tx)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 50, "y": 50})
+	t1 := beginSI(t, db).(*SITx)
 	v, _ := engine.GetVal(t1, "x") // r1[x=50]
 	_ = engine.PutVal(t1, "x", v-40)
-	t2 := begin(t, db).(*Tx)
+	t2 := beginSI(t, db).(*SITx)
 	x2, _ := engine.GetVal(t2, "x") // r2[x0=50]: snapshot!
 	y2, _ := engine.GetVal(t2, "y")
 	if x2 != 50 || y2 != 50 {
@@ -411,10 +411,10 @@ func TestLiveH1SIMappingSerializable(t *testing.T) {
 }
 
 func TestLiveWriteSkewMappingNotSerializable(t *testing.T) {
-	db := NewDB()
-	load(db, map[string]int64{"x": 50, "y": 50})
-	t1 := begin(t, db).(*Tx)
-	t2 := begin(t, db).(*Tx)
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	loadKV(db, map[string]int64{"x": 50, "y": 50})
+	t1 := beginSI(t, db).(*SITx)
+	t2 := beginSI(t, db).(*SITx)
 	x1, _ := engine.GetVal(t1, "x")
 	y1, _ := engine.GetVal(t1, "y")
 	_, _ = engine.GetVal(t2, "x")
@@ -433,7 +433,7 @@ func TestLiveWriteSkewMappingNotSerializable(t *testing.T) {
 	}
 }
 
-func mvTxnOf(t *Tx) deps.MVTxn {
+func mvTxnOf(t *SITx) deps.MVTxn {
 	start, commit, committed, reads, writes := t.MVTxn()
 	return deps.MVTxn{Tx: t.ID(), Start: start, Commit: commit, Committed: committed, Reads: reads, Writes: writes}
 }
@@ -442,7 +442,7 @@ func mvTxnOf(t *Tx) deps.MVTxn {
 // (each writes both accounts, so FCW serializes them); all aborts are
 // ErrWriteConflict.
 func TestConcurrentTransfersPreserveTotal(t *testing.T) {
-	db := NewDB()
+	db := NewDB(WithLevels(engine.SnapshotIsolation))
 	const accounts = 8
 	var tuples []data.Tuple
 	for i := 0; i < accounts; i++ {

@@ -183,7 +183,6 @@ func TestNilSinkIsNoOp(t *testing.T) {
 	s.Wait(ClassItem, 1, "x", 0, 2)
 	s.Granted(ClassItem, 1, "x", 0, start)
 	s.Upgrade(1, "x", 0)
-	s.Escalate(1, 0)
 	s.GCSweep(0, 3)
 	s.Commit(1)
 	s.Abort(1)

@@ -9,8 +9,8 @@ import (
 // EventKind classifies flight-recorder events. The vocabulary is the
 // paper's lock-protocol lifecycle: a transaction begins at a level,
 // waits for and is granted item/predicate/range/gap locks, upgrades
-// read locks to write locks, may be escalated to a coarse stripe lock
-// or chosen as a deadlock victim, and finally commits or aborts.
+// read locks to write locks, may be chosen as a deadlock victim, and
+// finally commits or aborts.
 type EventKind uint8
 
 const (
@@ -18,7 +18,6 @@ const (
 	EvWait                      // lock request blocked; Aux is the first blocking tx
 	EvGrant                     // blocked request granted; Aux is the wait duration
 	EvUpgrade                   // read lock upgraded to write on Key
-	EvEscalate                  // stripe escalated to a coarse lock; Stripe set
 	EvGCSweep                   // dead-anchor fragment GC; Aux is fragments reclaimed
 	EvCommit                    // tx committed
 	EvAbort                     // tx aborted
@@ -30,7 +29,6 @@ var evNames = [...]string{
 	EvWait:     "wait",
 	EvGrant:    "grant",
 	EvUpgrade:  "upgrade",
-	EvEscalate: "escalate",
 	EvGCSweep:  "gc-sweep",
 	EvCommit:   "commit",
 	EvAbort:    "abort",

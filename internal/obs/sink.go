@@ -138,15 +138,6 @@ func (s *Sink) Upgrade(tx int, key string, stripe int) {
 	s.event(Event{Kind: EvUpgrade, Tx: tx, Key: key, Stripe: stripe})
 }
 
-// Escalate records a stripe's key-range locks escalating to a coarse
-// stripe lock.
-func (s *Sink) Escalate(tx int, stripe int) {
-	if s == nil {
-		return
-	}
-	s.event(Event{Kind: EvEscalate, Tx: tx, Stripe: stripe})
-}
-
 // GCSweep records a dead-anchor fragment GC pass reclaiming n fragments.
 func (s *Sink) GCSweep(stripe int, reclaimed int) {
 	if s == nil {

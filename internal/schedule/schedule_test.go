@@ -7,9 +7,8 @@ import (
 	"isolevel/internal/data"
 	"isolevel/internal/engine"
 	"isolevel/internal/locking"
-	"isolevel/internal/oraclerc"
+	"isolevel/internal/mvcc"
 	"isolevel/internal/phenomena"
-	"isolevel/internal/snapshot"
 )
 
 // Step helpers shared by tests (the anomalies package builds its own).
@@ -152,7 +151,7 @@ func TestDeadlockAutoAbort(t *testing.T) {
 
 // First-committer-wins surfaces on the commit step under SI.
 func TestSICommitConflict(t *testing.T) {
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	loadScalars(db, map[string]int64{"x": 100})
 	res, err := Run(db, Options{Level: engine.SnapshotIsolation}, []Step{
 		get(1, "x"),
@@ -283,7 +282,7 @@ func TestRecordedHistoryRemap(t *testing.T) {
 // Read Consistency engine also works under the runner (write locks +
 // observer).
 func TestOracleRCUnderRunner(t *testing.T) {
-	db := oraclerc.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency))
 	loadScalars(db, map[string]int64{"x": 100})
 	res, err := Run(db, Options{Level: engine.ReadConsistency}, []Step{
 		put(1, "x", 120),

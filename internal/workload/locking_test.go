@@ -6,7 +6,7 @@ import (
 
 	"isolevel/internal/engine"
 	"isolevel/internal/locking"
-	"isolevel/internal/snapshot"
+	"isolevel/internal/mvcc"
 )
 
 // The lockstep locking scenarios must be exact at every stripe count —
@@ -51,7 +51,7 @@ func TestReadLockFanInNeverBlocksShortOrSnapshotReads(t *testing.T) {
 		lvl  engine.Level
 	}{
 		{"READ COMMITTED", locking.NewDB(), engine.ReadCommitted},
-		{"SNAPSHOT ISOLATION", snapshot.NewDB(), engine.SnapshotIsolation},
+		{"SNAPSHOT ISOLATION", mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation)), engine.SnapshotIsolation},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -105,7 +105,7 @@ func TestUpgradeDeadlockStormExactVictimCount(t *testing.T) {
 
 func TestUpgradeDeadlockStormSnapshotSameShape(t *testing.T) {
 	const sessions, rounds = 4, 6
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	m, err := UpgradeDeadlockStorm(db, engine.SnapshotIsolation, sessions, rounds)
 	if err != nil {
 		t.Fatal(err)

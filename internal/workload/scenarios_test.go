@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"isolevel/internal/engine"
-	"isolevel/internal/oraclerc"
-	"isolevel/internal/snapshot"
+	"isolevel/internal/mvcc"
 )
 
 func TestSnapshotScanStableUnderSI(t *testing.T) {
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	LoadAccounts(db, 8, 100)
 	res := SnapshotScanVsHotWriters(db, engine.SnapshotIsolation, 8, 2, 3, 15)
 	if res.TotalScans == 0 {
@@ -36,7 +35,7 @@ func TestSnapshotScanStableUnderSI(t *testing.T) {
 // includes the writer commit the rendezvous guaranteed in between. This
 // is §4.3's P2/A5A behavior made deterministic.
 func TestSnapshotScanUnstableUnderReadConsistency(t *testing.T) {
-	db := oraclerc.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency))
 	LoadAccounts(db, 8, 100)
 	res := SnapshotScanVsHotWriters(db, engine.ReadConsistency, 8, 2, 2, 10)
 	if res.TotalScans == 0 {
@@ -49,7 +48,7 @@ func TestSnapshotScanUnstableUnderReadConsistency(t *testing.T) {
 }
 
 func TestSkewedTransferPreservesTotalSnapshot(t *testing.T) {
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	LoadAccounts(db, 16, 100)
 	m := SkewedTransfer(db, engine.SnapshotIsolation, 16, 2, 4, 50, 0.8)
 	if m.Commits == 0 {
@@ -65,7 +64,7 @@ func TestSkewedTransferPreservesTotalSnapshot(t *testing.T) {
 
 func TestBatchIncrementDisjointAllCommit(t *testing.T) {
 	const workers, iters, batch = 4, 25, 4
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	LoadAccounts(db, workers*batch, 0)
 	m := BatchIncrement(db, engine.SnapshotIsolation, workers, iters, batch, true)
 	if m.Aborts != 0 || m.Errors != 0 {
@@ -85,7 +84,7 @@ func TestBatchIncrementDisjointAllCommit(t *testing.T) {
 
 func TestBatchIncrementContendedStaysExact(t *testing.T) {
 	const workers, iters, batch = 4, 15, 3
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	LoadAccounts(db, batch, 0)
 	m := BatchIncrement(db, engine.SnapshotIsolation, workers, iters, batch, false)
 	if m.Errors != 0 {

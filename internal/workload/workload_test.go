@@ -7,8 +7,7 @@ import (
 
 	"isolevel/internal/engine"
 	"isolevel/internal/locking"
-	"isolevel/internal/oraclerc"
-	"isolevel/internal/snapshot"
+	"isolevel/internal/mvcc"
 )
 
 func TestTransferPreservesTotalSerializable(t *testing.T) {
@@ -27,7 +26,7 @@ func TestTransferPreservesTotalSerializable(t *testing.T) {
 }
 
 func TestTransferPreservesTotalSnapshot(t *testing.T) {
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	LoadAccounts(db, 8, 100)
 	m := Transfer(db, engine.SnapshotIsolation, 8, 4, 40)
 	if m.Commits == 0 {
@@ -50,7 +49,7 @@ func TestTransferRunsAtReadCommitted(t *testing.T) {
 }
 
 func TestReadersVsWritersSnapshotReadersNeverAbort(t *testing.T) {
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	LoadAccounts(db, 16, 100)
 	readers, writers := ReadersVsWriters(db, engine.SnapshotIsolation, 16, 3, 3, 20)
 	if readers.Aborts != 0 || readers.Errors != 0 {
@@ -95,7 +94,7 @@ func TestHotspotSnapshotAbortsButNeverLoses(t *testing.T) {
 	// (the free-running HotspotCounter never overlaps transactions on a
 	// single-core host and the FCW path looks dead).
 	const sessions, rounds = 8, 50
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	m := HotspotCounterLockstep(db, engine.SnapshotIsolation, sessions, rounds)
 	final := db.ReadCommittedRow("hot").Val()
 	if final != m.Commits {
@@ -116,7 +115,7 @@ func TestHotspotSnapshotAbortsButNeverLoses(t *testing.T) {
 // invariant (committed increments never get lost) even though its abort
 // count is scheduler-dependent.
 func TestHotspotSnapshotFreeRunningNeverLoses(t *testing.T) {
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	m := HotspotCounter(db, engine.SnapshotIsolation, 8, 50)
 	final := db.ReadCommittedRow("hot").Val()
 	if final != m.Commits {
@@ -130,7 +129,7 @@ func TestHotspotSnapshotFreeRunningNeverLoses(t *testing.T) {
 func TestHotspotLockstepSingleCore(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	m := HotspotCounterLockstep(db, engine.SnapshotIsolation, 4, 10)
 	if m.Aborts < 1 {
 		t.Fatalf("GOMAXPROCS=1 hotspot saw no FCW aborts: %+v", m)
@@ -146,7 +145,7 @@ func TestHotspotLockstepSingleCore(t *testing.T) {
 // First-updater-wins is the eager ablation: same exact winner-per-round
 // arithmetic, conflicts just surface at write time.
 func TestHotspotLockstepFirstUpdaterWins(t *testing.T) {
-	db := snapshot.NewDB(snapshot.FirstUpdaterWins())
+	db := mvcc.NewDB(mvcc.FirstUpdaterWins(), mvcc.WithLevels(engine.SnapshotIsolation))
 	m := HotspotCounterLockstep(db, engine.SnapshotIsolation, 4, 20)
 	if m.Commits != 20 {
 		t.Fatalf("commits = %d, want 20", m.Commits)
@@ -157,7 +156,7 @@ func TestHotspotLockstepFirstUpdaterWins(t *testing.T) {
 }
 
 func TestHotspotOracleRCLosesUpdates(t *testing.T) {
-	db := oraclerc.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency))
 	m := HotspotCounter(db, engine.ReadConsistency, 4, 25)
 	final := db.ReadCommittedRow("hot").Val()
 	// First-writer-wins does not protect the read-modify-write cycle: the
@@ -172,7 +171,7 @@ func TestHotspotOracleRCLosesUpdates(t *testing.T) {
 }
 
 func TestLongRunningUpdaterAbortsUnderSI(t *testing.T) {
-	db := snapshot.NewDB()
+	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
 	LoadAccounts(db, 8, 0)
 	committed, err, short := LongRunningUpdater(db, engine.SnapshotIsolation, 8, 3, 20)
 	if short.Commits == 0 {

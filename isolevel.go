@@ -12,12 +12,11 @@ import (
 	"isolevel/internal/locking"
 	"isolevel/internal/matrix"
 	"isolevel/internal/mv"
-	"isolevel/internal/oraclerc"
+	"isolevel/internal/mvcc"
 	"isolevel/internal/phenomena"
 	"isolevel/internal/predicate"
 	"isolevel/internal/report"
 	"isolevel/internal/schedule"
-	"isolevel/internal/snapshot"
 	"isolevel/internal/workload"
 )
 
@@ -94,47 +93,32 @@ func NewKeyrangeDBShards(shards int) *locking.DB {
 	return locking.NewDB(locking.WithPhantomProtection(locking.PhantomKeyrange), locking.WithShards(shards))
 }
 
-// NewKeyrangeDBEscalated is NewKeyrangeDBShards with lock escalation: a
-// scan handle reaching threshold next-key fragments in one lock stripe
-// collapses them into a single coarse whole-stripe entry ([GLPT]-style
-// granularity coarsening, counted in LockStats().Escalations). Blocking
-// becomes strictly coarser than the exact keyrange protocol — behavioral
-// equivalence with the predicate engine is traded for a bounded fragment
-// population — but every Table 2 guarantee still holds.
-func NewKeyrangeDBEscalated(shards, threshold int) *locking.DB {
-	return locking.NewDB(
-		locking.WithPhantomProtection(locking.PhantomKeyrange),
-		locking.WithShards(shards),
-		locking.WithEscalation(threshold),
-	)
-}
-
 // NewSnapshotDB returns the §4.2 Snapshot Isolation engine
 // (first-committer-wins, snapshot reads, time travel via BeginAsOf — back
 // to the oldest snapshot still held open; older is ErrSnapshotTooOld).
-func NewSnapshotDB() *snapshot.DB { return snapshot.NewDB() }
+func NewSnapshotDB() *mvcc.DB { return mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation)) }
 
 // NewSnapshotDBFirstUpdaterWins returns the eager-conflict ablation of the
 // Snapshot Isolation engine (conflicts surface at write time).
-func NewSnapshotDBFirstUpdaterWins() *snapshot.DB {
-	return snapshot.NewDB(snapshot.FirstUpdaterWins())
+func NewSnapshotDBFirstUpdaterWins() *mvcc.DB {
+	return mvcc.NewDB(mvcc.FirstUpdaterWins(), mvcc.WithLevels(engine.SnapshotIsolation))
 }
 
 // NewSnapshotDBShards returns the Snapshot Isolation engine with an
 // explicit store stripe count (1 reproduces the old single-commit-mutex
 // behavior; higher counts let disjoint write sets commit in parallel).
-func NewSnapshotDBShards(shards int) *snapshot.DB {
-	return snapshot.NewDB(snapshot.WithShards(shards))
+func NewSnapshotDBShards(shards int) *mvcc.DB {
+	return mvcc.NewDB(mvcc.WithShards(shards), mvcc.WithLevels(engine.SnapshotIsolation))
 }
 
 // NewOracleRCDB returns the §4.3 Oracle-style Read Consistency engine
 // (statement-level snapshots, first-writer-wins write locks).
-func NewOracleRCDB() *oraclerc.DB { return oraclerc.NewDB() }
+func NewOracleRCDB() *mvcc.DB { return mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency)) }
 
 // NewOracleRCDBShards returns the Read Consistency engine with an explicit
 // store stripe count.
-func NewOracleRCDBShards(shards int) *oraclerc.DB {
-	return oraclerc.NewDB(oraclerc.WithShards(shards))
+func NewOracleRCDBShards(shards int) *mvcc.DB {
+	return mvcc.NewDB(mvcc.WithShards(shards), mvcc.WithLevels(engine.ReadConsistency))
 }
 
 // NewDBFor returns a fresh engine implementing the given level.
