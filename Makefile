@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: verify build test race vet fmt lint isolint bench bench-all bench-keyrange bench-mv bench-locking bench-compare fuzz fuzz-mixed fuzz-keyrange fuzz-dml fuzz-determinism serve-smoke
+.PHONY: verify build test race vet fmt lint isolint bench http-smoke serve-smoke fuzz fuzz-mixed fuzz-keyrange fuzz-dml fuzz-determinism
 
-verify: lint build race ## what CI runs: vet + isolint + build + race-enabled tests
+verify: lint build race ## vet + gofmt + isolint + build + race-enabled tests (CI runs more; see ci.yml)
 
 build:
 	$(GO) build ./...
@@ -30,55 +30,10 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# Full bench suite. The shard-sweep lines are sliced into per-subsystem
-# perf-trajectory artifacts by benchjson -match, out of the one shared
-# run so BENCH_mv.json and BENCH_locking.json stay consistent with each
-# other (same build, same host, same run).
+# End-to-end benchmark, quick mode: one repetition of every BENCHMARK.json
+# workload at a tenth of the counts, oracle on; exits 1 on a violation.
 bench:
-	$(GO) test -bench=. -benchmem . > /tmp/bench-all.out
-	cat /tmp/bench-all.out
-	$(GO) run ./cmd/isolevel benchjson -match 'ShardSweepDisjointBatch|ShardSweepTransfer' < /tmp/bench-all.out > BENCH_mv.json
-	$(GO) run ./cmd/isolevel benchjson -match 'ShardSweepLockingDisjoint|LockingLockstep' < /tmp/bench-all.out > BENCH_locking.json
-
-# Key-range vs predicate phantom-prevention comparison, emitted as JSON so
-# the perf trajectory has a machine-readable data point per PR: writers
-# under an active scan (the gate contention story), scan install cost, and
-# the lockstep phantom storm end to end.
-# Two steps, not a pipeline: a failed bench assertion must fail the
-# target (a pipe's exit status would be benchjson's, masking it).
-bench-keyrange:
-	$(GO) test -run '^$$' -bench 'Keyrange' -benchmem . > /tmp/bench-keyrange.out
-	cat /tmp/bench-keyrange.out
-	$(GO) run ./cmd/isolevel benchjson < /tmp/bench-keyrange.out > BENCH_keyrange.json
-
-# The two bench slices alone, without the full suite: one shorter shared
-# run, then the same -match split as `make bench`.
-bench-mv bench-locking:
-	$(GO) test -run '^$$' -bench 'ShardSweep|LockingLockstep' -benchmem . > /tmp/bench-sweeps.out
-	cat /tmp/bench-sweeps.out
-	$(GO) run ./cmd/isolevel benchjson -match 'ShardSweepDisjointBatch|ShardSweepTransfer' < /tmp/bench-sweeps.out > BENCH_mv.json
-	$(GO) run ./cmd/isolevel benchjson -match 'ShardSweepLockingDisjoint|LockingLockstep' < /tmp/bench-sweeps.out > BENCH_locking.json
-
-# All three perf-trajectory artifacts out of ONE shared run (same build,
-# same host, same run): mv, locking, keyrange. This is what
-# CI runs and uploads; regenerate + commit before a perf PR lands.
-# Two steps, not a pipeline: a failed bench assertion must fail the
-# target (a pipe's exit status would be benchjson's, masking it).
-bench-all:
-	$(GO) test -run '^$$' -bench 'ShardSweep|LockingLockstep|Keyrange' -benchmem . > /tmp/bench-all4.out
-	cat /tmp/bench-all4.out
-	$(GO) run ./cmd/isolevel benchjson -match 'ShardSweepDisjointBatch|ShardSweepTransfer' < /tmp/bench-all4.out > BENCH_mv.json
-	$(GO) run ./cmd/isolevel benchjson -match 'ShardSweepLockingDisjoint|LockingLockstep' < /tmp/bench-all4.out > BENCH_locking.json
-	$(GO) run ./cmd/isolevel benchjson -match 'Keyrange' < /tmp/bench-all4.out > BENCH_keyrange.json
-
-# Alloc-regression guard: rerun the keyrange benches and compare
-# allocs/op against the committed BENCH_keyrange.json baseline. CI runs
-# this so an accidental return to per-key staging fails the build.
-MAX_REGRESS ?= 25
-bench-compare:
-	$(GO) test -run '^$$' -bench 'Keyrange' -benchmem . > /tmp/bench-compare.out
-	$(GO) run ./cmd/isolevel benchjson < /tmp/bench-compare.out > /tmp/BENCH_keyrange.new.json
-	$(GO) run ./cmd/isolevel benchjson -compare BENCH_keyrange.json -metric allocs/op -max-regress $(MAX_REGRESS) /tmp/BENCH_keyrange.new.json
+	$(GO) run ./benchmark -quick
 
 # Observability endpoint smoke: a bench run with -http must serve live
 # /metrics (Prometheus text with the isolevel_* families), /debug/pprof/

@@ -11,6 +11,9 @@ package isolevel_test
 // report commit throughput and abort rates as custom metrics so the
 // "shape" claims (SI readers never block; FCW converts contention into
 // aborts; long SI updaters starve) are visible in the output.
+// They are not a perf gate: `go run ./benchmark` (BENCHMARK.json) measures
+// end-to-end throughput, latency and allocations, and a bench stays here
+// only when no workload or probe there carries its claim.
 
 import (
 	"errors"
@@ -20,57 +23,12 @@ import (
 
 	isolevel "isolevel"
 	"isolevel/internal/data"
-	"isolevel/internal/engine"
 	"isolevel/internal/exerciser"
 	"isolevel/internal/matrix"
 	"isolevel/internal/mv"
-	"isolevel/internal/obs"
-	"isolevel/internal/obs/wallclock"
 	"isolevel/internal/predicate"
 	"isolevel/internal/sv"
-	"isolevel/internal/workload"
 )
-
-// latencyTimer records per-iteration latencies into an obs histogram and
-// reports the distribution as p50-ns/p90-ns/p99-ns/max-ns bench metrics,
-// which the benchjson pipeline embeds into the BENCH_*.json artifacts
-// (compare with `benchjson -compare ... -metric p99`). ns/op only shows
-// the mean; the percentiles expose tail effects — a gate convoy widens p99
-// long before it moves the mean. The timer is harness-side: the engines
-// under test keep their nil obs hooks, so the allocs/op regression guard
-// measures the disabled-hook cost.
-type latencyTimer struct {
-	clk obs.Clock
-	h   obs.Histogram
-}
-
-func newLatencyTimer() *latencyTimer { return &latencyTimer{clk: wallclock.New()} }
-
-// time runs f and records its wall-clock duration. Safe for concurrent use
-// (RunParallel bodies): the histogram is atomic.
-func (t *latencyTimer) time(f func()) {
-	start := t.clk.Now()
-	f()
-	t.h.Record(t.clk.Now() - start)
-}
-
-// start/stop are the closure-free form for per-op timing inside hot
-// parallel loops, where a captured closure would add an allocation per
-// operation and skew the allocs/op regression guard.
-func (t *latencyTimer) start() int64 { return t.clk.Now() }
-
-func (t *latencyTimer) stop(start int64) { t.h.Record(t.clk.Now() - start) }
-
-func (t *latencyTimer) report(b *testing.B) {
-	s := t.h.Snapshot()
-	if s.Count == 0 {
-		return
-	}
-	b.ReportMetric(float64(s.P50()), "p50-ns")
-	b.ReportMetric(float64(s.P90()), "p90-ns")
-	b.ReportMetric(float64(s.P99()), "p99-ns")
-	b.ReportMetric(float64(s.Max), "max-ns")
-}
 
 // --- Table and figure regeneration benches ---
 
@@ -254,29 +212,6 @@ func BenchmarkLongRunningUpdater(b *testing.B) {
 	}
 }
 
-// BenchmarkTransferThroughput is the baseline cross-engine comparison on
-// the uniform transfer workload (the invariant-preserving workload every
-// engine must get right).
-func BenchmarkTransferThroughput(b *testing.B) {
-	for _, level := range []isolevel.Level{
-		isolevel.ReadCommitted, isolevel.RepeatableRead, isolevel.Serializable,
-		isolevel.SnapshotIsolation, isolevel.ReadConsistency,
-	} {
-		b.Run(level.String(), func(b *testing.B) {
-			var commits, aborts int64
-			for i := 0; i < b.N; i++ {
-				db := isolevel.NewDBFor(level)
-				isolevel.LoadAccounts(db, benchAccounts, 100)
-				m := isolevel.TransferWorkload(db, level, benchAccounts, 4, benchIters)
-				commits += m.Commits
-				aborts += m.Aborts
-			}
-			b.ReportMetric(float64(commits)/float64(b.N), "commits/run")
-			b.ReportMetric(100*float64(aborts)/float64(max64(1, commits+aborts)), "abort-%")
-		})
-	}
-}
-
 // BenchmarkShardSweepDisjointBatch measures the striped SI commit path on
 // its best case: every worker owns a private key range, so no transaction
 // ever conflicts and throughput is limited purely by commit-path
@@ -288,14 +223,10 @@ func BenchmarkShardSweepDisjointBatch(b *testing.B) {
 	for _, shards := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var commits, aborts int64
-			lt := newLatencyTimer()
 			for i := 0; i < b.N; i++ {
 				db := isolevel.NewSnapshotDBShards(shards)
 				isolevel.LoadAccounts(db, workers*batch, 0)
-				var m isolevel.Metrics
-				lt.time(func() {
-					m = isolevel.BatchIncrementWorkload(db, isolevel.SnapshotIsolation, workers, iters, batch, true)
-				})
+				m := isolevel.BatchIncrementWorkload(db, isolevel.SnapshotIsolation, workers, iters, batch, true)
 				commits += m.Commits
 				aborts += m.Aborts
 			}
@@ -303,7 +234,6 @@ func BenchmarkShardSweepDisjointBatch(b *testing.B) {
 				b.Fatalf("disjoint write sets aborted %d times", aborts)
 			}
 			b.ReportMetric(float64(commits)/b.Elapsed().Seconds(), "commits/s")
-			lt.report(b)
 		})
 	}
 }
@@ -316,18 +246,13 @@ func BenchmarkShardSweepTransfer(b *testing.B) {
 	for _, shards := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var commits int64
-			lt := newLatencyTimer()
 			for i := 0; i < b.N; i++ {
 				db := isolevel.NewSnapshotDBShards(shards)
 				isolevel.LoadAccounts(db, benchAccounts, 100)
-				var m isolevel.Metrics
-				lt.time(func() {
-					m = isolevel.TransferWorkload(db, isolevel.SnapshotIsolation, benchAccounts, 8, benchIters)
-				})
+				m := isolevel.TransferWorkload(db, isolevel.SnapshotIsolation, benchAccounts, 8, benchIters)
 				commits += m.Commits
 			}
 			b.ReportMetric(float64(commits)/b.Elapsed().Seconds(), "commits/s")
-			lt.report(b)
 		})
 	}
 }
@@ -343,14 +268,10 @@ func BenchmarkShardSweepLockingDisjoint(b *testing.B) {
 	for _, shards := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var commits, aborts int64
-			lt := newLatencyTimer()
 			for i := 0; i < b.N; i++ {
 				db := isolevel.NewLockingDBShards(shards)
 				isolevel.LoadAccounts(db, workers*batch, 0)
-				var m isolevel.Metrics
-				lt.time(func() {
-					m = isolevel.BatchIncrementWorkload(db, isolevel.Serializable, workers, iters, batch, true)
-				})
+				m := isolevel.BatchIncrementWorkload(db, isolevel.Serializable, workers, iters, batch, true)
 				commits += m.Commits
 				aborts += m.Aborts
 			}
@@ -358,14 +279,11 @@ func BenchmarkShardSweepLockingDisjoint(b *testing.B) {
 				b.Fatalf("disjoint lock sets aborted %d times", aborts)
 			}
 			b.ReportMetric(float64(commits)/b.Elapsed().Seconds(), "commits/s")
-			lt.report(b)
 		})
 	}
 }
 
 // --- Key-range vs predicate phantom-prevention benches ---
-// (`make bench-keyrange` runs the Keyrange benches and converts their
-// output into BENCH_keyrange.json, the perf-trajectory artifact.)
 
 // BenchmarkKeyrangeWritersUnderScan is the headline comparison: a
 // SERIALIZABLE scanner holds its phantom protection for the whole
@@ -395,13 +313,11 @@ func BenchmarkKeyrangeWritersUnderScan(b *testing.B) {
 					b.Fatal(err)
 				}
 				var ctr atomic.Int64
-				lt := newLatencyTimer()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {
 						i := ctr.Add(1)
 						key := isolevel.Key(fmt.Sprintf("acct:%d", int(i)%keys))
-						t0 := lt.start()
 						tx, err := db.Begin(isolevel.ReadCommitted)
 						if err != nil {
 							b.Fatal(err)
@@ -412,7 +328,6 @@ func BenchmarkKeyrangeWritersUnderScan(b *testing.B) {
 						if err := tx.Commit(); err != nil {
 							b.Fatal(err)
 						}
-						lt.stop(t0)
 					}
 				})
 				b.StopTimer()
@@ -427,76 +342,8 @@ func BenchmarkKeyrangeWritersUnderScan(b *testing.B) {
 					b.Fatal("predicate writers never took the gate — the bench is not exercising the contended path")
 				}
 				b.ReportMetric(float64(st.GateAcquires)/float64(b.N), "gate-acquires/op")
-				lt.report(b)
 			})
 		}
-	}
-}
-
-// BenchmarkKeyrangeScan prices the scan itself: a key-range scan installs
-// one fragment per existing key in range where a predicate lock installs
-// a single gated table entry — the honest cost side of trading the global
-// gate for per-stripe locality.
-func BenchmarkKeyrangeScan(b *testing.B) {
-	for _, proto := range []string{"predicate", "keyrange"} {
-		for _, keys := range []int{16, 128} {
-			b.Run(fmt.Sprintf("%s/keys=%d", proto, keys), func(b *testing.B) {
-				db := isolevel.NewLockingDBShards(16)
-				if proto == "keyrange" {
-					db = isolevel.NewKeyrangeDBShards(16)
-				}
-				for i := 0; i < keys; i++ {
-					db.Load(isolevel.Scalar(isolevel.Key(fmt.Sprintf("acct:%d", i)), int64(i)))
-				}
-				p := isolevel.MustPredicate("val >= 100000")
-				lt := newLatencyTimer()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					t0 := lt.start()
-					tx, err := db.Begin(isolevel.Serializable)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := tx.Select(p); err != nil {
-						b.Fatal(err)
-					}
-					if err := tx.Commit(); err != nil {
-						b.Fatal(err)
-					}
-					lt.stop(t0)
-				}
-				lt.report(b)
-			})
-		}
-	}
-}
-
-// BenchmarkKeyrangePhantomStorm runs the lockstep phantom scenario end to
-// end under both protocols — identical exact outcomes, different
-// lock-manager internals.
-func BenchmarkKeyrangePhantomStorm(b *testing.B) {
-	const writers, rounds = 4, 5
-	for _, proto := range []string{"predicate", "keyrange"} {
-		b.Run(proto, func(b *testing.B) {
-			lt := newLatencyTimer()
-			for i := 0; i < b.N; i++ {
-				db := isolevel.NewLockingDBShards(16)
-				if proto == "keyrange" {
-					db = isolevel.NewKeyrangeDBShards(16)
-				}
-				t0 := lt.start()
-				res, err := workload.PhantomInsertStorm(db, isolevel.Serializable, writers, rounds)
-				lt.stop(t0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.PhantomsSeen != 0 || res.BlockedInserts != writers*rounds {
-					b.Fatalf("storm drifted: %+v", res)
-				}
-			}
-			b.ReportMetric(float64(b.N*rounds)/b.Elapsed().Seconds(), "rounds/s")
-			lt.report(b)
-		})
 	}
 }
 
@@ -508,12 +355,9 @@ func BenchmarkLockingLockstep(b *testing.B) {
 	const sessions, rounds = 4, 10
 	for _, shards := range []int{1, 16} {
 		b.Run(fmt.Sprintf("upgrade-storm/shards=%d", shards), func(b *testing.B) {
-			lt := newLatencyTimer()
 			for i := 0; i < b.N; i++ {
 				db := isolevel.NewLockingDBShards(shards)
-				t0 := lt.start()
 				m, err := isolevel.UpgradeStormWorkload(db, isolevel.Serializable, sessions, rounds)
-				lt.stop(t0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -522,7 +366,6 @@ func BenchmarkLockingLockstep(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N*rounds)/b.Elapsed().Seconds(), "rounds/s")
-			lt.report(b)
 		})
 	}
 }
@@ -571,53 +414,9 @@ func BenchmarkHotspotLockstep(b *testing.B) {
 	}
 }
 
-// BenchmarkFirstCommitterVsFirstUpdater is the ablation of the paper's
-// commit-time validation against the eager write-time variant used by
-// several modern systems: same anomaly guarantees, different abort timing.
-func BenchmarkFirstCommitterVsFirstUpdater(b *testing.B) {
-	run := func(b *testing.B, db engine.DB) {
-		var commits, aborts int64
-		for i := 0; i < b.N; i++ {
-			m := workload.HotspotCounter(db, isolevel.SnapshotIsolation, 4, benchIters)
-			commits += m.Commits
-			aborts += m.Aborts
-		}
-		b.ReportMetric(100*float64(aborts)/float64(max64(1, commits+aborts)), "abort-%")
-	}
-	b.Run("first-committer-wins", func(b *testing.B) {
-		run(b, isolevel.NewSnapshotDB())
-	})
-	b.Run("first-updater-wins", func(b *testing.B) {
-		run(b, isolevel.NewSnapshotDBFirstUpdaterWins())
-	})
-}
-
-// BenchmarkEngineMicro measures single-threaded engine primitives.
+// BenchmarkEngineMicro measures single-threaded primitives of the history
+// formalism: parsing, phenomenon profiling and the serializability test.
 func BenchmarkEngineMicro(b *testing.B) {
-	b.Run("locking/get-put-commit", func(b *testing.B) {
-		db := isolevel.NewLockingDB()
-		db.Load(isolevel.Scalar("x", 0))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx, _ := db.Begin(isolevel.Serializable)
-			v, _ := isolevel.GetVal(tx, "x")
-			_ = isolevel.PutVal(tx, "x", v+1)
-			_ = tx.Commit()
-		}
-	})
-	b.Run("snapshot/get-put-commit", func(b *testing.B) {
-		db := isolevel.NewSnapshotDB()
-		db.Load(isolevel.Scalar("x", 0))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tx, _ := db.Begin(isolevel.SnapshotIsolation)
-			v, _ := isolevel.GetVal(tx, "x")
-			_ = isolevel.PutVal(tx, "x", v+1)
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("history/parse-H1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := isolevel.ParseHistory("r1[x=50] w1[x=10] r2[x=10] r2[y=50] c2 r1[y=50] w1[y=90] c1"); err != nil {

@@ -23,13 +23,11 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -84,8 +82,6 @@ func main() {
 		err = cmdServe(os.Args[2:])
 	case "load":
 		err = cmdLoad(os.Args[2:])
-	case "benchjson":
-		err = cmdBenchJSON(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -173,15 +169,6 @@ commands:
         -scan-frac -del-frac), mixed levels (-levels SER,SI,RC sampled per
         transaction), retry loop (-retries), seeded (-seed); reports
         commits/retries/shed/busy and p50/p90/p99 latency
-  benchjson [-match RE]       convert "go test -bench" output on stdin to
-        a JSON array, keeping only names matching RE (the make bench-*
-        targets write the BENCH_*.json perf artifacts)
-  benchjson -compare OLD.json NEW.json-as-positional
-        regression guard: compare two benchjson artifacts and fail when a
-        shared benchmark's metric (-metric, default allocs/op) regressed
-        by more than -max-regress percent (default 25); flags before the
-        positional NEW.json; -metric p50|p90|p99|max compare the latency
-        summaries the benches report as p50-ns etc.
 `)
 }
 
@@ -969,163 +956,6 @@ func waitForInterrupt() {
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	<-ch
 	signal.Stop(ch)
-}
-
-// cmdBenchJSON converts `go test -bench` output on stdin into a JSON
-// array, one object per benchmark line: {"name": ..., "iterations": N,
-// "metrics": {"ns/op": ..., ...}}. -match keeps only benchmark names
-// matching a regexp, so one `make bench` run can be sliced into several
-// per-subsystem artifacts. The Makefile's bench-* targets pipe bench
-// output through it to emit the BENCH_*.json perf-trajectory artifacts.
-func cmdBenchJSON(args []string) error {
-	fs := flag.NewFlagSet("benchjson", flag.ExitOnError)
-	match := fs.String("match", "", "keep only benchmarks whose name matches this regexp")
-	compare := fs.String("compare", "", "baseline JSON file; compare against the new JSON file given as the positional argument instead of converting stdin")
-	metric := fs.String("metric", "allocs/op", "metric to compare in -compare mode (short aliases: p50, p90, p99, max for the *-ns latency summaries)")
-	maxRegress := fs.Float64("max-regress", 25, "fail -compare when the metric regresses by more than this percentage")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *compare != "" {
-		if fs.NArg() != 1 {
-			return fmt.Errorf("benchjson -compare OLD.json takes exactly one positional argument (the new JSON file)")
-		}
-		// Short aliases for the latency summary metrics the benches report
-		// via b.ReportMetric (`-metric p99` reads better than `p99-ns`).
-		if full, ok := map[string]string{"p50": "p50-ns", "p90": "p90-ns", "p99": "p99-ns", "max": "max-ns"}[*metric]; ok {
-			*metric = full
-		}
-		return benchCompare(*compare, fs.Arg(0), *metric, *match, *maxRegress)
-	}
-	var matchRE *regexp.Regexp
-	if *match != "" {
-		var err error
-		if matchRE, err = regexp.Compile(*match); err != nil {
-			return fmt.Errorf("benchjson: bad -match regexp: %v", err)
-		}
-	}
-	type benchLine struct {
-		Name       string             `json:"name"`
-		Iterations int64              `json:"iterations"`
-		Metrics    map[string]float64 `json:"metrics"`
-	}
-	var out []benchLine
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		if matchRE != nil && !matchRE.MatchString(fields[0]) {
-			continue
-		}
-		var iters int64
-		if _, err := fmt.Sscanf(fields[1], "%d", &iters); err != nil {
-			continue
-		}
-		bl := benchLine{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
-		for i := 2; i+1 < len(fields); i += 2 {
-			var v float64
-			if _, err := fmt.Sscanf(fields[i], "%g", &v); err != nil {
-				continue
-			}
-			bl.Metrics[fields[i+1]] = v
-		}
-		out = append(out, bl)
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if len(out) == 0 {
-		return fmt.Errorf("benchjson: no benchmark lines on stdin")
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// benchCompare is the CI regression guard behind `benchjson -compare`: it
-// loads two benchjson artifacts (the committed baseline and a fresh run)
-// and fails when any shared benchmark's metric regressed by more than
-// maxRegress percent. Benchmarks present in only one file are skipped —
-// adding or retiring a bench must not wedge CI — and entries whose
-// baseline metric is zero are skipped too (no meaningful ratio). All
-// tracked metrics (ns/op, allocs/op, B/op, ...) are smaller-is-better, so
-// "regression" always means new > old.
-func benchCompare(oldPath, newPath, metric, match string, maxRegress float64) error {
-	var matchRE *regexp.Regexp
-	if match != "" {
-		var err error
-		if matchRE, err = regexp.Compile(match); err != nil {
-			return fmt.Errorf("benchjson: bad -match regexp: %v", err)
-		}
-	}
-	type benchLine struct {
-		Name       string             `json:"name"`
-		Iterations int64              `json:"iterations"`
-		Metrics    map[string]float64 `json:"metrics"`
-	}
-	load := func(path string) (map[string]map[string]float64, error) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var lines []benchLine
-		if err := json.Unmarshal(raw, &lines); err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-		m := map[string]map[string]float64{}
-		for _, bl := range lines {
-			m[bl.Name] = bl.Metrics
-		}
-		return m, nil
-	}
-	oldM, err := load(oldPath)
-	if err != nil {
-		return err
-	}
-	newM, err := load(newPath)
-	if err != nil {
-		return err
-	}
-	names := make([]string, 0, len(oldM))
-	for name := range oldM {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	compared := 0
-	for _, name := range names {
-		if matchRE != nil && !matchRE.MatchString(name) {
-			continue
-		}
-		ov, ok := oldM[name][metric]
-		if !ok || ov == 0 {
-			continue
-		}
-		nv, ok := newM[name][metric]
-		if !ok {
-			continue
-		}
-		compared++
-		pct := (nv - ov) / ov * 100
-		status := "ok"
-		if pct > maxRegress {
-			status = "REGRESSION"
-			failures = append(failures, name)
-		}
-		fmt.Printf("%-60s %s: %g -> %g (%+.1f%%) %s\n", name, metric, ov, nv, pct, status)
-	}
-	if compared == 0 {
-		return fmt.Errorf("benchjson: no comparable benchmarks between %s and %s", oldPath, newPath)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed on %s by more than %.0f%%: %s",
-			len(failures), metric, maxRegress, strings.Join(failures, ", "))
-	}
-	fmt.Printf("ok: %d benchmark(s) within %.0f%% on %s\n", compared, maxRegress, metric)
-	return nil
 }
 
 // parseMix reads "r:4,w:4,p:1,rc:1,wc:1,i:2,d:2,s:2" (any subset;

@@ -1,0 +1,70 @@
+package lock_test
+
+import (
+	"fmt"
+	"testing"
+
+	"isolevel/internal/data"
+	"isolevel/internal/lock"
+	"isolevel/internal/predicate"
+	"isolevel/internal/sv"
+)
+
+// rangeInstallAllocs is the steady-state allocation count of one
+// AcquireRange + ReleaseAll over a bounded key range holding anchors
+// existing keys, with anchors snapshotted through SnapshotInto exactly as
+// the locking engine's scans (and the benchmark's lock probes) do. Rows
+// outside the range sit on both sides so the anchor snapshot has to cut.
+func rangeInstallAllocs(t *testing.T, anchors int) float64 {
+	t.Helper()
+	store := sv.NewStore()
+	for i := 0; i < anchors; i++ {
+		store.Load(data.Tuple{Key: data.Key(fmt.Sprintf("r:%05d", i)), Row: data.Scalar(int64(i))})
+	}
+	store.Load(data.Tuple{Key: "a:below", Row: data.Scalar(0)}, data.Tuple{Key: "z:above", Row: data.Scalar(0)})
+	rng := predicate.KeyRange{Lo: "r:", Hi: "r;"}
+	spec := lock.RangeSpec{Pred: rng, Lo: rng.Lo, Hi: rng.Hi, Bounded: true,
+		SnapshotInto: func(r *data.KeyRuns) data.Key { return store.AppendRangeAnchors(r, rng.Lo, rng.Hi, true) }}
+	lm := lock.NewManager()
+	lm.SetRowPresent(store.Exists)
+	return testing.AllocsPerRun(100, func() {
+		if _, err := lm.AcquireRange(1, spec); err != nil {
+			t.Fatal(err)
+		}
+		lm.ReleaseAll(1)
+	})
+}
+
+// A range install stages anchors as per-stripe key runs in reusable
+// buffers, so its allocation count stops growing once every stripe has a
+// run: the same at 512 anchors as at 32. A return to per-key staging
+// fails the equality; the ceilings leave room for a later cut. The
+// predicate-lock and item-lock installs get ceilings in the same style.
+func TestRangeInstallAllocsIndependentOfRangeSize(t *testing.T) {
+	at32 := rangeInstallAllocs(t, 32)
+	if at32 > 25 {
+		t.Errorf("AcquireRange+ReleaseAll over 32 anchors: %.0f allocs, want <= 25", at32)
+	}
+	if at512 := rangeInstallAllocs(t, 512); at512 != at32 {
+		t.Errorf("AcquireRange+ReleaseAll: %.0f allocs over 512 anchors, %.0f over 32; want equal", at512, at32)
+	}
+
+	lm := lock.NewManager()
+	rng := predicate.KeyRange{Lo: "r:", Hi: "r;"}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := lm.AcquirePred(1, rng, lock.S); err != nil {
+			t.Fatal(err)
+		}
+		lm.ReleaseAll(1)
+	}); n > 6 {
+		t.Errorf("AcquirePred+ReleaseAll: %.0f allocs, want <= 6", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := lm.AcquireItem(1, "r:00001", lock.X, lock.Images{}); err != nil {
+			t.Fatal(err)
+		}
+		lm.ReleaseAll(1)
+	}); n > 12 {
+		t.Errorf("AcquireItem(X)+ReleaseAll: %.0f allocs, want <= 12", n)
+	}
+}

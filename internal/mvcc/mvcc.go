@@ -82,14 +82,6 @@ import (
 // Option configures a DB.
 type Option func(*DB)
 
-// FirstUpdaterWins switches SI conflict detection to write time: a write
-// to a key already written by a concurrent committed transaction fails
-// immediately with ErrWriteConflict (ablation of the paper's pure
-// first-committer-wins; RC transactions are unaffected).
-func FirstUpdaterWins() Option {
-	return func(db *DB) { db.firstUpdaterWins = true }
-}
-
 // WithShards sets the stripe count of the underlying multiversion store
 // and of the write-lock manager's lock tables (default mv.DefaultShards).
 func WithShards(n int) Option {
@@ -113,9 +105,8 @@ type DB struct {
 	rec    *engine.Recorder
 	shards int
 
-	allowed          []engine.Level
-	firstUpdaterWins bool
-	obs              *obs.Sink
+	allowed []engine.Level
+	obs     *obs.Sink
 }
 
 // SetObs attaches an observability sink to the engine and its write-lock

@@ -109,8 +109,7 @@ func (t *SITx) Get(key data.Key) (data.Row, error) {
 	return v.Row, nil
 }
 
-// Put implements engine.Tx: buffer the write privately. Under
-// First-Updater-Wins the conflict check happens here instead of commit.
+// Put implements engine.Tx: buffer the write privately.
 func (t *SITx) Put(key data.Key, row data.Row) error {
 	return t.write(key, row.Clone())
 }
@@ -125,13 +124,6 @@ func (t *SITx) write(key data.Key, row data.Row) error {
 		return engine.ErrTxDone
 	}
 	start := t.db.obs.Now()
-	if t.db.firstUpdaterWins {
-		if ts := t.db.store.LatestCommitTS(key); ts > t.start {
-			t.db.obs.RecordOp(start)
-			return fmt.Errorf("%w: %s updated at ts %d after start %d (first-updater-wins)",
-				engine.ErrWriteConflict, key, ts, t.start)
-		}
-	}
 	if _, ok := t.writes[key]; !ok {
 		t.order = append(t.order, key)
 	}

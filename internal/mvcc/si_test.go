@@ -318,23 +318,6 @@ func TestTimeTravelAsOf(t *testing.T) {
 	}
 }
 
-// First-updater-wins ablation: the conflict surfaces at write time.
-func TestFirstUpdaterWinsAblation(t *testing.T) {
-	db := NewDB(FirstUpdaterWins(), WithLevels(engine.SnapshotIsolation))
-	loadKV(db, map[string]int64{"x": 1})
-	t1 := beginSI(t, db)
-	t2 := beginSI(t, db)
-	_ = engine.PutVal(t1, "x", 2)
-	if err := t1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	err := engine.PutVal(t2, "x", 3)
-	if !errors.Is(err, engine.ErrWriteConflict) {
-		t.Fatalf("eager conflict got %v, want ErrWriteConflict at write time", err)
-	}
-	_ = t2.Abort()
-}
-
 func TestSnapshotCursor(t *testing.T) {
 	db := NewDB(WithLevels(engine.SnapshotIsolation))
 	loadKV(db, map[string]int64{"a": 1, "b": 2})

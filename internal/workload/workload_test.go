@@ -142,19 +142,6 @@ func TestHotspotLockstepSingleCore(t *testing.T) {
 	}
 }
 
-// First-updater-wins is the eager ablation: same exact winner-per-round
-// arithmetic, conflicts just surface at write time.
-func TestHotspotLockstepFirstUpdaterWins(t *testing.T) {
-	db := mvcc.NewDB(mvcc.FirstUpdaterWins(), mvcc.WithLevels(engine.SnapshotIsolation))
-	m := HotspotCounterLockstep(db, engine.SnapshotIsolation, 4, 20)
-	if m.Commits != 20 {
-		t.Fatalf("commits = %d, want 20", m.Commits)
-	}
-	if got := db.ReadCommittedRow("hot").Val(); got != 20 {
-		t.Fatalf("hot = %d", got)
-	}
-}
-
 func TestHotspotOracleRCLosesUpdates(t *testing.T) {
 	db := mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency))
 	m := HotspotCounter(db, engine.ReadConsistency, 4, 25)

@@ -98,12 +98,6 @@ func NewKeyrangeDBShards(shards int) *locking.DB {
 // to the oldest snapshot still held open; older is ErrSnapshotTooOld).
 func NewSnapshotDB() *mvcc.DB { return mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation)) }
 
-// NewSnapshotDBFirstUpdaterWins returns the eager-conflict ablation of the
-// Snapshot Isolation engine (conflicts surface at write time).
-func NewSnapshotDBFirstUpdaterWins() *mvcc.DB {
-	return mvcc.NewDB(mvcc.FirstUpdaterWins(), mvcc.WithLevels(engine.SnapshotIsolation))
-}
-
 // NewSnapshotDBShards returns the Snapshot Isolation engine with an
 // explicit store stripe count (1 reproduces the old single-commit-mutex
 // behavior; higher counts let disjoint write sets commit in parallel).
