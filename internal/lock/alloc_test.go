@@ -39,7 +39,7 @@ func rangeInstallAllocs(t *testing.T, anchors int) float64 {
 // buffers, so its allocation count stops growing once every stripe has a
 // run: the same at 512 anchors as at 32. A return to per-key staging
 // fails the equality; the ceilings leave room for a later cut. The
-// predicate-lock and item-lock installs get ceilings in the same style.
+// predicate-lock install gets a ceiling in the same style.
 func TestRangeInstallAllocsIndependentOfRangeSize(t *testing.T) {
 	at32 := rangeInstallAllocs(t, 32)
 	if at32 > 25 {
@@ -59,12 +59,53 @@ func TestRangeInstallAllocsIndependentOfRangeSize(t *testing.T) {
 	}); n > 6 {
 		t.Errorf("AcquirePred+ReleaseAll: %.0f allocs, want <= 6", n)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := lm.AcquireItem(1, "r:00001", lock.X, lock.Images{}); err != nil {
-			t.Fatal(err)
+}
+
+// A lock granted at once allocates nothing: the request stays on the
+// stack, holders sit in a recycled slice, and lock-table entries, held-key
+// sets and footprints come back from free lists. Only a request that
+// queues allocates (itself and its ready channel). Every run is a fresh
+// transaction, as in an engine, so the manager is first warmed with enough
+// of them to have touched every per-transaction footprint slot.
+func TestImmediateItemGrantsAllocateNothing(t *testing.T) {
+	lm := lock.NewManager()
+	im := lock.Images{Before: data.Scalar(1), After: data.Scalar(2)}
+	var tx lock.TxID
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"AcquireItem(X)+ReleaseAll", func() {
+			tx++
+			if err := lm.AcquireItem(tx, "r:00001", lock.X, im); err != nil {
+				t.Fatal(err)
+			}
+			lm.ReleaseAll(tx)
+		}},
+		{"AcquireItem(S)+AcquireItem(X)+ReleaseAll", func() {
+			tx++
+			if err := lm.AcquireItem(tx, "r:00002", lock.S, lock.Images{Before: im.Before}); err != nil {
+				t.Fatal(err)
+			}
+			if err := lm.AcquireItem(tx, "r:00002", lock.X, im); err != nil {
+				t.Fatal(err)
+			}
+			lm.ReleaseAll(tx)
+		}},
+		{"AcquireItem(X)+ReleaseItem", func() {
+			tx++
+			if err := lm.AcquireItem(tx, "r:00003", lock.X, im); err != nil {
+				t.Fatal(err)
+			}
+			lm.ReleaseItem(tx, "r:00003")
+			lm.ReleaseAll(tx)
+		}},
+	} {
+		for i := 0; i < 256; i++ {
+			c.run()
 		}
-		lm.ReleaseAll(1)
-	}); n > 12 {
-		t.Errorf("AcquireItem(X)+ReleaseAll: %.0f allocs, want <= 12", n)
+		if n := testing.AllocsPerRun(100, c.run); n != 0 {
+			t.Errorf("%s: %.0f allocs, want 0", c.name, n)
+		}
 	}
 }

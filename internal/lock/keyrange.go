@@ -72,6 +72,7 @@
 package lock
 
 import (
+	"slices"
 	"sort"
 
 	"isolevel/internal/data"
@@ -220,7 +221,7 @@ func anchorNeedsFragment(spec RangeSpec, ceiling data.Key, k data.Key) bool {
 //
 //isolint:allow latchorder the post-install refresh is guarded by rangeQLen/wf.Empty — with no admitted waiter there is no wait edge to go stale — and the back-out path reverts the install and refreshes via drainRangeLocked
 func (m *Manager) AcquireRange(tx TxID, spec RangeSpec) (RangeHandle, error) {
-	req := &request{tx: tx, mode: S, isRange: true, spec: spec, ready: make(chan error, 1), seq: m.seq.Add(1)}
+	req := request{tx: tx, mode: S, isRange: true, spec: spec, seq: m.seq.Add(1)}
 	m.gate.RLock()
 	m.rangeMu.Lock()
 	rs := m.obs.Now()
@@ -231,10 +232,10 @@ func (m *Manager) AcquireRange(tx TxID, spec RangeSpec) (RangeHandle, error) {
 	// of the race. Every non-holder exit undoes the count.
 	m.rangeActivity.Add(1)
 	var granted []*request
-	on := m.rangeConflictHoldersLocked(req)
+	on := m.rangeConflictHoldersLocked(&req)
 	if len(on) == 0 {
-		h := m.installRangeLocked(req)
-		if again := m.rangeConflictHoldersLocked(req); len(again) != 0 {
+		h := m.installRangeLocked(&req)
+		if again := m.rangeConflictHoldersLocked(&req); len(again) != 0 {
 			// A conflicting writer latched its stripe between our install
 			// visit and the validation sweep (free-running mode only;
 			// scripted runs execute one operation at a time). Back out and
@@ -242,7 +243,8 @@ func (m *Manager) AcquireRange(tx TxID, spec RangeSpec) (RangeHandle, error) {
 			// stripes that briefly held our fragments, so an item request
 			// that queued behind one of them is re-evaluated rather than
 			// stranded.
-			touched := m.removeRangeHoldLocked(tx, h)
+			touched := m.touchedLocked()
+			m.removeRangeHoldLocked(tx, h, touched)
 			granted = m.drainRangeLocked(touched)
 			on = again
 		} else {
@@ -272,21 +274,22 @@ func (m *Manager) AcquireRange(tx TxID, spec RangeSpec) (RangeHandle, error) {
 		m.notifyGranted(granted)
 		return 0, ErrDeadlock
 	}
-	m.rangeQ = append(m.rangeQ, req)
+	q := req.queued()
+	m.rangeQ = append(m.rangeQ, q)
 	m.rangeQLen.Store(int64(len(m.rangeQ)))
 	// (The entry count from above stays: a queued range request remains
 	// counted, and keeps counting as a holder when granted.)
 	m.rangeWaits++
 	m.notifyWaiting(tx, on)
-	m.obsWait(req, on, -1)
+	m.obsWait(q, on, -1)
 	m.rangeMu.Unlock()
 	m.obs.RecordRangeMuHold(rs)
 	m.gate.RUnlock()
 	m.notifyGranted(granted)
-	if err := m.await(req); err != nil {
+	if err := m.await(q); err != nil {
 		return 0, err
 	}
-	return req.rhandle, nil
+	return q.rhandle, nil
 }
 
 // AcquireGap acquires the covering gap's exclusive lock for an insert of
@@ -381,7 +384,8 @@ func (m *Manager) ReleaseRange(tx TxID, h RangeHandle) {
 	m.gate.RLock()
 	m.rangeMu.Lock()
 	rs := m.obs.Now()
-	touched := m.removeRangeHoldLocked(tx, h)
+	touched := m.touchedLocked()
+	m.removeRangeHoldLocked(tx, h, touched)
 	m.rangeActivity.Add(-1)
 	granted := m.drainRangeLocked(touched)
 	m.rangeMu.Unlock()
@@ -398,29 +402,18 @@ func (m *Manager) ReleaseRange(tx TxID, h RangeHandle) {
 func (m *Manager) releaseAllRangeAware(tx TxID) {
 	m.rangeMu.Lock()
 	m.wf.Remove(tx)
-	touched := map[int]bool{}
+	touched := m.touchedLocked()
 	var cancelled []*request
-	for _, spIdx := range m.takeFootprintSorted(tx) {
+	var buf [DefaultShards]int
+	for _, spIdx := range m.takeFootprint(tx, buf[:0]) {
 		sp := m.stripes[spIdx]
 		sp.mu.Lock()
-		for key := range sp.held[tx] {
-			if st := sp.items[key]; st != nil {
-				delete(st.holders, tx)
-				if len(st.holders) == 0 {
-					delete(sp.items, key)
-				}
-			}
-		}
-		delete(sp.held, tx)
+		sp.releaseTxLocked(tx)
 		cancelled = append(cancelled, cancelQueued(&sp.queue, tx, m.wf)...)
 		sp.mu.Unlock()
-		touched[spIdx] = true
+		touched.add(spIdx)
 	}
-	rangeTouched, rangeCancelled := m.releaseAllRangesLocked(tx)
-	for i := range rangeTouched {
-		touched[i] = true
-	}
-	cancelled = append(cancelled, rangeCancelled...)
+	cancelled = append(cancelled, m.releaseAllRangesLocked(tx, touched)...)
 	granted := m.drainRangeLocked(touched)
 	m.rangeMu.Unlock()
 	m.gate.RUnlock()
@@ -440,22 +433,25 @@ func (m *Manager) HoldingRange(tx TxID) bool {
 // range's predicate, sorted. The sweep latches one stripe at a time;
 // called with rangeMu held.
 func (m *Manager) rangeConflictHoldersLocked(req *request) []TxID {
-	seen := map[TxID]bool{}
+	var out []TxID
 	for _, sp := range m.stripes {
 		sp.mu.Lock()
+		//isolint:ordered the collected holders are sorted and deduplicated before return
 		for key, st := range sp.items {
-			for htx, h := range st.holders {
-				if htx == req.tx || !conflicts(req.mode, h.mode) {
+			for i := range st.holders {
+				h := &st.holders[i]
+				if h.tx == req.tx || !conflicts(req.mode, h.mode) {
 					continue
 				}
 				if h.im.matches(req.spec.Pred, key) {
-					seen[htx] = true
+					out = append(out, h.tx)
 				}
 			}
 		}
 		sp.mu.Unlock()
 	}
-	return sortedTxIDs(seen)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // installRangeLocked installs req's fragments: one per anchor (plus the
@@ -544,7 +540,7 @@ func (m *Manager) densifyAnchorsLocked(spec RangeSpec, ceiling data.Key) {
 		sp.mu.Unlock()
 	}
 	m.newAnchors = newKeys
-	sort.Slice(newKeys, func(a, b int) bool { return newKeys[a] < newKeys[b] })
+	slices.Sort(newKeys)
 	for _, k := range newKeys {
 		m.inheritLocked(k, m.gapCoverLocked(k))
 	}
@@ -582,21 +578,11 @@ func (m *Manager) bucketAnchorsLocked(ceiling data.Key) {
 		i := m.stripeIndex(ceiling)
 		m.runBuckets[i] = append(m.runBuckets[i], ceiling)
 	}
-	for i, b := range m.runBuckets {
-		if !keysSorted(b) {
-			sort.Slice(b, func(x, y int) bool { return b[x] < b[y] })
-			m.runBuckets[i] = b
+	for _, b := range m.runBuckets {
+		if !slices.IsSorted(b) {
+			slices.Sort(b)
 		}
 	}
-}
-
-func keysSorted(keys []data.Key) bool {
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // stripeInstallRunLocked merges the three sorted per-stripe key sources of
@@ -613,9 +599,7 @@ func (m *Manager) stripeInstallRunLocked(sp *stripe, spec RangeSpec, ceiling dat
 				items = append(items, key)
 			}
 		}
-		if len(items) > 1 {
-			sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
-		}
+		slices.Sort(items)
 	}
 	m.itemKeys = items
 	anchors := m.anchorKeys[:0]
@@ -763,10 +747,9 @@ func dropCoarse(frags []fragment, tx TxID, h RangeHandle) []fragment {
 }
 
 // removeRangeHoldLocked deletes every fragment of (tx, h) — per-anchor and
-// supremum — and returns the set of stripe indexes that lost entries.
-// Called with rangeMu held.
-func (m *Manager) removeRangeHoldLocked(tx TxID, h RangeHandle) map[int]bool {
-	touched := map[int]bool{}
+// supremum — and adds the stripes that lost entries to touched. Called
+// with rangeMu held.
+func (m *Manager) removeRangeHoldLocked(tx TxID, h RangeHandle, touched stripeSet) {
 	hm := m.rangeHolds[tx]
 	hold := hm[h]
 	delete(hm, h)
@@ -774,7 +757,7 @@ func (m *Manager) removeRangeHoldLocked(tx TxID, h RangeHandle) map[int]bool {
 		delete(m.rangeHolds, tx)
 	}
 	if hold == nil {
-		return touched
+		return
 	}
 	for idx, spIdx := range hold.stripes {
 		if hold.counts[idx] == 0 {
@@ -784,31 +767,35 @@ func (m *Manager) removeRangeHoldLocked(tx TxID, h RangeHandle) map[int]bool {
 		sp.mu.Lock()
 		removeHandleFrags(sp, tx, h)
 		sp.mu.Unlock()
-		touched[spIdx] = true
+		touched.add(spIdx)
 	}
 	if hold.sup {
 		m.supFrags = dropCoarse(m.supFrags, tx, h)
 	}
 	m.freeHold(hold)
-	return touched
 }
 
 // releaseAllRangesLocked removes every range hold of tx and cancels its
-// queued range/gap requests (ReleaseAll's range side). Returns the touched
-// stripes and the cancelled requests. Called with rangeMu held.
-func (m *Manager) releaseAllRangesLocked(tx TxID) (map[int]bool, []*request) {
-	touched := map[int]bool{}
+// queued range/gap requests (ReleaseAll's range side), adding the stripes
+// that lost fragments to touched. Returns the cancelled requests. Called
+// with rangeMu held.
+func (m *Manager) releaseAllRangesLocked(tx TxID, touched stripeSet) []*request {
 	//isolint:ordered removals of tx's own distinct handles commute; grants drain afterward in queue order
 	for h := range m.rangeHolds[tx] {
-		for i := range m.removeRangeHoldLocked(tx, h) {
-			touched[i] = true
-		}
+		m.removeRangeHoldLocked(tx, h, touched)
 		m.rangeActivity.Add(-1)
 	}
 	cancelled := cancelQueued(&m.rangeQ, tx, m.wf)
 	m.rangeQLen.Store(int64(len(m.rangeQ)))
 	m.rangeActivity.Add(-int64(len(cancelled)))
-	return touched, cancelled
+	return cancelled
+}
+
+// touchedLocked returns the manager's scratch stripe set, emptied, for
+// one release-and-drain. Called with rangeMu held.
+func (m *Manager) touchedLocked() stripeSet {
+	m.touched.reset()
+	return m.touched
 }
 
 // gapCover is the read-only view a gap check evaluates against: the
@@ -858,24 +845,19 @@ func (m *Manager) gapCoverLocked(key data.Key) gapCover {
 // fragment of another transaction whose predicate is satisfied by either
 // image of the insert.
 func gapConflicts(tx TxID, key data.Key, im Images, gc gapCover) []TxID {
-	var seen map[TxID]bool
-	add := func(owner TxID) {
-		if seen == nil {
-			seen = map[TxID]bool{}
-		}
-		seen[owner] = true
-	}
+	var out []TxID
 	for _, e := range gc.frags {
 		if e.f.tx != tx && im.matches(e.f.pred, key) {
-			add(e.f.tx)
+			out = append(out, e.f.tx)
 		}
 	}
 	for _, f := range gc.sup {
 		if f.tx != tx && im.matches(f.pred, key) {
-			add(f.tx)
+			out = append(out, f.tx)
 		}
 	}
-	return sortedTxIDs(seen)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // gapItemHoldersLocked collects the transactions other than tx holding an
@@ -892,17 +874,16 @@ func (m *Manager) gapItemHoldersLocked(tx TxID, key data.Key) ([]TxID, bool) {
 	var on []TxID
 	selfS := false
 	if st := sp.items[key]; st != nil {
-		//isolint:ordered the collected holders are sorted below; selfS is a single flag
-		for owner, h := range st.holders {
-			if owner != tx {
-				on = append(on, owner)
+		for _, h := range st.holders {
+			if h.tx != tx {
+				on = append(on, h.tx)
 			} else if h.mode == S {
 				selfS = true
 			}
 		}
 	}
 	sp.mu.Unlock()
-	sort.Slice(on, func(i, j int) bool { return on[i] < on[j] })
+	slices.Sort(on)
 	return on, selfS
 }
 
@@ -970,17 +951,15 @@ func fragmentConflictHolders(sp *stripe, req *request) []TxID {
 	if req.mode != X || len(sp.frags) == 0 {
 		return nil
 	}
-	var seen map[TxID]bool
+	var out []TxID
 	i, j := fragWindow(sp.frags, req.key)
 	for _, e := range sp.frags[i:j] {
 		if e.f.tx != req.tx && req.im.matches(e.f.pred, req.key) {
-			if seen == nil {
-				seen = map[TxID]bool{}
-			}
-			seen[e.f.tx] = true
+			out = append(out, e.f.tx)
 		}
 	}
-	return sortedTxIDs(seen)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // itemConflictHoldersLocked is the fragment-aware item conflict set: the
@@ -992,25 +971,18 @@ func (m *Manager) itemConflictHoldersLocked(sp *stripe, req *request) []TxID {
 	if len(fr) == 0 {
 		return out
 	}
-	seen := map[TxID]bool{}
-	for _, tx := range out {
-		seen[tx] = true
-	}
-	for _, tx := range fr {
-		seen[tx] = true
-	}
-	return sortedTxIDs(seen)
+	return unionTxIDs(out, fr)
 }
 
 // drainRangeIfWaiters runs the range-aware drain when any range or gap
 // request is queued (one atomic load otherwise). Called with the gate held
 // shared and no stripe latch held.
-func (m *Manager) drainRangeIfWaiters(touched map[int]bool) []*request {
+func (m *Manager) drainRangeIfWaiters() []*request {
 	if m.rangeQLen.Load() == 0 {
 		return nil
 	}
 	m.rangeMu.Lock()
-	granted := m.drainRangeLocked(touched)
+	granted := m.drainRangeLocked(m.touchedLocked())
 	m.rangeMu.Unlock()
 	return granted
 }
@@ -1023,59 +995,44 @@ func (m *Manager) drainRangeIfWaiters(touched map[int]bool) []*request {
 // set exactly, so it cannot grant or block anything) and refreshes the
 // wait edges of everything still blocked. Called with rangeMu held and no
 // stripe latch held.
-func (m *Manager) drainRangeLocked(touched map[int]bool) []*request {
-	if touched == nil {
-		touched = map[int]bool{}
-	}
+func (m *Manager) drainRangeLocked(touched stripeSet) []*request {
 	var granted []*request
 	for {
-		// Recomputed each pass: a range grant backed out inside the loop
-		// adds the stripes that briefly held its fragments, whose item
+		// The grantable waiter first in grant order. The touched stripes
+		// are recomputed each pass: a range grant backed out inside the
+		// loop adds the stripes that briefly held its fragments, whose item
 		// waiters must be re-evaluated too.
-		stripes := make([]int, 0, len(touched))
-		for i := range touched {
-			stripes = append(stripes, i)
-		}
-		sort.Ints(stripes)
-		var cands []*request
-		for _, i := range stripes {
+		var best *request
+		m.drainStripes = touched.appendIndices(m.drainStripes[:0])
+		for _, i := range m.drainStripes {
 			sp := m.stripes[i]
 			sp.mu.Lock()
 			for _, r := range sp.queue {
-				if len(m.itemConflictHoldersLocked(sp, r)) == 0 {
-					cands = append(cands, r)
+				if grantsBefore(r, best) && len(m.itemConflictHoldersLocked(sp, r)) == 0 {
+					best = r
 				}
 			}
 			sp.mu.Unlock()
 		}
 		for _, r := range m.rangeQ {
+			if !grantsBefore(r, best) {
+				continue
+			}
 			switch {
 			case r.isRange:
 				if len(m.rangeConflictHoldersLocked(r)) == 0 {
-					cands = append(cands, r)
+					best = r
 				}
 			case r.isGap:
 				holders, _ := m.gapItemHoldersLocked(r.tx, r.key)
 				if len(holders) == 0 &&
 					len(gapConflicts(r.tx, r.key, r.im, m.gapCoverLocked(r.key))) == 0 {
-					cands = append(cands, r)
-				}
-			}
-		}
-		if len(cands) == 0 {
-			break
-		}
-		best := cands[0]
-		for _, r := range cands[1:] {
-			if r.upgrade != best.upgrade {
-				if r.upgrade {
 					best = r
 				}
-				continue
 			}
-			if r.seq < best.seq {
-				best = r
-			}
+		}
+		if best == nil {
+			break
 		}
 		if m.grantRangeAwareLocked(best, touched) {
 			granted = append(granted, best)
@@ -1276,14 +1233,12 @@ func (m *Manager) refreshAllRangeAwareLocked() {
 // rangeMu held.
 //
 //isolint:allow latchorder installs are batched — the only caller, drainRangeLocked, runs refreshAllRangeAwareLocked once after the grant loop, before rangeMu is released
-func (m *Manager) grantRangeAwareLocked(r *request, touched map[int]bool) bool {
+func (m *Manager) grantRangeAwareLocked(r *request, touched stripeSet) bool {
 	switch {
 	case r.isRange:
 		h := m.installRangeLocked(r)
 		if again := m.rangeConflictHoldersLocked(r); len(again) != 0 {
-			for i := range m.removeRangeHoldLocked(r.tx, h) {
-				touched[i] = true
-			}
+			m.removeRangeHoldLocked(r.tx, h, touched)
 			return false
 		}
 		m.rangeGrants++
@@ -1305,18 +1260,17 @@ func (m *Manager) grantRangeAwareLocked(r *request, touched map[int]bool) bool {
 		// install collapses to a no-op for it.
 		sp := m.stripeOf(r.key)
 		sp.mu.Lock()
-		if st := sp.items[r.key]; st != nil {
-			//isolint:ordered existence check only — any foreign holder vetoes the grant
-			for owner := range st.holders {
-				if owner != r.tx {
+		st := sp.items[r.key]
+		if st != nil {
+			for _, h := range st.holders {
+				if h.tx != r.tx {
 					sp.mu.Unlock()
 					return false
 				}
 			}
 		}
-		if st := sp.items[r.key]; st == nil || st.holders[r.tx] == nil {
-			m.installItemLocked(sp, r)
-			sp.items[r.key].holders[r.tx].reserved = true
+		if st == nil || st.holder(r.tx) == nil {
+			m.installItemLocked(sp, r).reserved = true
 		}
 		sp.mu.Unlock()
 		m.inheritLocked(r.key, gc)
@@ -1377,16 +1331,4 @@ func queuedRequest(q []*request, req *request) bool {
 		}
 	}
 	return false
-}
-
-func sortedTxIDs(seen map[TxID]bool) []TxID {
-	if len(seen) == 0 {
-		return nil
-	}
-	out := make([]TxID, 0, len(seen))
-	for tx := range seen {
-		out = append(out, tx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

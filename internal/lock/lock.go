@@ -62,6 +62,18 @@
 // that collects wait edges from all stripes under its own lock, preserving
 // the deterministic requester-is-victim rule across stripes.
 //
+// # Allocation discipline
+//
+// An item lock granted at once allocates nothing at steady state. The
+// request is a stack value; an item's holders are a small slice of values;
+// emptied lock-table entries and per-(stripe, transaction) held-key sets
+// are recycled through per-stripe free lists, and per-transaction
+// footprints — stripe bitsets, walked in ascending order without a sort —
+// through per-slot free lists. Conflict sets are built by append, sort and
+// compact, never through a map. A request that has to wait allocates its
+// heap copy and its ready channel (plus the waits-for edges it records).
+// Free lists are bounded (freeListMax) and deterministic: no sync.Pool.
+//
 // # Latch hierarchy
 //
 // The manager's internal latches form a fixed acquisition order, declared
@@ -86,6 +98,12 @@
 //     strictly after the tables' latches are dropped, so it is never held
 //     together with any of the above.
 //
+// The free lists have no latch of their own, so the hierarchy names none:
+// stripe.itemFree and stripe.heldFree live under stripe.mu (or the
+// exclusive gate) with the items and held maps they recycle,
+// footprintSlot.free under footprintSlot.mu with the footprints, and the
+// range-drain scratch (Manager.touched) under Manager.rangeMu.
+//
 // The same analyzer checks lock/unlock pairing on every control-flow path
 // and the install-then-refresh discipline: functions installing granted
 // lock state are marked //isolint:grant-mutator, functions recomputing
@@ -101,9 +119,11 @@
 package lock
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -169,6 +189,7 @@ func (im Images) matches(p predicate.P, key data.Key) bool {
 
 // holder records one transaction's granted item lock.
 type holder struct {
+	tx   TxID
 	mode Mode
 	refs int
 	im   Images
@@ -184,9 +205,37 @@ type holder struct {
 	reserved bool
 }
 
-// itemState is the lock table entry for one data item.
+// itemState is the lock table entry for one data item. An item has few
+// holders (one writer, or a handful of readers), so they sit in a small
+// slice searched linearly; order among them is immaterial, since every
+// conflict set is sorted by TxID.
 type itemState struct {
-	holders map[TxID]*holder
+	holders []holder
+}
+
+// holder returns tx's hold on the item, or nil. The pointer is valid until
+// the holders slice next changes length.
+func (st *itemState) holder(tx TxID) *holder {
+	for i := range st.holders {
+		if st.holders[i].tx == tx {
+			return &st.holders[i]
+		}
+	}
+	return nil
+}
+
+// drop removes tx's hold, zeroing the vacated slot so its row images can
+// be collected.
+func (st *itemState) drop(tx TxID) {
+	for i := range st.holders {
+		if st.holders[i].tx == tx {
+			last := len(st.holders) - 1
+			copy(st.holders[i:], st.holders[i+1:])
+			st.holders[last] = holder{}
+			st.holders = st.holders[:last]
+			return
+		}
+	}
 }
 
 // PredHandle identifies a granted predicate lock for later release.
@@ -200,7 +249,10 @@ type predState struct {
 	refs int
 }
 
-// request is a pending lock request.
+// request is a lock request. Acquisitions build it as a stack value and
+// pass its address down the conflict check and install; only a request
+// that must wait is copied to the heap (queued), and only that copy gets
+// a ready channel — so an immediate grant allocates nothing.
 type request struct {
 	tx      TxID
 	mode    Mode
@@ -221,6 +273,14 @@ type request struct {
 	// obsStart is the sink-clock instant this request started waiting
 	// (set only when a sink is attached; 0 means never waited).
 	obsStart int64
+}
+
+// queued returns the heap copy of a request about to wait, with the ready
+// channel its grant or cancellation will be sent on.
+func (r *request) queued() *request {
+	q := *r
+	q.ready = make(chan error, 1)
+	return &q
 }
 
 // StripeStats counts one stripe's item-lock activity — the per-stripe
@@ -282,9 +342,35 @@ const DefaultShards = 16
 
 const footprintSlots = 64
 
+// freeListMax bounds each recycling free list (per stripe or footprint
+// slot), so a burst of live lock state is not hoarded after it drains.
+const freeListMax = 64
+
+// stripeSet is a set of stripe indices, one bit each. Walking it word by
+// word visits the stripes in ascending order with no sort.
+type stripeSet []uint64
+
+func newStripeSet(stripes int) stripeSet { return make(stripeSet, (stripes+63)/64) }
+
+func (s stripeSet) add(i int) { s[i/64] |= 1 << (i % 64) }
+
+func (s stripeSet) reset() { clear(s) }
+
+// appendIndices appends the set's stripe indices to dst, ascending.
+func (s stripeSet) appendIndices(dst []int) []int {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	return dst
+}
+
 type footprintSlot struct {
 	mu sync.Mutex
-	m  map[TxID]map[int]struct{} // tx -> stripe indices ever touched
+	m  map[TxID]stripeSet // tx -> stripes ever touched
+	// free holds emptied sets for reuse (under mu, like m).
+	free []stripeSet
 }
 
 func (m *Manager) footprintSlotOf(tx TxID) *footprintSlot {
@@ -300,41 +386,40 @@ func (m *Manager) footprintSlotOf(tx TxID) *footprintSlot {
 func (m *Manager) noteFootprint(tx TxID, spIdx int) {
 	fs := m.footprintSlotOf(tx)
 	fs.mu.Lock()
-	if fs.m == nil {
-		fs.m = map[TxID]map[int]struct{}{}
-	}
-	set := fs.m[tx]
-	if set == nil {
-		set = map[int]struct{}{}
+	set, ok := fs.m[tx]
+	if !ok {
+		if n := len(fs.free); n > 0 {
+			set = fs.free[n-1]
+			fs.free = fs.free[:n-1]
+		} else {
+			set = newStripeSet(len(m.stripes))
+		}
+		if fs.m == nil {
+			fs.m = map[TxID]stripeSet{}
+		}
 		fs.m[tx] = set
 	}
-	set[spIdx] = struct{}{}
+	set.add(spIdx)
 	fs.mu.Unlock()
 }
 
-// takeFootprintSorted returns and clears tx's touched-stripe set as a
-// sorted slice. The order matters: ReleaseAll visits stripes in it, so it
-// fixes the order released locks grant queued waiters — and with grant
-// parking, the order those waiters later resume. Map iteration here would
-// reintroduce run-to-run nondeterminism.
-func (m *Manager) takeFootprintSorted(tx TxID) []int {
-	set := m.takeFootprint(tx)
-	out := make([]int, 0, len(set))
-	for spIdx := range set {
-		out = append(out, spIdx)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// takeFootprint returns and clears tx's touched-stripe set.
-func (m *Manager) takeFootprint(tx TxID) map[int]struct{} {
+// takeFootprint clears tx's touched-stripe set and appends its stripe
+// indices to dst in ascending order. The order matters: ReleaseAll visits
+// stripes in it, so it fixes the order released locks grant queued
+// waiters — and with grant parking, the order those waiters later resume.
+func (m *Manager) takeFootprint(tx TxID, dst []int) []int {
 	fs := m.footprintSlotOf(tx)
 	fs.mu.Lock()
-	set := fs.m[tx]
-	delete(fs.m, tx)
+	if set, ok := fs.m[tx]; ok {
+		delete(fs.m, tx)
+		dst = set.appendIndices(dst)
+		set.reset()
+		if len(fs.free) < freeListMax {
+			fs.free = append(fs.free, set)
+		}
+	}
 	fs.mu.Unlock()
-	return set
+	return dst
 }
 
 // stripe is one shard of the item lock table: its own lock table, wait
@@ -346,6 +431,12 @@ type stripe struct {
 	items map[data.Key]*itemState
 	held  map[TxID]map[data.Key]struct{}
 	queue []*request // waiting item requests: upgrades first, then arrival order
+
+	// itemFree and heldFree recycle emptied lock-table entries and
+	// per-transaction held-key sets, so a steady stream of grants and
+	// releases allocates neither. Guarded like items and held.
+	itemFree []*itemState
+	heldFree []map[data.Key]struct{}
 
 	// frags holds the key-range fragments anchored in this stripe as one
 	// slice sorted by anchor key, entries with equal anchors adjacent
@@ -364,6 +455,81 @@ type stripe struct {
 
 	grants int64
 	waits  int64
+}
+
+// item returns key's lock-table entry, creating it (from the free list
+// when possible) if absent. Called with sp latched (or the gate
+// exclusive).
+func (sp *stripe) item(key data.Key) *itemState {
+	st := sp.items[key]
+	if st == nil {
+		if n := len(sp.itemFree); n > 0 {
+			st = sp.itemFree[n-1]
+			sp.itemFree = sp.itemFree[:n-1]
+		} else {
+			st = &itemState{}
+		}
+		sp.items[key] = st
+	}
+	return st
+}
+
+// dropHolder removes tx's hold from key's entry, deleting and recycling
+// the entry when its last holder goes. Called with sp latched (or the gate
+// exclusive).
+func (sp *stripe) dropHolder(key data.Key, st *itemState, tx TxID) {
+	st.drop(tx)
+	if len(st.holders) == 0 {
+		delete(sp.items, key)
+		if len(sp.itemFree) < freeListMax {
+			sp.itemFree = append(sp.itemFree, st)
+		}
+	}
+}
+
+// noteHeld records that tx holds key in this stripe, reporting whether it
+// is tx's first key here. Called with sp latched (or the gate exclusive).
+func (sp *stripe) noteHeld(tx TxID, key data.Key) (first bool) {
+	hk := sp.held[tx]
+	if hk == nil {
+		if n := len(sp.heldFree); n > 0 {
+			hk = sp.heldFree[n-1]
+			sp.heldFree = sp.heldFree[:n-1]
+		} else {
+			hk = map[data.Key]struct{}{}
+		}
+		sp.held[tx] = hk
+		first = true
+	}
+	hk[key] = struct{}{}
+	return first
+}
+
+// recycleHeld forgets tx's held-key set, keeping the emptied map for
+// reuse unless it grew past freeListMax keys (clearing a map keeps its
+// buckets). Called with sp latched (or the gate exclusive).
+func (sp *stripe) recycleHeld(tx TxID, hk map[data.Key]struct{}) {
+	delete(sp.held, tx)
+	if len(hk) <= freeListMax && len(sp.heldFree) < freeListMax {
+		clear(hk)
+		sp.heldFree = append(sp.heldFree, hk)
+	}
+}
+
+// releaseTxLocked drops every item hold of tx in this stripe (ReleaseAll's
+// per-stripe step; the caller drains). Called with sp latched (or the gate
+// exclusive).
+func (sp *stripe) releaseTxLocked(tx TxID) {
+	hk := sp.held[tx]
+	//isolint:ordered removals of tx's own holds commute; which recycled entry lands where on a free list is unobservable, and the drain runs afterwards
+	for key := range hk {
+		if st := sp.items[key]; st != nil {
+			sp.dropHolder(key, st, tx)
+		}
+	}
+	if hk != nil {
+		sp.recycleHeld(tx, hk)
+	}
 }
 
 // Manager is a striped lock manager. The zero value is not usable; use
@@ -429,16 +595,20 @@ type Manager struct {
 	// buckets, the per-stripe merged run, in-range item keys, existing
 	// in-range anchors, fragment copy buffers (inheritance and GC), the
 	// anchor-snapshot run buffer, GC candidate keys, and the rangeHold
-	// free-list. All under rangeMu — no latch of their own.
-	runBuckets [][]data.Key
-	mergeRun   []data.Key
-	itemKeys   []data.Key
-	anchorKeys []data.Key
-	newAnchors []data.Key
-	fragCopy   []fragment
-	snapRuns   data.KeyRuns
-	gcKeys     []data.Key
-	holdFree   []*rangeHold
+	// free-list; and for the range-aware drain, the set of stripes a
+	// release touched (touchedLocked) and its index list. All under
+	// rangeMu — no latch of their own.
+	touched      stripeSet
+	drainStripes []int
+	runBuckets   [][]data.Key
+	mergeRun     []data.Key
+	itemKeys     []data.Key
+	anchorKeys   []data.Key
+	newAnchors   []data.Key
+	fragCopy     []fragment
+	snapRuns     data.KeyRuns
+	gcKeys       []data.Key
+	holdFree     []*rangeHold
 
 	gateAcquires atomic.Int64
 
@@ -485,6 +655,7 @@ func NewManagerShards(n int) *Manager {
 		stripes:    make([]*stripe, striper.Count()),
 		preds:      map[PredHandle]*predState{},
 		gapStripe:  make([]gapStripeStats, striper.Count()),
+		touched:    newStripeSet(striper.Count()),
 		runBuckets: make([][]data.Key, striper.Count()),
 		wf:         NewWaitsFor(),
 	}
@@ -641,12 +812,9 @@ func (m *Manager) AcquireItem(tx TxID, key data.Key, mode Mode, im Images) error
 func (m *Manager) acquireItemStriped(tx TxID, key data.Key, mode Mode, im Images) error {
 	sp := m.stripeOf(key)
 	sp.mu.Lock()
-	st := sp.items[key]
-	if st == nil {
-		st = &itemState{holders: map[TxID]*holder{}}
-		sp.items[key] = st
-	}
-	if h, ok := st.holders[tx]; ok && h.reserved {
+	st := sp.item(key)
+	h := st.holder(tx)
+	if h != nil && h.reserved {
 		// Consume the reservation the transaction's own gap grant
 		// installed: the hold already exists and was counted as one
 		// grant, so this follow-up acquisition only merges the images
@@ -669,14 +837,12 @@ func (m *Manager) acquireItemStriped(tx TxID, key data.Key, mode Mode, im Images
 	// acquisition sweeps conflicts with its own images before the install
 	// merges them (installItemLocked turns the covering case into a
 	// refs++ merge).
-	req := &request{tx: tx, mode: mode, key: key, im: im, ready: make(chan error, 1), seq: m.seq.Add(1)}
-	if h, ok := st.holders[tx]; ok && h.mode == S && mode == X {
-		req.upgrade = true
-	}
-	on := m.itemConflictHoldersLocked(sp, req)
+	req := request{tx: tx, mode: mode, key: key, im: im, seq: m.seq.Add(1),
+		upgrade: h != nil && h.mode == S && mode == X}
+	on := m.itemConflictHoldersLocked(sp, &req)
 	if len(on) == 0 {
-		m.countUpgrade(req)
-		m.installItemLocked(sp, req)
+		m.countUpgrade(&req)
+		m.installItemLocked(sp, &req)
 		// The fresh holder may extend the conflict sets of requests
 		// already queued on this stripe; keep their wait edges current.
 		m.refreshStripeWaitersLocked(sp)
@@ -689,7 +855,7 @@ func (m *Manager) acquireItemStriped(tx TxID, key data.Key, mode Mode, im Images
 		// re-acquire's image merge can also narrow a range waiter's
 		// conflict set (the after-image is replaced, not accumulated).
 		// One atomic load when no range waiter exists.
-		granted := m.drainRangeIfWaiters(nil)
+		granted := m.drainRangeIfWaiters()
 		m.gate.RUnlock()
 		m.notifyGranted(granted)
 		return nil
@@ -701,15 +867,16 @@ func (m *Manager) acquireItemStriped(tx TxID, key data.Key, mode Mode, im Images
 		m.gate.RUnlock()
 		return ErrDeadlock
 	}
-	m.countUpgrade(req)
-	enqueue(&sp.queue, req)
+	q := req.queued()
+	m.countUpgrade(q)
+	enqueue(&sp.queue, q)
 	m.noteFootprint(tx, sp.idx)
 	sp.waits++
 	m.notifyWaiting(tx, on)
-	m.obsWait(req, on, sp.idx)
+	m.obsWait(q, on, sp.idx)
 	sp.mu.Unlock()
 	m.gate.RUnlock()
-	return m.await(req)
+	return m.await(q)
 }
 
 // acquireItemGated is the exclusive-gate item path, used whenever
@@ -720,12 +887,9 @@ func (m *Manager) acquireItemGated(tx TxID, key data.Key, mode Mode, im Images) 
 	m.gateAcquires.Add(1)
 	gs := m.obs.Now()
 	sp := m.stripeOf(key)
-	st := sp.items[key]
-	if st == nil {
-		st = &itemState{holders: map[TxID]*holder{}}
-		sp.items[key] = st
-	}
-	if h, ok := st.holders[tx]; ok && h.reserved {
+	st := sp.item(key)
+	h := st.holder(tx)
+	if h != nil && h.reserved {
 		// Reservations are installed only by gap grants, which exist only
 		// while the striped (range) protocol is active — but consume one
 		// here too rather than let the flag leak into a refs miscount.
@@ -744,14 +908,12 @@ func (m *Manager) acquireItemGated(tx TxID, key data.Key, mode Mode, im Images) 
 	// new after-image checked against the predicate table — the earlier
 	// grant proved nothing about this write. installItemLocked merges the
 	// covering case into a refs++ re-acquire on grant.
-	req := &request{tx: tx, mode: mode, key: key, im: im, ready: make(chan error, 1), seq: m.seq.Add(1)}
-	if h, ok := st.holders[tx]; ok && h.mode == S && mode == X {
-		req.upgrade = true
-	}
-	on := m.conflictHoldersLocked(req)
+	req := request{tx: tx, mode: mode, key: key, im: im, seq: m.seq.Add(1),
+		upgrade: h != nil && h.mode == S && mode == X}
+	on := m.conflictHoldersLocked(&req)
 	if len(on) == 0 {
-		m.countUpgrade(req)
-		m.installItemLocked(sp, req)
+		m.countUpgrade(&req)
+		m.installItemLocked(sp, &req)
 		// A re-acquire's image merge can narrow as well as widen a
 		// predicate waiter's conflict set (the after-image is replaced,
 		// not accumulated), so a full drain — not just an edge refresh —
@@ -769,28 +931,29 @@ func (m *Manager) acquireItemGated(tx TxID, key data.Key, mode Mode, im Images) 
 		m.obs.RecordGateHold(gs)
 		return ErrDeadlock
 	}
-	m.countUpgrade(req)
-	enqueue(&sp.queue, req)
+	q := req.queued()
+	m.countUpgrade(q)
+	enqueue(&sp.queue, q)
 	m.noteFootprint(tx, sp.idx)
 	sp.waits++
 	m.notifyWaiting(tx, on)
-	m.obsWait(req, on, sp.idx)
+	m.obsWait(q, on, sp.idx)
 	m.gate.Unlock()
 	m.obs.RecordGateHold(gs)
-	return m.await(req)
+	return m.await(q)
 }
 
 // AcquirePred acquires a predicate lock for tx, blocking until granted.
 // The returned handle releases this specific lock. Predicate requests
 // always take the exclusive gate: their conflicts span every stripe.
 func (m *Manager) AcquirePred(tx TxID, p predicate.P, mode Mode) (PredHandle, error) {
-	req := &request{tx: tx, mode: mode, isPred: true, pred: p, ready: make(chan error, 1), seq: m.seq.Add(1)}
+	req := request{tx: tx, mode: mode, isPred: true, pred: p, seq: m.seq.Add(1)}
 	m.gate.Lock()
 	m.gateAcquires.Add(1)
 	gs := m.obs.Now()
-	on := m.conflictHoldersLocked(req)
+	on := m.conflictHoldersLocked(&req)
 	if len(on) == 0 {
-		m.installPredLocked(req)
+		m.installPredLocked(&req)
 		m.predActivity.Add(1) // new holder
 		m.refreshAllWaitersLocked()
 		m.gate.Unlock()
@@ -804,17 +967,18 @@ func (m *Manager) AcquirePred(tx TxID, p predicate.P, mode Mode) (PredHandle, er
 		m.obs.RecordGateHold(gs)
 		return 0, ErrDeadlock
 	}
-	m.predQ = append(m.predQ, req)
+	q := req.queued()
+	m.predQ = append(m.predQ, q)
 	m.predActivity.Add(1) // new waiter (stays counted when it becomes a holder)
 	m.predWaits++
 	m.notifyWaiting(tx, on)
-	m.obsWait(req, on, -1)
+	m.obsWait(q, on, -1)
 	m.gate.Unlock()
 	m.obs.RecordGateHold(gs)
-	if err := m.await(req); err != nil {
+	if err := m.await(q); err != nil {
 		return 0, err
 	}
-	return req.handle, nil
+	return q.handle, nil
 }
 
 // countUpgrade bumps the upgrade counter for admitted upgrade requests
@@ -853,13 +1017,14 @@ func itemConflictHolders(st *itemState, req *request) []TxID {
 		return nil
 	}
 	var out []TxID
-	for tx, h := range st.holders {
-		if tx == req.tx || !conflicts(req.mode, h.mode) {
+	for i := range st.holders {
+		h := &st.holders[i]
+		if h.tx == req.tx || !conflicts(req.mode, h.mode) {
 			continue
 		}
-		out = append(out, tx)
+		out = append(out, h.tx)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -867,17 +1032,19 @@ func itemConflictHolders(st *itemState, req *request) []TxID {
 // locks — item locks in any stripe and predicate locks — conflict with
 // req, sorted. Called with the gate held exclusively.
 func (m *Manager) conflictHoldersLocked(req *request) []TxID {
-	seen := map[TxID]bool{}
+	var out []TxID
 	if req.isPred {
 		// Predicate request vs item holders in every stripe.
 		for _, sp := range m.stripes {
+			//isolint:ordered the collected holders are sorted and deduplicated before return
 			for key, st := range sp.items {
-				for tx, h := range st.holders {
-					if tx == req.tx || !conflicts(req.mode, h.mode) {
+				for i := range st.holders {
+					h := &st.holders[i]
+					if h.tx == req.tx || !conflicts(req.mode, h.mode) {
 						continue
 					}
 					if h.im.matches(req.pred, key) {
-						seen[tx] = true
+						out = append(out, h.tx)
 					}
 				}
 			}
@@ -888,59 +1055,47 @@ func (m *Manager) conflictHoldersLocked(req *request) []TxID {
 				continue
 			}
 			if !predicate.DisjointWith(req.pred, ps.pred) {
-				seen[ps.tx] = true
+				out = append(out, ps.tx)
 			}
 		}
 	} else {
-		for _, tx := range m.itemConflictHoldersLocked(m.stripeOf(req.key), req) {
-			seen[tx] = true
-		}
+		out = m.itemConflictHoldersLocked(m.stripeOf(req.key), req)
 		// Item request vs predicate holders.
 		for _, ps := range m.preds {
 			if ps.tx == req.tx || !conflicts(req.mode, ps.mode) {
 				continue
 			}
 			if req.im.matches(ps.pred, req.key) {
-				seen[ps.tx] = true
+				out = append(out, ps.tx)
 			}
 		}
 	}
-	out := make([]TxID, 0, len(seen))
-	for tx := range seen {
-		out = append(out, tx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// installItemLocked installs req's item lock in sp. Called with sp latched
+// installItemLocked installs req's item lock in sp and returns the hold
+// (valid until the item's holders next change). Called with sp latched
 // (or the gate exclusive).
 //
 //isolint:grant-mutator
-func (m *Manager) installItemLocked(sp *stripe, req *request) {
+func (m *Manager) installItemLocked(sp *stripe, req *request) *holder {
 	sp.grants++
-	st := sp.items[req.key]
-	if st == nil {
-		st = &itemState{holders: map[TxID]*holder{}}
-		sp.items[req.key] = st
-	}
-	if h, ok := st.holders[req.tx]; ok {
+	st := sp.item(req.key)
+	if h := st.holder(req.tx); h != nil {
 		// Upgrade or re-acquire.
 		if req.mode == X {
 			h.mode = X
 		}
 		h.refs++
 		h.im = mergeImages(h.im, req.im)
-		return
+		return h
 	}
-	st.holders[req.tx] = &holder{mode: req.mode, refs: 1, im: req.im}
-	hk := sp.held[req.tx]
-	if hk == nil {
-		hk = map[data.Key]struct{}{}
-		sp.held[req.tx] = hk
+	st.holders = append(st.holders, holder{tx: req.tx, mode: req.mode, refs: 1, im: req.im})
+	if sp.noteHeld(req.tx, req.key) {
 		m.noteFootprint(req.tx, sp.idx)
 	}
-	hk[req.key] = struct{}{}
+	return &st.holders[len(st.holders)-1]
 }
 
 // installPredLocked installs req's predicate lock and assigns its handle.
@@ -991,23 +1146,20 @@ func (m *Manager) dropItemLocked(sp *stripe, tx TxID, key data.Key) {
 	if st == nil {
 		return
 	}
-	h, ok := st.holders[tx]
-	if !ok {
+	h := st.holder(tx)
+	if h == nil {
 		return
 	}
 	h.refs--
 	if h.refs > 0 {
 		return
 	}
-	delete(st.holders, tx)
+	sp.dropHolder(key, st, tx)
 	if hk := sp.held[tx]; hk != nil {
 		delete(hk, key)
 		if len(hk) == 0 {
-			delete(sp.held, tx)
+			sp.recycleHeld(tx, hk)
 		}
-	}
-	if len(st.holders) == 0 {
-		delete(sp.items, key)
 	}
 }
 
@@ -1031,7 +1183,9 @@ func (m *Manager) ReleaseItem(tx TxID, key data.Key) {
 			sp.mu.Lock()
 			m.dropItemLocked(sp, tx, key)
 			sp.mu.Unlock()
-			granted := m.drainRangeLocked(map[int]bool{sp.idx: true})
+			touched := m.touchedLocked()
+			touched.add(sp.idx)
+			granted := m.drainRangeLocked(touched)
 			m.rangeMu.Unlock()
 			m.gate.RUnlock()
 			m.notifyGranted(granted)
@@ -1093,18 +1247,11 @@ func (m *Manager) ReleaseAll(tx TxID) {
 		// (the footprint tracks them) need no visit at all.
 		m.wf.Remove(tx)
 		var granted, cancelled []*request
-		for _, spIdx := range m.takeFootprintSorted(tx) {
+		var buf [DefaultShards]int
+		for _, spIdx := range m.takeFootprint(tx, buf[:0]) {
 			sp := m.stripes[spIdx]
 			sp.mu.Lock()
-			for key := range sp.held[tx] {
-				if st := sp.items[key]; st != nil {
-					delete(st.holders, tx)
-					if len(st.holders) == 0 {
-						delete(sp.items, key)
-					}
-				}
-			}
-			delete(sp.held, tx)
+			sp.releaseTxLocked(tx)
 			cancelled = append(cancelled, cancelQueued(&sp.queue, tx, m.wf)...)
 			granted = append(granted, m.drainStripeLocked(sp)...)
 			sp.mu.Unlock()
@@ -1121,17 +1268,10 @@ func (m *Manager) ReleaseAll(tx TxID) {
 	gs := m.obs.Now()
 	m.wf.Remove(tx)
 	var cancelled []*request
-	for _, spIdx := range m.takeFootprintSorted(tx) {
+	var buf [DefaultShards]int
+	for _, spIdx := range m.takeFootprint(tx, buf[:0]) {
 		sp := m.stripes[spIdx]
-		for key := range sp.held[tx] {
-			if st := sp.items[key]; st != nil {
-				delete(st.holders, tx)
-				if len(st.holders) == 0 {
-					delete(sp.items, key)
-				}
-			}
-		}
-		delete(sp.held, tx)
+		sp.releaseTxLocked(tx)
 		cancelled = append(cancelled, cancelQueued(&sp.queue, tx, m.wf)...)
 	}
 	removedPreds := int64(0)
@@ -1155,7 +1295,8 @@ func (m *Manager) ReleaseAll(tx TxID) {
 		// (no engine does) must still not leak tx's range state.
 		m.gate.RLock()
 		m.rangeMu.Lock()
-		touched, rangeCancelled := m.releaseAllRangesLocked(tx)
+		touched := m.touchedLocked()
+		rangeCancelled := m.releaseAllRangesLocked(tx, touched)
 		rangeGranted := m.drainRangeLocked(touched)
 		m.rangeMu.Unlock()
 		m.gate.RUnlock()
@@ -1235,12 +1376,7 @@ func (m *Manager) drainAllLocked() []*request {
 		for _, sp := range m.stripes {
 			cands = append(cands, sp.queue...)
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].upgrade != cands[j].upgrade {
-				return cands[i].upgrade
-			}
-			return cands[i].seq < cands[j].seq
-		})
+		slices.SortFunc(cands, grantOrder)
 		for _, r := range cands {
 			if len(m.conflictHoldersLocked(r)) != 0 {
 				continue
@@ -1263,6 +1399,22 @@ func (m *Manager) drainAllLocked() []*request {
 	m.refreshAllWaitersLocked()
 	return granted
 }
+
+// grantOrder orders drain candidates: upgrades first, then arrival (seq is
+// unique, so the order is total).
+func grantOrder(a, b *request) int {
+	if a.upgrade != b.upgrade {
+		if a.upgrade {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// grantsBefore reports whether r comes before best in grant order (any
+// request does when best is nil).
+func grantsBefore(r, best *request) bool { return best == nil || grantOrder(r, best) < 0 }
 
 // refreshAllWaitersLocked recomputes the wait edges of every queued
 // request, item and predicate. Called with the gate held exclusively.
@@ -1393,7 +1545,7 @@ func (m *Manager) Holding(tx TxID, key data.Key) (Mode, bool) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if st := sp.items[key]; st != nil {
-		if h, ok := st.holders[tx]; ok {
+		if h := st.holder(tx); h != nil {
 			return h.mode, true
 		}
 	}

@@ -64,7 +64,9 @@ func (g *WaitsFor) Refresh(tx TxID, on []TxID) {
 		delete(g.out, tx)
 		return
 	}
-	g.out[tx] = append([]TxID(nil), on...)
+	// The graph owns its edge slices and never hands them out, so the old
+	// one is overwritten in place.
+	g.out[tx] = append(g.out[tx][:0], on...)
 }
 
 // Remove deletes tx's node: its request was granted or cancelled, or the

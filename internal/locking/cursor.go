@@ -30,8 +30,8 @@ var _ engine.Cursor = (*Cursor)(nil)
 // protocol's predicate read duration (short at CS: the membership of the
 // cursor set is evaluated once, under a short guard).
 func (t *Tx) OpenCursor(p predicate.P) (engine.Cursor, error) {
-	if t.done {
-		return nil, engine.ErrTxDone
+	if err := t.live(); err != nil {
+		return nil, err
 	}
 	g, err := t.acquireScanGuard(p)
 	if err != nil {
@@ -51,8 +51,8 @@ func (t *Tx) OpenCursor(p predicate.P) (engine.Cursor, error) {
 // Exclusive lock via reference counting), advance, lock the new current
 // row per the protocol.
 func (c *Cursor) Fetch() (data.Tuple, error) {
-	if c.closed || c.tx.done {
-		return data.Tuple{}, engine.ErrTxDone
+	if err := c.usable(); err != nil {
+		return data.Tuple{}, err
 	}
 	c.releaseCurrent()
 	for {
@@ -61,23 +61,14 @@ func (c *Cursor) Fetch() (data.Tuple, error) {
 			return data.Tuple{}, engine.ErrNotFound
 		}
 		key := c.keys[c.pos]
-		switch c.tx.proto.CursorRead {
-		case DurNone:
-			// No lock.
-		case DurShort:
-			if err := c.tx.db.lm.AcquireItem(lock.TxID(c.tx.id), key, lock.S, lock.Images{Before: c.tx.db.store.Get(key)}); err != nil {
+		if c.tx.proto.CursorRead != DurNone {
+			if err := c.tx.db.lm.AcquireItem(lock.TxID(c.tx.id), key, lock.S, lock.Images{Before: c.tx.db.store.Peek(key)}); err != nil {
 				return data.Tuple{}, c.tx.lockErr(err)
 			}
-		case DurCursor, DurLong:
-			if err := c.tx.db.lm.AcquireItem(lock.TxID(c.tx.id), key, lock.S, lock.Images{Before: c.tx.db.store.Get(key)}); err != nil {
-				return data.Tuple{}, c.tx.lockErr(err)
-			}
-			if c.tx.proto.CursorRead == DurCursor {
-				c.holds = true
-			}
+			c.holds = c.tx.proto.CursorRead == DurCursor
 		}
 		c.curKey = key
-		row := c.tx.db.store.Get(key)
+		row := c.tx.db.store.Peek(key)
 		if c.tx.proto.CursorRead == DurShort {
 			c.tx.db.lm.ReleaseItem(lock.TxID(c.tx.id), key)
 		}
@@ -87,14 +78,14 @@ func (c *Cursor) Fetch() (data.Tuple, error) {
 			continue
 		}
 		c.tx.db.rec.Record(cursorReadOp(c.tx.id, key, row))
-		return data.Tuple{Key: key, Row: row}, nil
+		return data.Tuple{Key: key, Row: row.Clone()}, nil
 	}
 }
 
 // Current implements engine.Cursor.
 func (c *Cursor) Current() (data.Tuple, error) {
-	if c.closed || c.tx.done {
-		return data.Tuple{}, engine.ErrTxDone
+	if err := c.usable(); err != nil {
+		return data.Tuple{}, err
 	}
 	if c.pos < 0 || c.pos >= len(c.keys) {
 		return data.Tuple{}, engine.ErrNoCursor
@@ -111,15 +102,15 @@ func (c *Cursor) Current() (data.Tuple, error) {
 // update the row, and in that case a write lock will be held on the row
 // until the transaction commits, even after the cursor moves on").
 func (c *Cursor) UpdateCurrent(row data.Row) error {
-	if c.closed || c.tx.done {
-		return engine.ErrTxDone
+	if err := c.usable(); err != nil {
+		return err
 	}
 	if c.pos < 0 || c.pos >= len(c.keys) {
 		return engine.ErrNoCursor
 	}
 	t := c.tx
 	after := row.Clone()
-	peek := t.db.store.Get(c.curKey)
+	peek := t.db.store.Peek(c.curKey)
 	// lockForWrite, not a bare item lock: if another transaction deleted
 	// the row under the cursor, this write re-creates it — an insert that
 	// the keyrange protocol must route through the covering gap lock.
@@ -143,6 +134,16 @@ func (c *Cursor) Close() error {
 	c.releaseCurrent()
 	c.closed = true
 	return nil
+}
+
+// usable is the check every cursor op but Close runs first: ErrTxDone on a
+// closed cursor, else the transaction's own liveness (a deadlock victim's
+// cursor refuses like every other op of the victim).
+func (c *Cursor) usable() error {
+	if c.closed {
+		return engine.ErrTxDone
+	}
+	return c.tx.live()
 }
 
 func (c *Cursor) releaseCurrent() {

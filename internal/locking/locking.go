@@ -7,6 +7,12 @@
 // before-image undo, exactly the recovery model whose interaction with
 // Dirty Writes the paper discusses in §3.
 //
+// Rows cross the engine boundary by copy, once each way: Put and
+// Cursor.UpdateCurrent copy the caller's row, and Get, Select, Fetch and
+// Current return copies the caller owns. In between — lock images, the
+// pre-lock peek, the re-read under a Shared lock, the store and the undo
+// log — every layer shares the stored rows, which sv never modifies.
+//
 // Phantom prevention — the predicate-lock rows of Table 2 — comes in two
 // interchangeable protocols (WithPhantomProtection): the paper's literal
 // predicate table behind the lock manager's cross-stripe gate, or
@@ -202,27 +208,36 @@ func (t *Tx) doomErr() error {
 	return fmt.Errorf("%w (T%d)", engine.ErrDeadlock, t.id)
 }
 
+// live is the check every op runs first: ErrTxDone once the transaction
+// has terminated, the deadlock error once it was chosen as a victim.
+func (t *Tx) live() error {
+	if t.done {
+		return engine.ErrTxDone
+	}
+	if t.doomed {
+		return t.doomErr()
+	}
+	return nil
+}
+
 // Get implements engine.Tx. The read lock duration follows the protocol:
 // none (dirty reads allowed), short (released right after the read), or
 // long (held to commit — repeatable).
 func (t *Tx) Get(key data.Key) (data.Row, error) {
-	if t.done {
-		return nil, engine.ErrTxDone
-	}
-	if t.doomed {
-		return nil, t.doomErr()
+	if err := t.live(); err != nil {
+		return nil, err
 	}
 	start := t.db.obs.Now()
 	switch t.proto.ReadItem {
 	case DurNone:
 		// No read locks: sees in-place uncommitted data.
 	case DurShort, DurLong:
-		if err := t.db.lm.AcquireItem(lock.TxID(t.id), key, lock.S, lock.Images{Before: t.db.store.Get(key)}); err != nil {
+		if err := t.db.lm.AcquireItem(lock.TxID(t.id), key, lock.S, lock.Images{Before: t.db.store.Peek(key)}); err != nil {
 			t.db.obs.RecordOp(start)
 			return nil, t.lockErr(err)
 		}
 	}
-	row := t.db.store.Get(key)
+	row := t.db.store.Peek(key)
 	t.recordRead(key, row)
 	if t.proto.ReadItem == DurShort {
 		t.db.lm.ReleaseItem(lock.TxID(t.id), key)
@@ -231,11 +246,12 @@ func (t *Tx) Get(key data.Key) (data.Row, error) {
 	if row == nil {
 		return nil, engine.ErrNotFound
 	}
-	return row, nil
+	return row.Clone(), nil
 }
 
 // Put implements engine.Tx: Exclusive item lock (long everywhere except
-// Degree 0), in-place write, before-image to the undo log.
+// Degree 0), in-place write, before-image to the undo log. The store keeps
+// a copy of row; the caller's row stays the caller's.
 func (t *Tx) Put(key data.Key, row data.Row) error {
 	return t.write(key, row.Clone())
 }
@@ -246,14 +262,11 @@ func (t *Tx) Delete(key data.Key) error {
 }
 
 func (t *Tx) write(key data.Key, after data.Row) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if t.doomed {
-		return t.doomErr()
+	if err := t.live(); err != nil {
+		return err
 	}
 	start := t.db.obs.Now()
-	peek := t.db.store.Get(key) // image for predicate-lock conflicts
+	peek := t.db.store.Peek(key) // image for predicate-lock conflicts
 	im := lock.Images{Before: peek, After: after}
 	if err := t.lockForWrite(key, peek, im); err != nil {
 		t.db.obs.RecordOp(start)
@@ -371,11 +384,8 @@ func (t *Tx) lockForWrite(key data.Key, peek data.Row, im lock.Images) error {
 // key-range, per the engine's protocol) for the scan, then per-row item
 // locks on the matching rows.
 func (t *Tx) Select(p predicate.P) ([]data.Tuple, error) {
-	if t.done {
-		return nil, engine.ErrTxDone
-	}
-	if t.doomed {
-		return nil, t.doomErr()
+	if err := t.live(); err != nil {
+		return nil, err
 	}
 	start := t.db.obs.Now()
 	g, err := t.acquireScanGuard(p)
@@ -385,10 +395,13 @@ func (t *Tx) Select(p predicate.P) ([]data.Tuple, error) {
 	}
 	matches := t.db.store.Select(p)
 	var out []data.Tuple
+	if len(matches) > 0 {
+		out = make([]data.Tuple, 0, len(matches))
+	}
 	for _, m := range matches {
 		switch t.proto.ReadItem {
 		case DurNone:
-			out = append(out, m)
+			out = append(out, data.Tuple{Key: m.Key, Row: m.Row.Clone()})
 		case DurShort, DurLong:
 			if err := t.db.lm.AcquireItem(lock.TxID(t.id), m.Key, lock.S, lock.Images{Before: m.Row}); err != nil {
 				g.releaseShort()
@@ -397,9 +410,9 @@ func (t *Tx) Select(p predicate.P) ([]data.Tuple, error) {
 			}
 			// Re-read under the lock: the row may have changed (or vanished)
 			// while we waited.
-			row := t.db.store.Get(m.Key)
+			row := t.db.store.Peek(m.Key)
 			if row != nil && p.Match(data.Tuple{Key: m.Key, Row: row}) {
-				out = append(out, data.Tuple{Key: m.Key, Row: row})
+				out = append(out, data.Tuple{Key: m.Key, Row: row.Clone()})
 			}
 			if t.proto.ReadItem == DurShort {
 				t.db.lm.ReleaseItem(lock.TxID(t.id), m.Key)

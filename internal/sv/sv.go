@@ -28,10 +28,25 @@
 // per-stripe runs. The hash map stays the point path: Get, Put and Delete
 // never search the index for a row.
 //
+// # Row ownership
+//
+// A row is immutable once it is installed: nothing ever writes into a
+// stored row's fields, a write replaces the whole row. So the store copies
+// only at its edges and shares everywhere else. Load copies the caller's
+// rows; Put and Restore take ownership of the row they are given (the
+// caller must not modify it afterwards); Peek and Select return the stored
+// rows themselves, which the caller must treat as read-only; and Get and
+// Snapshot return copies the caller owns. Before-images returned by Put
+// and Delete are stored rows, fit for an undo log or a lock's row images
+// as they are. An engine above copies a row once on the way in and once on
+// the way out, and never in between.
+//
 //isolint:deterministic
 package sv
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"isolevel/internal/data"
@@ -98,11 +113,18 @@ func (s *Store) Load(tuples ...data.Tuple) {
 
 // Get returns a copy of the current row, or nil if absent.
 func (s *Store) Get(key data.Key) data.Row {
+	return s.Peek(key).Clone()
+}
+
+// Peek returns the current row itself, or nil if absent: read-only to the
+// caller (see Row ownership), and valid for as long as the caller likes,
+// since a later write replaces the row rather than changing it.
+func (s *Store) Peek(key data.Key) data.Row {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
 	row := sh.rows[key]
 	sh.mu.RUnlock()
-	return row.Clone()
+	return row
 }
 
 // Exists reports whether a row is present.
@@ -114,14 +136,13 @@ func (s *Store) Exists(key data.Key) bool {
 	return ok
 }
 
-// Put installs row (insert or update) and returns the before-image (nil
-// for an insert).
+// Put installs row (insert or update), taking ownership of it, and returns
+// the before-image (nil for an insert).
 func (s *Store) Put(key data.Key, row data.Row) (before data.Row) {
-	clone := row.Clone() // outside the latch: cloning allocates
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	before = sh.rows[key]
-	sh.rows[key] = clone
+	sh.rows[key] = row
 	sh.index.Insert(key)
 	sh.mu.Unlock()
 	return before
@@ -139,28 +160,29 @@ func (s *Store) Delete(key data.Key) (before data.Row) {
 	return before
 }
 
-// Restore writes a before-image back (undo): nil removes the row.
+// Restore writes a before-image back (undo), taking ownership of it like
+// Put: nil removes the row.
 func (s *Store) Restore(key data.Key, before data.Row) {
-	clone := before.Clone()
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	if clone == nil {
+	if before == nil {
 		delete(sh.rows, key)
 		sh.index.Delete(key)
 	} else {
-		sh.rows[key] = clone
+		sh.rows[key] = before
 		sh.index.Insert(key)
 	}
 	sh.mu.Unlock()
 }
 
-// Select returns copies of all tuples satisfying p, sorted by key. It
-// reads only the part of the key space p can cover: per stripe, under the
-// stripe's read latch, the index run inside predicate.KeyBounds(p) — the
-// whole index when p says nothing about keys — matching each row in place
-// and cloning only the hits. Each stripe is read atomically, the stripes
-// one after another; as everywhere in this store, a scan that must not
-// see a concurrent writer's half-done work holds a lock above it.
+// Select returns all tuples satisfying p, sorted by key, sharing the
+// stored rows (read-only to the caller; see Row ownership). It reads only
+// the part of the key space p can cover: per stripe, under the stripe's
+// read latch, the index run inside predicate.KeyBounds(p) — the whole
+// index when p says nothing about keys — matching each row in place. Each
+// stripe is read atomically, the stripes one after another; as everywhere
+// in this store, a scan that must not see a concurrent writer's half-done
+// work holds a lock above it.
 func (s *Store) Select(p predicate.P) []data.Tuple {
 	start := s.obs.Now()
 	lo, hi, bounded := predicate.KeyBounds(p)
@@ -170,19 +192,23 @@ func (s *Store) Select(p predicate.P) []data.Tuple {
 		for _, k := range sh.index.View(lo, hi, bounded) {
 			t := data.Tuple{Key: k, Row: sh.rows[k]}
 			if p.Match(t) {
-				out = append(out, t.Clone())
+				out = append(out, t)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	data.SortTuples(out)
+	slices.SortFunc(out, func(a, b data.Tuple) int { return cmp.Compare(a.Key, b.Key) })
 	s.obs.RecordScan(start)
 	return out
 }
 
 // Snapshot returns a copy of every row, sorted by key (final-state checks).
 func (s *Store) Snapshot() []data.Tuple {
-	return s.Select(predicate.True{})
+	out := s.Select(predicate.True{})
+	for i := range out {
+		out[i].Row = out[i].Row.Clone()
+	}
+	return out
 }
 
 // Keys returns all present keys, sorted: the merge of the per-stripe
@@ -276,9 +302,10 @@ type UndoLog struct {
 	records []UndoRecord
 }
 
-// Note appends a before-image.
+// Note appends a before-image — a row the store returned from Put or
+// Delete, kept as it is since stored rows never change.
 func (u *UndoLog) Note(key data.Key, before data.Row) {
-	u.records = append(u.records, UndoRecord{Key: key, Before: before.Clone()})
+	u.records = append(u.records, UndoRecord{Key: key, Before: before})
 }
 
 // Len returns the number of undo records.

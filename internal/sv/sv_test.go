@@ -42,6 +42,42 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// The store copies only at its edges: Load and Get/Snapshot copy, while
+// Put takes ownership and Peek/Select share the stored row — whose
+// fields no store operation ever changes, so a shared row stays what it
+// was when read.
+func TestRowOwnership(t *testing.T) {
+	s := NewStore()
+	loaded := data.Scalar(1)
+	s.Load(data.Tuple{Key: "x", Row: loaded})
+	loaded[data.ValField] = 99
+	if s.Get("x").Val() != 1 {
+		t.Fatal("Load kept the caller's row")
+	}
+	snap := s.Snapshot()
+	snap[0].Row[data.ValField] = 99
+	if s.Get("x").Val() != 1 {
+		t.Fatal("Snapshot leaked internal storage")
+	}
+	row := data.Scalar(2)
+	before := s.Put("x", row)
+	if sel := s.Select(predicate.True{}); len(sel) != 1 || !sameRow(sel[0].Row, row) || !sameRow(s.Peek("x"), row) {
+		t.Fatal("Put/Peek/Select copied instead of sharing the stored row")
+	}
+	s.Put("x", data.Scalar(3))
+	if before.Val() != 1 || row.Val() != 2 {
+		t.Fatalf("a write changed rows already handed out: before %v, row %v", before, row)
+	}
+}
+
+// sameRow reports whether a and b are the same map, not just equal ones.
+func sameRow(a, b data.Row) bool {
+	a["probe"] = 1
+	defer delete(a, "probe")
+	_, ok := b["probe"]
+	return ok
+}
+
 func TestRestore(t *testing.T) {
 	s := NewStore()
 	s.Put("x", data.Scalar(1))
