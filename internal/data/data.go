@@ -17,7 +17,9 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -121,7 +123,7 @@ func (t Tuple) String() string { return string(t.Key) + t.Row.String() }
 
 // SortTuples orders tuples by key, in place, for deterministic output.
 func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Key < ts[j].Key })
+	slices.SortFunc(ts, func(a, b Tuple) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // Keys extracts the key set of a tuple slice, sorted.
@@ -130,6 +132,6 @@ func Keys(ts []Tuple) []Key {
 	for i, t := range ts {
 		ks[i] = t.Key
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return ks
 }

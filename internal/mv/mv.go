@@ -24,7 +24,9 @@
 // commit fully in parallel; only same-stripe (in particular same-key)
 // committers serialize. LockWriteSet acquires the commit latches of every
 // stripe a write set covers, in ascending stripe order, so concurrent
-// committers can never deadlock.
+// committers can never deadlock; it writes the stripes it latched into a
+// buffer the committer owns and hands back to UnlockWriteSet, so a commit
+// that keeps its buffer latches without allocating.
 //
 // Because commits no longer funnel through one global mutex, "the newest
 // committed snapshot" is no longer a single atomic fact: a commit
@@ -37,6 +39,22 @@
 // can appear after the fact. A committer in turn returns only once Safe
 // has reached its own commit timestamp (WaitSafe), so the next snapshot
 // its session takes contains what it just committed.
+//
+// # Row ownership
+//
+// A version's row is immutable once it is installed: nothing ever writes
+// into a stored row's fields, a newer version replaces the whole row. So
+// the store copies only where a row enters from a caller that keeps it,
+// and shares everywhere else. Load copies the caller's rows; Install and
+// InstallAbove take ownership of the rows they are given (the caller must
+// not modify them afterwards); ReadAt and SelectAt return the stored rows
+// themselves, which the caller must treat as read-only — they stay valid
+// for as long as the caller likes, since a later version replaces the row
+// rather than changing it; and Chain returns copies the caller owns. An
+// engine above copies a row once on the way in and once on the way out,
+// and never in between: a before-image read for a write, a row image
+// handed to a lock, and a version installed from a private write set all
+// share.
 //
 // # Scans
 //
@@ -103,7 +121,7 @@ package mv
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -365,32 +383,33 @@ func (s *Store) shardOf(key data.Key) *shard {
 func (s *Store) shardIndex(key data.Key) int { return s.striper.Index(key) }
 
 // LockWriteSet acquires the commit latches of every stripe covered by keys,
-// in ascending stripe order (deadlock-free), and returns the release
-// function. Engines hold these latches across First-Committer-Wins
-// validation and version install so that same-key committers serialize
-// while disjoint-stripe committers proceed in parallel. An empty key set
-// returns a no-op release.
-func (s *Store) LockWriteSet(keys []data.Key) (release func()) {
-	if len(keys) == 0 {
-		return func() {}
-	}
-	idx := make([]int, 0, len(keys))
-	seen := map[int]bool{}
+// in ascending stripe order (deadlock-free), and returns the stripes it
+// latched: buf[:0] with the distinct stripe indexes appended in ascending
+// order. The caller releases them with UnlockWriteSet. A caller that hands
+// the same buffer back on every commit latches without allocating once the
+// buffer has room for its widest write set. Engines hold these latches
+// across First-Committer-Wins validation and version install so that
+// same-key committers serialize while disjoint-stripe committers proceed in
+// parallel. An empty key set latches nothing.
+func (s *Store) LockWriteSet(keys []data.Key, buf []int) (stripes []int) {
+	stripes = buf[:0]
 	for _, k := range keys {
 		i := s.shardIndex(k)
-		if !seen[i] {
-			seen[i] = true
-			idx = append(idx, i)
+		if at, found := slices.BinarySearch(stripes, i); !found {
+			stripes = slices.Insert(stripes, at, i)
 		}
 	}
-	sort.Ints(idx)
-	for _, i := range idx {
+	for _, i := range stripes {
 		s.shards[i].commitMu.Lock()
 	}
-	return func() {
-		for j := len(idx) - 1; j >= 0; j-- {
-			s.shards[idx[j]].commitMu.Unlock()
-		}
+	return stripes
+}
+
+// UnlockWriteSet releases the commit latches LockWriteSet latched, in
+// reverse order.
+func (s *Store) UnlockWriteSet(stripes []int) {
+	for j := len(stripes) - 1; j >= 0; j-- {
+		s.shards[stripes[j]].commitMu.Unlock()
 	}
 }
 
@@ -481,7 +500,8 @@ func visibleAt(chain []Version, ts TS) *Version {
 // ReadAt returns the version of key visible at snapshot ts: the committed
 // version with the largest CommitTS <= ts. ok is false if no version is
 // visible (never written, or the visible version is a tombstone — the
-// tombstone itself is returned so callers can distinguish).
+// tombstone itself is returned so callers can distinguish). The row is the
+// stored one, read-only to the caller (see Row ownership).
 func (s *Store) ReadAt(key data.Key, ts TS) (v Version, ok bool) {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
@@ -490,12 +510,7 @@ func (s *Store) ReadAt(key data.Key, ts TS) (v Version, ok bool) {
 	if vis == nil {
 		return Version{}, false
 	}
-	if vis.Deleted {
-		return *vis, false
-	}
-	out := *vis
-	out.Row = out.Row.Clone()
-	return out, true
+	return *vis, !vis.Deleted
 }
 
 // LatestCommitTS returns the commit timestamp of the newest committed
@@ -515,10 +530,11 @@ func (s *Store) LatestCommitTS(key data.Key) TS {
 	return chain[len(chain)-1].CommitTS
 }
 
-// Install appends committed versions for writer at commit timestamp ts.
-// The caller (the engine's commit critical section, under LockWriteSet)
-// guarantees ts exceeds every CommitTS already in the touched chains. It
-// forgets nothing: InstallAbove at horizon 0.
+// Install appends committed versions for writer at commit timestamp ts,
+// taking ownership of the rows in writes (see Row ownership). The caller
+// (the engine's commit critical section, under LockWriteSet) guarantees ts
+// exceeds every CommitTS already in the touched chains. It forgets
+// nothing: InstallAbove at horizon 0.
 func (s *Store) Install(ts TS, writer int, writes map[data.Key]data.Row) {
 	s.InstallAbove(0, ts, writer, writes)
 }
@@ -530,12 +546,7 @@ func (s *Store) Install(ts TS, writer int, writes map[data.Key]data.Row) {
 func (s *Store) InstallAbove(horizon, ts TS, writer int, writes map[data.Key]data.Row) {
 	//isolint:ordered per-key chain appends at one commit timestamp; visit order decides only which garbage the clock hand meets first, never what a registered reader sees
 	for key, row := range writes {
-		v := Version{CommitTS: ts, Writer: writer}
-		if row == nil {
-			v.Deleted = true
-		} else {
-			v.Row = row.Clone()
-		}
+		v := Version{CommitTS: ts, Writer: writer, Row: row, Deleted: row == nil}
 		sh := s.shardOf(key)
 		sh.mu.Lock()
 		sh.append(key, v, horizon)
@@ -543,16 +554,16 @@ func (s *Store) InstallAbove(horizon, ts TS, writer int, writes map[data.Key]dat
 	}
 }
 
-// SelectAt returns copies of all tuples visible at ts that satisfy p,
-// sorted by key. It reads only the part of the key space p can cover: per
-// stripe, under the stripe's read latch, the index run inside
-// predicate.KeyBounds(p) — the whole index when p says nothing about keys
-// — resolving each key's visible version on its chain in place and cloning
-// only the hits. For ts <= Oracle.Safe the stripes need not be read at one
-// instant: every version with CommitTS <= ts is already installed, and
-// whatever a concurrent Install adds (a new version, a new key) carries a
-// larger timestamp and is skipped, so the answer is the same whenever each
-// stripe is visited.
+// SelectAt returns all tuples visible at ts that satisfy p, sorted by key,
+// with the stored rows, read-only to the caller (see Row ownership). It
+// reads only the part of the key space p can cover: per stripe, under the
+// stripe's read latch, the index run inside predicate.KeyBounds(p) — the
+// whole index when p says nothing about keys — resolving each key's
+// visible version on its chain in place. For ts <= Oracle.Safe the stripes
+// need not be read at one instant: every version with CommitTS <= ts is
+// already installed, and whatever a concurrent Install adds (a new
+// version, a new key) carries a larger timestamp and is skipped, so the
+// answer is the same whenever each stripe is visited.
 func (s *Store) SelectAt(p predicate.P, ts TS) []data.Tuple {
 	lo, hi, bounded := predicate.KeyBounds(p)
 	var out []data.Tuple
@@ -565,7 +576,7 @@ func (s *Store) SelectAt(p predicate.P, ts TS) []data.Tuple {
 			}
 			t := data.Tuple{Key: k, Row: v.Row}
 			if p.Match(t) {
-				out = append(out, t.Clone())
+				out = append(out, t)
 			}
 		}
 		sh.mu.RUnlock()
@@ -574,7 +585,8 @@ func (s *Store) SelectAt(p predicate.P, ts TS) []data.Tuple {
 	return out
 }
 
-// SnapshotAt returns every visible tuple at ts, sorted by key.
+// SnapshotAt returns every visible tuple at ts, sorted by key, sharing
+// the stored rows as SelectAt does.
 func (s *Store) SnapshotAt(ts TS) []data.Tuple {
 	return s.SelectAt(predicate.True{}, ts)
 }

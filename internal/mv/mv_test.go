@@ -1,6 +1,7 @@
 package mv
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -134,13 +135,26 @@ func TestChainCopies(t *testing.T) {
 	}
 }
 
-func TestReadAtReturnsCopy(t *testing.T) {
+// Rows are immutable once installed, so the store keeps the row Install
+// was given and ReadAt and SelectAt hand that same row out, uncopied;
+// Load, which serves callers that keep their rows, copies.
+func TestReadAtSharesStoredRow(t *testing.T) {
 	s := NewStore()
-	s.Install(1, 1, map[data.Key]data.Row{"x": data.Scalar(1)})
-	v, _ := s.ReadAt("x", 1)
-	v.Row[data.ValField] = 99
-	if v2, _ := s.ReadAt("x", 1); v2.Row.Val() != 1 {
-		t.Fatal("ReadAt leaked internal storage")
+	row := data.Scalar(1)
+	s.Install(1, 1, map[data.Key]data.Row{"x": row})
+	loaded := data.Scalar(2)
+	s.Load(1, data.Tuple{Key: "y", Row: loaded})
+	same := func(a, b data.Row) bool {
+		return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+	}
+	if v, _ := s.ReadAt("x", 1); !same(v.Row, row) {
+		t.Error("ReadAt copied the installed row")
+	}
+	if got := s.SelectAt(predicate.True{}, 1); len(got) != 2 || !same(got[0].Row, row) {
+		t.Errorf("SelectAt = %v: want the installed row itself", got)
+	}
+	if v, _ := s.ReadAt("y", 1); same(v.Row, loaded) || v.Row.Val() != 2 {
+		t.Errorf("Load kept the caller's row, or lost it: %v", v.Row)
 	}
 }
 

@@ -2,6 +2,7 @@ package mv
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -102,13 +103,15 @@ func TestStripingInvisibleToReaders(t *testing.T) {
 func TestLockWriteSetExclusion(t *testing.T) {
 	s := NewStoreShards(4)
 	keys := []data.Key{"a", "b", "c", "a"} // duplicates must not self-deadlock
-	release := s.LockWriteSet(keys)
+	stripes := s.LockWriteSet(keys, nil)
+	if !slices.IsSorted(stripes) || len(slices.Compact(slices.Clone(stripes))) != len(stripes) {
+		t.Fatalf("latched stripes %v: want ascending and distinct", stripes)
+	}
 	started := make(chan struct{})
 	acquired := make(chan struct{})
 	go func() {
 		close(started)
-		r := s.LockWriteSet([]data.Key{"a"})
-		r()
+		s.UnlockWriteSet(s.LockWriteSet([]data.Key{"a"}, nil))
 		close(acquired)
 	}()
 	<-started
@@ -118,11 +121,28 @@ func TestLockWriteSetExclusion(t *testing.T) {
 		t.Fatal("overlapping write set acquired latches while held")
 	default:
 	}
-	release()
+	s.UnlockWriteSet(stripes)
 	<-acquired // must now proceed
 
-	// Empty set is a no-op.
-	s.LockWriteSet(nil)()
+	// Empty set latches nothing.
+	if got := s.LockWriteSet(nil, stripes); len(got) != 0 {
+		t.Fatalf("empty write set latched %v", got)
+	}
+	s.UnlockWriteSet(nil)
+}
+
+// A committer that hands LockWriteSet back its buffer latches and
+// unlatches its write set without allocating.
+func TestLockWriteSetAllocs(t *testing.T) {
+	s := NewStore()
+	keys := []data.Key{"acct:000001", "acct:000002", "acct:000003", "acct:000001"}
+	buf := make([]int, 0, len(keys))
+	if n := testing.AllocsPerRun(100, func() {
+		buf = s.LockWriteSet(keys, buf)
+		s.UnlockWriteSet(buf)
+	}); n != 0 {
+		t.Errorf("LockWriteSet+UnlockWriteSet with a reused buffer: %.0f allocs, want 0", n)
+	}
 }
 
 // Concurrent committers locking overlapping stripe sets in any key order
@@ -142,8 +162,7 @@ func TestLockWriteSetNoDeadlock(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				release := s.LockWriteSet(keySets[(g+i)%len(keySets)])
-				release()
+				s.UnlockWriteSet(s.LockWriteSet(keySets[(g+i)%len(keySets)], nil))
 			}
 		}(g)
 	}

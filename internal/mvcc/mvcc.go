@@ -28,6 +28,17 @@
 // watermark has reached its commit timestamp, so a session's next
 // snapshot always contains its own last commit.
 //
+// # Rows cross the boundary by copy
+//
+// The store's rows are immutable once installed (mv "Row ownership"), so
+// the engine copies a row exactly once on the way in — Put and
+// UpdateCurrent copy the caller's row into the private write set, and
+// Install then takes that copy as the committed version — and exactly once
+// on the way out: Get, ReadCommittedRow, Select, Fetch and Current hand the
+// caller a copy. Everything between shares: the before-image read of a
+// write, the row images of an RC write lock, own-write overlays, and the
+// result set a cursor walks.
+//
 // # Registering readers
 //
 // Every commit forgets, on the chains it writes, the versions no reader
@@ -201,15 +212,17 @@ func (db *DB) Load(tuples ...data.Tuple) {
 // install commits writes for transaction id at a fresh timestamp — larger
 // than every start or commit timestamp issued so far — and returns it once
 // the watermark has reached it, so the session's next snapshot contains
-// the commit. The caller holds the write set's stripe latches; release
-// drops them. Done is deferred against the Next: a panic inside Install
-// has already lost this commit, and must not also leave a hole in the
-// watermark that every later committer would spin on in WaitSafe.
-func (db *DB) install(id int, writes map[data.Key]data.Row, release func()) mv.TS {
+// the commit. The store takes ownership of the rows in writes. The caller
+// holds the write set's stripe latches, stripes as LockWriteSet returned
+// them; install releases them. Done is deferred against the Next: a panic
+// inside Install has already lost this commit, and must not also leave a
+// hole in the watermark that every later committer would spin on in
+// WaitSafe.
+func (db *DB) install(id int, writes map[data.Key]data.Row, stripes []int) mv.TS {
 	ts := db.oracle.Next()
 	func() {
 		defer db.oracle.Done(ts) // after the latches are released
-		defer release()
+		defer db.store.UnlockWriteSet(stripes)
 		db.store.InstallAbove(db.oracle.Horizon(), ts, id, writes)
 	}()
 	db.oracle.WaitSafe(ts)
@@ -219,7 +232,8 @@ func (db *DB) install(id int, writes map[data.Key]data.Row, release func()) mv.T
 // readCommitted reads key at the installed watermark, registered from
 // before the timestamp is chosen until the read has returned — unregistered,
 // a commit in between could forget the version visible there and the read
-// would report a live row missing. It returns the timestamp it read at.
+// would report a live row missing. It returns the timestamp it read at,
+// and the stored row, read-only.
 func (db *DB) readCommitted(key data.Key) (v mv.Version, ok bool, ts mv.TS) {
 	ts = db.oracle.Acquire()
 	defer db.oracle.Release(ts)
@@ -233,7 +247,7 @@ func (db *DB) ReadCommittedRow(key data.Key) data.Row {
 	if !ok {
 		return nil
 	}
-	return v.Row
+	return v.Row.Clone()
 }
 
 // Levels implements engine.DB.
@@ -265,7 +279,9 @@ func (db *DB) Begin(level engine.Level) (engine.Tx, error) {
 	case engine.ReadConsistency:
 		id := int(db.seq.Add(1))
 		db.obs.Begin(id, level.Code())
-		return &RCTx{db: db, id: id, writes: map[data.Key]data.Row{}}, nil
+		t := &RCTx{db: db, id: id, writes: map[data.Key]data.Row{}}
+		t.order = t.orderBuf[:0]
+		return t, nil
 	}
 	return nil, fmt.Errorf("%w: %s is not a multiversion level", engine.ErrUnsupported, level)
 }
@@ -299,14 +315,17 @@ func (db *DB) CurrentTS() mv.TS { return db.oracle.Safe() }
 func (db *DB) beginSI(start mv.TS) *SITx {
 	id := int(db.seq.Add(1))
 	db.obs.Begin(id, engine.SnapshotIsolation.Code())
-	return &SITx{db: db, id: id, start: start, writes: map[data.Key]data.Row{}}
+	t := &SITx{db: db, id: id, start: start, writes: map[data.Key]data.Row{}}
+	t.order, t.reads = t.orderBuf[:0], t.readsBuf[:0]
+	return t
 }
 
 // overlay lays a transaction's own uncommitted writes over base, the
-// store's answer to p at the transaction's snapshot: sorted by key and
-// already the caller's own copy. A written key leaves base; its new row,
-// if it is not a delete and satisfies p, joins the result in key order.
-// order lists the keys of writes, each once.
+// store's answer to p at the transaction's snapshot, sorted by key. A
+// written key leaves base; its new row, if it is not a delete and
+// satisfies p, joins the result in key order. order lists the keys of
+// writes, each once. The result shares the rows of base and writes: the
+// caller copies what it hands out (cloneRows).
 func overlay(p predicate.P, base []data.Tuple, writes map[data.Key]data.Row, order []data.Key) []data.Tuple {
 	if len(order) == 0 {
 		return base
@@ -314,7 +333,7 @@ func overlay(p predicate.P, base []data.Tuple, writes map[data.Key]data.Row, ord
 	var own []data.Tuple
 	for _, key := range order {
 		if t := (data.Tuple{Key: key, Row: writes[key]}); p.Match(t) {
-			own = append(own, t.Clone())
+			own = append(own, t)
 		}
 	}
 	data.SortTuples(own)
@@ -330,6 +349,15 @@ func overlay(p predicate.P, base []data.Tuple, writes map[data.Key]data.Row, ord
 		out = append(out, b)
 	}
 	return append(out, own...)
+}
+
+// cloneRows replaces every row of tuples, a result set the caller built,
+// with a copy, so the caller can hand it out.
+func cloneRows(tuples []data.Tuple) []data.Tuple {
+	for i := range tuples {
+		tuples[i].Row = tuples[i].Row.Clone()
+	}
+	return tuples
 }
 
 func levelList(levels []engine.Level) string {

@@ -33,7 +33,7 @@ import (
 type RCTx struct {
 	db     *DB
 	id     int
-	writes map[data.Key]data.Row // own uncommitted writes (overlay), nil = delete
+	writes map[data.Key]data.Row // own uncommitted writes (overlay), nil = delete; the transaction's own copies, installed as they are
 	order  []data.Key
 	done   bool
 
@@ -51,6 +51,11 @@ type RCTx struct {
 	// cursors are the cursors this transaction opened; each holds its
 	// snapshot registered until it is closed, here at the latest.
 	cursors []*rcCursor
+
+	// Inline backing for order, and the stripe list of Commit's write-set
+	// latches.
+	orderBuf   [2]data.Key
+	stripesBuf [2]int
 }
 
 // TimedRead is one recorded read together with the statement-snapshot
@@ -110,11 +115,12 @@ func (t *RCTx) Get(key data.Key) (data.Row, error) {
 	t.reads = append(t.reads, TimedRead{TS: ts, Op: op})
 	t.db.rec.Record(op)
 	t.db.obs.RecordOp(start)
-	return v.Row, nil
+	return v.Row.Clone(), nil
 }
 
 // Put implements engine.Tx: take a long write lock (first-writer-wins —
-// block, don't abort), then buffer the write; versions install at commit.
+// block, don't abort), then buffer a copy of the write; that copy is the
+// version Commit installs.
 func (t *RCTx) Put(key data.Key, row data.Row) error {
 	return t.write(key, row.Clone())
 }
@@ -156,9 +162,11 @@ func (t *RCTx) Select(p predicate.P) ([]data.Tuple, error) {
 	out, err := t.selectAt(p, ts)
 	t.db.oracle.Release(ts)
 	t.db.obs.RecordOp(start)
-	return out, err
+	return cloneRows(out), err
 }
 
+// selectAt is the scan of Select and OpenCursor at statement snapshot ts.
+// Its result shares the stored rows and the write set's.
 func (t *RCTx) selectAt(p predicate.P, ts mv.TS) ([]data.Tuple, error) {
 	out := overlay(p, t.db.store.SelectAt(p, ts), t.writes, t.order)
 	t.db.rec.RecordPredRead(t.id, p)
@@ -240,32 +248,35 @@ func (c *rcCursor) Current() (data.Tuple, error) {
 // snapshot: if another transaction committed a change to this row after
 // the cursor opened, the update fails with ErrRowChanged (Oracle's write
 // consistency restart, surfaced as an error). This is what makes P4C "Not
-// Possible" at Read Consistency while plain P4 remains possible.
+// Possible" at Read Consistency while plain P4 remains possible. Like
+// Put, it copies row once, and the lock's after-image and the write set
+// share that copy.
 func (c *rcCursor) UpdateCurrent(row data.Row) error {
 	if c.closed || c.tx.done {
 		return engine.ErrTxDone
 	}
-	cur, err := c.Current()
-	if err != nil {
-		return err
+	if c.pos < 0 || c.pos >= len(c.tuples) {
+		return engine.ErrNoCursor
 	}
+	key := c.tuples[c.pos].Key
+	row = row.Clone()
 	t := c.tx
 	var before data.Row
-	if v, ok, _ := t.db.readCommitted(cur.Key); ok {
+	if v, ok, _ := t.db.readCommitted(key); ok {
 		before = v.Row
 	}
-	if err := t.db.lm.AcquireItem(lock.TxID(t.id), cur.Key, lock.X, lock.Images{Before: before, After: row}); err != nil {
+	if err := t.db.lm.AcquireItem(lock.TxID(t.id), key, lock.X, lock.Images{Before: before, After: row}); err != nil {
 		return t.lockErr(err)
 	}
-	if ts := t.db.store.LatestCommitTS(cur.Key); ts > c.snapTS {
-		t.db.lm.ReleaseItem(lock.TxID(t.id), cur.Key)
-		return fmt.Errorf("%w: %s committed at ts %d after cursor snapshot %d", engine.ErrRowChanged, cur.Key, ts, c.snapTS)
+	if ts := t.db.store.LatestCommitTS(key); ts > c.snapTS {
+		t.db.lm.ReleaseItem(lock.TxID(t.id), key)
+		return fmt.Errorf("%w: %s committed at ts %d after cursor snapshot %d", engine.ErrRowChanged, key, ts, c.snapTS)
 	}
-	if _, ok := t.writes[cur.Key]; !ok {
-		t.order = append(t.order, cur.Key)
+	if _, ok := t.writes[key]; !ok {
+		t.order = append(t.order, key)
 	}
-	t.writes[cur.Key] = row.Clone()
-	t.db.rec.Record(history.Op{Tx: t.id, Kind: history.WriteCursor, Item: cur.Key, Version: -1}.WithValue(row.Val()))
+	t.writes[key] = row
+	t.db.rec.Record(history.Op{Tx: t.id, Kind: history.WriteCursor, Item: key, Version: -1}.WithValue(row.Val()))
 	return nil
 }
 
@@ -295,12 +306,12 @@ func (t *RCTx) Commit() error {
 	t.done = true
 	t.closeCursors()
 	if len(t.writes) > 0 {
-		release := t.db.store.LockWriteSet(t.order)
+		stripes := t.db.store.LockWriteSet(t.order, t.stripesBuf[:0])
 		// As in SITx.Commit, install waits for the watermark: the next
 		// statement snapshot must contain this commit, or a
 		// read-modify-write that follows overwrites it from a stale read —
 		// a lost update inside one session.
-		t.commitTS = t.db.install(t.id, t.writes, release)
+		t.commitTS = t.db.install(t.id, t.writes, stripes)
 	} else {
 		t.commitTS = t.db.oracle.Safe()
 	}

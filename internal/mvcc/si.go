@@ -34,7 +34,7 @@ type SITx struct {
 	db     *DB
 	id     int
 	start  mv.TS
-	writes map[data.Key]data.Row // nil row = delete
+	writes map[data.Key]data.Row // nil row = delete; rows are the transaction's own copies, installed as they are
 	order  []data.Key            // write order, for deterministic install
 	done   bool
 
@@ -46,6 +46,13 @@ type SITx struct {
 	// commitTS is set on successful commit (for MV-history export).
 	commitTS  mv.TS
 	committed bool
+
+	// Inline backing for order and reads, and the stripe list of Commit's
+	// write-set latches: a transaction of a few statements appends to them
+	// without growing.
+	orderBuf   [2]data.Key
+	readsBuf   [2]readRecord
+	stripesBuf [2]int
 }
 
 type readRecord struct {
@@ -106,10 +113,11 @@ func (t *SITx) Get(key data.Key) (data.Row, error) {
 	t.reads = append(t.reads, readRecord{key: key, val: v.Row.Val(), found: true})
 	t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Read, Item: key, Version: -1}.WithValue(v.Row.Val()))
 	t.db.obs.RecordOp(start)
-	return v.Row, nil
+	return v.Row.Clone(), nil
 }
 
-// Put implements engine.Tx: buffer the write privately.
+// Put implements engine.Tx: buffer a copy of the write privately; that
+// copy is the version Commit installs.
 func (t *SITx) Put(key data.Key, row data.Row) error {
 	return t.write(key, row.Clone())
 }
@@ -142,6 +150,13 @@ func (t *SITx) write(key data.Key, row data.Row) error {
 // so a re-evaluation always returns the same set (no A3 phantoms, Remark
 // 10) even though P3 constraint phantoms remain possible.
 func (t *SITx) Select(p predicate.P) ([]data.Tuple, error) {
+	out, err := t.scan(p)
+	return cloneRows(out), err
+}
+
+// scan is Select without the copy out: its result shares the stored rows
+// and the write set's.
+func (t *SITx) scan(p predicate.P) ([]data.Tuple, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
@@ -165,9 +180,10 @@ func (t *SITx) RangeReads() []RangeRead { return t.rangeReads }
 
 // OpenCursor implements engine.Tx. Snapshot cursors are trivially stable
 // (the snapshot never moves), so the cursor is a simple iterator over the
-// Select result; UpdateCurrent is a buffered write.
+// Select result, which it shares until Fetch and Current copy a row out;
+// UpdateCurrent is a buffered write.
 func (t *SITx) OpenCursor(p predicate.P) (engine.Cursor, error) {
-	tuples, err := t.Select(p)
+	tuples, err := t.scan(p)
 	if err != nil {
 		return nil, err
 	}
@@ -203,11 +219,10 @@ func (c *siCursor) Current() (data.Tuple, error) {
 }
 
 func (c *siCursor) UpdateCurrent(row data.Row) error {
-	cur, err := c.Current()
-	if err != nil {
-		return err
+	if c.pos < 0 || c.pos >= len(c.tuples) {
+		return engine.ErrNoCursor
 	}
-	return c.tx.Put(cur.Key, row)
+	return c.tx.Put(c.tuples[c.pos].Key, row)
 }
 
 func (c *siCursor) Close() error { c.closed = true; return nil }
@@ -231,14 +246,14 @@ func (t *SITx) Commit() error {
 	// Latch only the stripes the write set covers: disjoint-stripe
 	// committers run this whole critical section in parallel, same-key
 	// committers serialize here.
-	release := t.db.store.LockWriteSet(t.order)
+	stripes := t.db.store.LockWriteSet(t.order, t.stripesBuf[:0])
 	// Validation: no key in the write set may have a committed version
 	// newer than our snapshot ("wrote data that T1 also wrote"). RC
 	// commits install under the same stripe latches, so a concurrent
 	// first-writer-wins commit can never slip a version past this check.
 	for _, key := range t.order {
 		if ts := t.db.store.LatestCommitTS(key); ts > t.start {
-			release()
+			t.db.store.UnlockWriteSet(stripes)
 			t.finish()
 			t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Abort, Version: -1})
 			t.db.obs.Abort(t.id)
@@ -251,7 +266,7 @@ func (t *SITx) Commit() error {
 	// next snapshot then contains this commit (it reads its own writes, and
 	// a rewrite of the same keys does not fail first-committer-wins against
 	// itself).
-	ts := t.db.install(t.id, t.writes, release)
+	ts := t.db.install(t.id, t.writes, stripes)
 	t.finish()
 	t.committed = true
 	t.commitTS = ts
