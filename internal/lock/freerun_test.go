@@ -1,0 +1,124 @@
+package lock
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"isolevel/internal/data"
+	"isolevel/internal/predicate"
+)
+
+// dumpWaitsFor renders the waits-for graph as "tx:[on...]" in ascending
+// tx order, read under the graph's latch (stall dumps).
+func dumpWaitsFor(g *WaitsFor) string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	txs := make([]TxID, 0, len(g.out))
+	for tx := range g.out {
+		txs = append(txs, tx)
+	}
+	slices.Sort(txs)
+	var b strings.Builder
+	for _, tx := range txs {
+		fmt.Fprintf(&b, "%d:%v ", tx, g.out[tx])
+	}
+	return b.String()
+}
+
+// Free-running key-range traffic must never hang: every wait is either
+// granted or refused as a deadlock victim. Four workers run transactions
+// of four random operations over 24 keys — a Shared item read, an
+// Exclusive item write whose row image lies in every range covering its
+// key, or a six-key AcquireRange with static anchors — then ReleaseAll,
+// retrying deadlock victims. Unlike the lockstep fuzzer, the operations
+// race on real cores, so a range request's conflict read interleaves with
+// item grants and striped releases; a conflict set read before the
+// request is queued misses a writer granted mid-read (an unchecked
+// 2-cycle later closed by an edge refresh) or a holder that releases
+// without draining the range queue (a lost wakeup). A watchdog fails the
+// test as soon as no transaction finishes for 500 ms and prints the
+// waits-for graph, so a stall is a named failure, not a test timeout.
+// The run is bounded by transaction count (10,000: a fraction of a second,
+// a few seconds under -race), so repeat it with -count to hunt a rare
+// interleaving.
+func TestKeyrangeFreeRunningNeverStalls(t *testing.T) {
+	const workers, txnsPerWorker, nkeys, span = 4, 2500, 24, 6
+	m := NewManager()
+	keys := make([]data.Key, nkeys+1)
+	for i := range keys {
+		keys[i] = data.Key(fmt.Sprintf("k:%02d", i))
+	}
+	im := Images{Before: data.Scalar(1), After: data.Scalar(2)}
+	op := func(r *rand.Rand, tx TxID) error {
+		k := keys[r.Intn(nkeys)]
+		switch r.Intn(3) {
+		case 0:
+			return m.AcquireItem(tx, k, S, Images{Before: im.Before})
+		case 1:
+			return m.AcquireItem(tx, k, X, im)
+		}
+		lo := r.Intn(nkeys - span + 1)
+		rng := predicate.KeyRange{Lo: keys[lo], Hi: keys[lo+span]}
+		_, err := m.AcquireRange(tx, RangeSpec{Pred: rng, Lo: rng.Lo, Hi: rng.Hi, Bounded: true,
+			Anchors: keys[lo : lo+span], Ceiling: keys[lo+span]})
+		return err
+	}
+
+	var nextTx atomic.Int64
+	var finished atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w) + 1))
+			for i := 0; i < txnsPerWorker; i++ {
+				for {
+					tx := TxID(nextTx.Add(1))
+					var err error
+					for j := 0; j < 4 && err == nil; j++ {
+						err = op(r, tx)
+					}
+					m.ReleaseAll(tx)
+					if err == nil {
+						break
+					}
+					if !errors.Is(err, ErrDeadlock) {
+						t.Errorf("T%d: %v", tx, err)
+						return
+					}
+				}
+				finished.Add(1)
+			}
+		}(w)
+	}
+	go func() { wg.Wait(); close(done) }()
+
+	tick := time.NewTicker(500 * time.Millisecond)
+	defer tick.Stop()
+	last := int64(-1)
+	for {
+		select {
+		case <-done:
+			if st := m.Stats(); st.RangeGrants == 0 || st.Deadlocks == 0 {
+				t.Fatalf("mix starved: %d range grants, %d deadlocks", st.RangeGrants, st.Deadlocks)
+			}
+			return
+		case <-tick.C:
+			n := finished.Load()
+			if n == last {
+				t.Fatalf("stalled after %d/%d transactions: no transaction finished for 500ms\nwaits-for: %s\nqueued requests: %d",
+					n, workers*txnsPerWorker, dumpWaitsFor(m.wf), m.QueueLen())
+			}
+			last = n
+		}
+	}
+}

@@ -59,16 +59,33 @@
 // there (a fragment's predicate never matches outside its key bounds, and
 // a nil-row image satisfies no predicate).
 //
-// Range acquisition is optimistic install-then-validate: fragments are
-// installed stripe by stripe under each stripe's latch, then the conflict
-// sweep runs once more. A conflicting writer either saw an installed
-// fragment under its stripe latch (and waited) or installed its exclusive
-// lock before the validation visit (and the validation backs the range
-// out to the wait queue) — either way no conflict is missed without any
-// global quiescing. Waiting range and gap requests queue in rangeQ under
-// rangeMu, a mutex range operations share with each other but that item
-// operations only touch when range waiters exist (rangeQLen) — and then
-// only after their stripe work, never nested inside a stripe latch.
+// # Admission
+//
+// Range and gap requests share one admission path (acquireRangeAware), one
+// conflict rule (rangeWaiterConflictsLocked) and one grant step
+// (grantRangeAwareLocked), which also serves the drain. A range grant is
+// optimistic install-then-validate: fragments are installed stripe by
+// stripe under each stripe's latch, then the conflict read runs once more,
+// and a conflicting writer either saw an installed fragment under its
+// stripe latch (and waited) or latched its exclusive lock before the
+// validation visit (and the install is backed out) — no conflict is missed
+// without any global quiescing.
+//
+// The conflict read is not atomic either: it latches one stripe at a
+// time. So a request that cannot be granted at once is first published to
+// rangeQ and drained, and only then reads the conflict set that decides
+// it, through the cycle-checked AddWaiter. Publication orders every item
+// operation behind that read: item operations take rangeMu only after
+// their stripe work, never inside a stripe latch, and every item grant and
+// every release checks rangeQLen after it (drainRangeIfWaiters). A writer
+// granted in a stripe the read had already passed sees the published
+// request and refreshes its edges behind rangeMu before it returns, so
+// before it can wait itself — and if it then waits on the scan, its own
+// AddWaiter sees the edge and it is the victim. A holder the read saw
+// that releases afterwards sees the request and drains it. rangeMu is
+// shared by range operations with each other; item operations touch it
+// only while range waiters exist (rangeQLen) or fragments are live
+// (rangeActivity).
 package lock
 
 import (
@@ -218,102 +235,33 @@ func anchorNeedsFragment(spec RangeSpec, ceiling data.Key, k data.Key) bool {
 // against per-stripe state instead of a gated global table. The returned
 // handle releases the lock. Returns ErrDeadlock under the standard
 // requester-is-victim rule.
-//
-//isolint:allow latchorder the post-install refresh is guarded by rangeQLen/wf.Empty — with no admitted waiter there is no wait edge to go stale — and the back-out path reverts the install and refreshes via drainRangeLocked
 func (m *Manager) AcquireRange(tx TxID, spec RangeSpec) (RangeHandle, error) {
 	req := request{tx: tx, mode: S, isRange: true, spec: spec, seq: m.seq.Add(1)}
-	m.gate.RLock()
-	m.rangeMu.Lock()
-	rs := m.obs.Now()
-	// Count the range before sweeping for conflicts: an insert's fast-path
-	// gap check that still reads zero activity is thereby ordered before
-	// this sweep, so the sweep (or the recheck an insert runs after its
-	// item lock installs — see RecheckGap) is guaranteed to see one side
-	// of the race. Every non-holder exit undoes the count.
-	m.rangeActivity.Add(1)
-	var granted []*request
-	on := m.rangeConflictHoldersLocked(&req)
-	if len(on) == 0 {
-		h := m.installRangeLocked(&req)
-		if again := m.rangeConflictHoldersLocked(&req); len(again) != 0 {
-			// A conflicting writer latched its stripe between our install
-			// visit and the validation sweep (free-running mode only;
-			// scripted runs execute one operation at a time). Back out and
-			// wait like any other conflicted request — draining the
-			// stripes that briefly held our fragments, so an item request
-			// that queued behind one of them is re-evaluated rather than
-			// stranded.
-			touched := m.touchedLocked()
-			m.removeRangeHoldLocked(tx, h, touched)
-			granted = m.drainRangeLocked(touched)
-			on = again
-		} else {
-			m.rangeGrants++
-			// The new fragments extend the conflict sets of queued item
-			// requests in any stripe (and of queued range requests); keep
-			// every wait edge current or a later cycle goes undetected.
-			// With no admitted waiter anywhere (empty waits-for graph, no
-			// queued range request) there is nothing to refresh and the
-			// all-stripe sweep is skipped — the common idle-scan case.
-			if m.rangeQLen.Load() != 0 || !m.wf.Empty() {
-				m.refreshAllRangeAwareLocked()
-			}
-			m.rangeMu.Unlock()
-			m.obs.RecordRangeMuHold(rs)
-			m.gate.RUnlock()
-			return h, nil
-		}
-	}
-	if !m.wf.AddWaiter(tx, on) {
-		m.deadlocks.Add(1)
-		m.obsDeadlock(tx, on)
-		m.rangeActivity.Add(-1)
-		m.rangeMu.Unlock()
-		m.obs.RecordRangeMuHold(rs)
-		m.gate.RUnlock()
-		m.notifyGranted(granted)
-		return 0, ErrDeadlock
-	}
-	q := req.queued()
-	m.rangeQ = append(m.rangeQ, q)
-	m.rangeQLen.Store(int64(len(m.rangeQ)))
-	// (The entry count from above stays: a queued range request remains
-	// counted, and keeps counting as a holder when granted.)
-	m.rangeWaits++
-	m.notifyWaiting(tx, on)
-	m.obsWait(q, on, -1)
-	m.rangeMu.Unlock()
-	m.obs.RecordRangeMuHold(rs)
-	m.gate.RUnlock()
-	m.notifyGranted(granted)
-	if err := m.await(q); err != nil {
-		return 0, err
-	}
-	return q.rhandle, nil
+	return m.acquireRangeAware(&req)
 }
 
 // AcquireGap acquires the covering gap's exclusive lock for an insert of
 // key (insert-intention style): it blocks while any fragment covering key
 // — at the gap's owning anchor or the supremum — belongs to another
 // transaction and has a predicate satisfied by the insert's images, and
-// on grant inherits the covering fragments onto key so the gap's coverage
-// survives the insert. A request that had to queue also blocks on the
-// item holders at key, and its grant installs the insert's item hold
-// atomically (consumed by the follow-up AcquireItem) — the predicate
-// twin's insert is one item acquisition, and without the atomic install
-// another writer could take the item while the granted insert was still
-// in flight, manufacturing a deadlock the twin cannot produce. With no
-// range activity it is one atomic load.
+// while another transaction holds an item lock on key. The grant inherits
+// the covering fragments onto key, so the gap's coverage survives the
+// insert, and installs the insert's item hold atomically (consumed by the
+// follow-up AcquireItem) — the predicate twin's insert is one item
+// acquisition, and without the atomic install another writer could take
+// the item while the granted insert was still in flight, manufacturing a
+// deadlock the twin cannot produce. With no range activity it is one
+// atomic load.
 func (m *Manager) AcquireGap(tx TxID, key data.Key, im Images) error {
-	return m.acquireGap(tx, key, im, true)
+	return m.acquireGap(tx, key, im, false)
 }
 
 // RecheckGap re-runs the covering-gap check after the insert's exclusive
 // item lock has installed. It closes the free-running race in which a
 // scan begins between an insert's (empty) fast-path gap check and the
-// item lock install: AcquireRange counts itself before its conflict
-// sweep, so either this recheck observes the scan's activity (and waits
-// on its fragments under rangeMu), or the scan's sweep observes the
+// item lock install: a range request counts itself before its conflict
+// read, so either this recheck observes the scan's activity (and waits
+// on its fragments under rangeMu), or the scan's read observes the
 // already-installed item lock (and yields). Scripted runs execute one
 // operation at a time, so the recheck is always a no-op there; it is not
 // counted in the gap statistics. The re-inherit on grant also restores
@@ -321,60 +269,94 @@ func (m *Manager) AcquireGap(tx TxID, key data.Key, im Images) error {
 // between the first gap check and the item install — the row only becomes
 // visible to other writers after this call returns.
 func (m *Manager) RecheckGap(tx TxID, key data.Key, im Images) error {
-	return m.acquireGap(tx, key, im, false)
+	return m.acquireGap(tx, key, im, true)
 }
 
-func (m *Manager) acquireGap(tx TxID, key data.Key, im Images, count bool) error {
+func (m *Manager) acquireGap(tx TxID, key data.Key, im Images, recheck bool) error {
 	if m.rangeActivity.Load() == 0 {
 		return nil
 	}
+	req := request{tx: tx, mode: X, isGap: true, recheck: recheck, key: key, im: im, seq: m.seq.Add(1)}
+	_, err := m.acquireRangeAware(&req)
+	return err
+}
+
+// acquireRangeAware admits a range or gap request, given as the caller's
+// stack value. A request nothing blocks is granted at once by the one
+// grant step, grantRangeAwareLocked. Otherwise its heap copy is published
+// to rangeQ and drained — the drain may grant it — and only then is the
+// conflict set that decides it read and handed to AddWaiter, so the wait
+// is cycle-checked against every holder the read saw; why no holder can
+// slip past that read is argued in the package comment. Returns the range
+// handle (zero for a gap request).
+func (m *Manager) acquireRangeAware(req *request) (RangeHandle, error) {
 	m.gate.RLock()
 	m.rangeMu.Lock()
 	rs := m.obs.Now()
-	gc := m.gapCoverLocked(key)
-	// The gap stage is the insert's single blocking point, mirroring the
-	// predicate twin's one item acquisition: its conflict set spans the
-	// covering fragment owners and the item holders at key alike.
-	// Checking fragments only here and item holders in the follow-up
-	// AcquireItem would let a drain grant the item while freshly granted
-	// scans cover the gap — the twin keeps the whole insert queued behind
-	// those scans' predicate locks, so the grant orders would diverge. A
-	// self-held Shared lock makes the request the twin's upgrade, with
-	// the same drain priority.
-	holders, selfS := m.gapItemHoldersLocked(tx, key)
-	on := unionTxIDs(gapConflicts(tx, key, im, gc), holders)
-	spIdx := m.stripeIndex(key)
-	if len(on) == 0 {
-		m.inheritLocked(key, gc)
-		if count {
-			m.gapGrants++
-			m.gapStripe[spIdx].grants++
+	// Count the request before reading its conflicts: an insert's fast-path
+	// gap check that still reads zero activity is thereby ordered before
+	// this read, so the read (or the recheck an insert runs after its item
+	// lock installs — see RecheckGap) is guaranteed to see one side of the
+	// race. A granted range keeps the count until released; a granted gap
+	// request and every refused one give it back.
+	m.rangeActivity.Add(1)
+	touched := m.touchedLocked()
+	if len(m.rangeWaiterConflictsLocked(req)) == 0 && m.grantRangeAwareLocked(req, touched) {
+		// The grant extends the conflict sets of queued requests in any
+		// stripe; keep every wait edge current or a later cycle goes
+		// undetected. With no admitted waiter anywhere the all-stripe
+		// sweep is skipped — the common idle-scan case.
+		if m.rangeQLen.Load() != 0 || !m.wf.Empty() {
+			m.refreshAllRangeAwareLocked()
 		}
 		m.rangeMu.Unlock()
 		m.obs.RecordRangeMuHold(rs)
 		m.gate.RUnlock()
-		return nil
+		return req.rhandle, nil
 	}
-	req := &request{tx: tx, mode: X, isGap: true, upgrade: selfS, key: key, im: im, ready: make(chan error, 1), seq: m.seq.Add(1)}
-	if !m.wf.AddWaiter(tx, on) {
-		m.deadlocks.Add(1)
-		m.obsDeadlock(tx, on)
-		m.rangeMu.Unlock()
-		m.obs.RecordRangeMuHold(rs)
-		m.gate.RUnlock()
-		return ErrDeadlock
-	}
-	m.rangeQ = append(m.rangeQ, req)
+	q := req.queued()
+	q.pending = true
+	m.rangeQ = append(m.rangeQ, q)
 	m.rangeQLen.Store(int64(len(m.rangeQ)))
-	m.rangeActivity.Add(1)
-	m.gapWaits++
-	m.gapStripe[spIdx].waits++
-	m.notifyWaiting(tx, on)
-	m.obsWait(req, on, spIdx)
+	// The drain also re-evaluates the stripes a backed-out install touched,
+	// so no waiter keeps an edge toward fragments that are gone.
+	granted := m.drainRangeLocked(touched)
+	wait := slices.Contains(m.rangeQ, q)
+	var err error
+	if !wait {
+		// Its own admission drain granted it: it never waited, so it is
+		// not notified.
+		granted = slices.DeleteFunc(granted, func(r *request) bool { return r == q })
+	} else if on := m.rangeWaiterConflictsLocked(q); m.wf.AddWaiter(q.tx, on) {
+		q.pending = false
+		stripe := -1
+		if q.isRange {
+			m.rangeWaits++
+		} else if stripe = m.stripeIndex(q.key); !q.recheck {
+			m.gapWaits++
+			m.gapStripe[stripe].waits++
+		}
+		m.notifyWaiting(q.tx, on)
+		m.obsWait(q, on, stripe)
+	} else {
+		m.deadlocks.Add(1)
+		m.obsDeadlock(q.tx, on)
+		removeRequest(&m.rangeQ, q)
+		m.rangeQLen.Store(int64(len(m.rangeQ)))
+		m.rangeActivity.Add(-1)
+		wait, err = false, ErrDeadlock
+	}
 	m.rangeMu.Unlock()
 	m.obs.RecordRangeMuHold(rs)
 	m.gate.RUnlock()
-	return m.await(req)
+	m.notifyGranted(granted)
+	if wait {
+		err = m.await(q)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return q.rhandle, nil
 }
 
 // ReleaseRange releases the key-range lock identified by handle, removing
@@ -426,32 +408,6 @@ func (m *Manager) HoldingRange(tx TxID) bool {
 	m.rangeMu.Lock()
 	defer m.rangeMu.Unlock()
 	return len(m.rangeHolds[tx]) > 0
-}
-
-// rangeConflictHoldersLocked returns the transactions whose granted
-// exclusive item locks — in any stripe — have a row image satisfying the
-// range's predicate, sorted. The sweep latches one stripe at a time;
-// called with rangeMu held.
-func (m *Manager) rangeConflictHoldersLocked(req *request) []TxID {
-	var out []TxID
-	for _, sp := range m.stripes {
-		sp.mu.Lock()
-		//isolint:ordered the collected holders are sorted and deduplicated before return
-		for key, st := range sp.items {
-			for i := range st.holders {
-				h := &st.holders[i]
-				if h.tx == req.tx || !conflicts(req.mode, h.mode) {
-					continue
-				}
-				if h.im.matches(req.spec.Pred, key) {
-					out = append(out, h.tx)
-				}
-			}
-		}
-		sp.mu.Unlock()
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 // installRangeLocked installs req's fragments: one per anchor (plus the
@@ -841,8 +797,8 @@ func (m *Manager) gapCoverLocked(key data.Key) gapCover {
 	return gc
 }
 
-// gapConflicts filters the cover down to the conflicting holders: a
-// fragment of another transaction whose predicate is satisfied by either
+// gapConflicts filters the cover down to the conflicting holders, unsorted:
+// a fragment of another transaction whose predicate is satisfied by either
 // image of the insert.
 func gapConflicts(tx TxID, key data.Key, im Images, gc gapCover) []TxID {
 	var out []TxID
@@ -856,63 +812,6 @@ func gapConflicts(tx TxID, key data.Key, im Images, gc gapCover) []TxID {
 			out = append(out, f.tx)
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// gapItemHoldersLocked collects the transactions other than tx holding an
-// item lock on key, ascending, and reports whether tx itself holds the
-// key in Shared mode (the insert is then the twin's upgrade). The holders
-// join a gap request's conflict set: the predicate twin's insert takes
-// one item lock whose sweep spans item holders and predicate owners
-// alike, and the gap grant installs the item hold atomically to match.
-// Called with rangeMu held and no stripe latch held; latches key's
-// stripe briefly.
-func (m *Manager) gapItemHoldersLocked(tx TxID, key data.Key) ([]TxID, bool) {
-	sp := m.stripeOf(key)
-	sp.mu.Lock()
-	var on []TxID
-	selfS := false
-	if st := sp.items[key]; st != nil {
-		for _, h := range st.holders {
-			if h.tx != tx {
-				on = append(on, h.tx)
-			} else if h.mode == S {
-				selfS = true
-			}
-		}
-	}
-	sp.mu.Unlock()
-	slices.Sort(on)
-	return on, selfS
-}
-
-// unionTxIDs merges two ascending TxID slices into one ascending,
-// deduplicated slice.
-func unionTxIDs(a, b []TxID) []TxID {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]TxID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
 	return out
 }
 
@@ -944,39 +843,38 @@ func (m *Manager) inheritLocked(key data.Key, gc gapCover) {
 	m.inheritsSinceGC += len(copies)
 }
 
-// fragmentConflictHolders returns the holders of fragments anchored at
-// req.key that an exclusive item request conflicts with. Called with the
-// key's stripe latched.
-func fragmentConflictHolders(sp *stripe, req *request) []TxID {
+// itemConflictHoldersLocked is the fragment-aware item conflict set: the
+// same-key item holders plus, for an exclusive request, the owners of the
+// fragments anchored at the key whose predicates its images satisfy.
+// Sorted and deduplicated. Called with the key's stripe latched (or the
+// gate exclusive).
+func (m *Manager) itemConflictHoldersLocked(sp *stripe, req *request) []TxID {
+	out := itemConflictHolders(sp.items[req.key], req)
 	if req.mode != X || len(sp.frags) == 0 {
-		return nil
+		return out
 	}
-	var out []TxID
+	n := len(out)
 	i, j := fragWindow(sp.frags, req.key)
 	for _, e := range sp.frags[i:j] {
 		if e.f.tx != req.tx && req.im.matches(e.f.pred, req.key) {
 			out = append(out, e.f.tx)
 		}
 	}
+	if len(out) == n {
+		return out
+	}
 	slices.Sort(out)
 	return slices.Compact(out)
 }
 
-// itemConflictHoldersLocked is the fragment-aware item conflict set: the
-// same-key item holders plus the holders of fragments anchored at the key.
-// Called with the key's stripe latched (or the gate exclusive).
-func (m *Manager) itemConflictHoldersLocked(sp *stripe, req *request) []TxID {
-	out := itemConflictHolders(sp.items[req.key], req)
-	fr := fragmentConflictHolders(sp, req)
-	if len(fr) == 0 {
-		return out
-	}
-	return unionTxIDs(out, fr)
-}
-
 // drainRangeIfWaiters runs the range-aware drain when any range or gap
-// request is queued (one atomic load otherwise). Called with the gate held
-// shared and no stripe latch held.
+// request is queued (one atomic load otherwise). The striped paths call it
+// after their stripe work: after an immediate item grant, whose holder may
+// extend a queued request's conflict set, and after a striped release,
+// which read zero range activity at entry and may since have released a
+// holder that a newly published request read as a conflict — that waiter
+// is woken by this drain or by none. Called with the gate held shared and
+// no stripe latch held.
 func (m *Manager) drainRangeIfWaiters() []*request {
 	if m.rangeQLen.Load() == 0 {
 		return nil
@@ -1015,20 +913,8 @@ func (m *Manager) drainRangeLocked(touched stripeSet) []*request {
 			sp.mu.Unlock()
 		}
 		for _, r := range m.rangeQ {
-			if !grantsBefore(r, best) {
-				continue
-			}
-			switch {
-			case r.isRange:
-				if len(m.rangeConflictHoldersLocked(r)) == 0 {
-					best = r
-				}
-			case r.isGap:
-				holders, _ := m.gapItemHoldersLocked(r.tx, r.key)
-				if len(holders) == 0 &&
-					len(gapConflicts(r.tx, r.key, r.im, m.gapCoverLocked(r.key))) == 0 {
-					best = r
-				}
+			if grantsBefore(r, best) && len(m.rangeWaiterConflictsLocked(r)) == 0 {
+				best = r
 			}
 		}
 		if best == nil {
@@ -1210,8 +1096,10 @@ func queuedAt(q []*request, key data.Key) bool {
 
 // refreshAllRangeAwareLocked recomputes the wait edges of every queued
 // request — item queues in every stripe (fragment-aware) and the range
-// queue — the range counterpart of the gated refreshAllWaitersLocked.
-// Called with rangeMu held.
+// queue — the range counterpart of the gated refreshAllWaitersLocked. A
+// pending range or gap request — published by acquireRangeAware but not
+// yet decided — is skipped: its edges are recorded only by the
+// cycle-checked AddWaiter that decides it. Called with rangeMu held.
 //
 //isolint:waiter-refresh
 func (m *Manager) refreshAllRangeAwareLocked() {
@@ -1222,22 +1110,30 @@ func (m *Manager) refreshAllRangeAwareLocked() {
 		}
 		sp.mu.Unlock()
 	}
-	m.refreshRangeWaitersLocked()
+	for _, r := range m.rangeQ {
+		if !r.pending {
+			m.wf.Refresh(r.tx, m.rangeWaiterConflictsLocked(r))
+		}
+	}
 }
 
-// grantRangeAwareLocked installs one drained request, re-verifying its
-// conflict set under the final latches (candidates were computed with
-// latches released between stripes). Reports whether the grant happened;
-// a range back-out adds the stripes that briefly held its fragments to
-// the caller's touched set so their waiters are re-evaluated. Called with
-// rangeMu held.
+// grantRangeAwareLocked is the one grant step of the range-aware
+// protocol: it installs one request — an immediate range or gap grant, or
+// a drained waiter of any kind — re-verifying its conflict set under the
+// final latches (the caller's read released latches between stripes).
+// Reports whether the grant happened. A range is installed optimistically
+// and then validated: a conflicting writer either saw an installed
+// fragment under its stripe latch (and waited) or installed its exclusive
+// lock before the validation visit, and then the install is backed out,
+// the stripes that briefly held its fragments joining the caller's touched
+// set so their waiters are re-evaluated. Called with rangeMu held.
 //
-//isolint:allow latchorder installs are batched — the only caller, drainRangeLocked, runs refreshAllRangeAwareLocked once after the grant loop, before rangeMu is released
+//isolint:allow latchorder installs are batched — drainRangeLocked refreshes once after its grant loop and acquireRangeAware after an immediate grant, both before rangeMu is released
 func (m *Manager) grantRangeAwareLocked(r *request, touched stripeSet) bool {
 	switch {
 	case r.isRange:
 		h := m.installRangeLocked(r)
-		if again := m.rangeConflictHoldersLocked(r); len(again) != 0 {
+		if len(m.rangeWaiterConflictsLocked(r)) != 0 {
 			m.removeRangeHoldLocked(r.tx, h, touched)
 			return false
 		}
@@ -1274,9 +1170,10 @@ func (m *Manager) grantRangeAwareLocked(r *request, touched stripeSet) bool {
 		}
 		sp.mu.Unlock()
 		m.inheritLocked(r.key, gc)
-		spIdx := m.stripeIndex(r.key)
-		m.gapGrants++
-		m.gapStripe[spIdx].grants++
+		if !r.recheck {
+			m.gapGrants++
+			m.gapStripe[m.stripeIndex(r.key)].grants++
+		}
 		removeRequest(&m.rangeQ, r)
 		m.rangeQLen.Store(int64(len(m.rangeQ)))
 		m.rangeActivity.Add(-1) // gap locks are transient: intent only
@@ -1289,7 +1186,7 @@ func (m *Manager) grantRangeAwareLocked(r *request, touched stripeSet) bool {
 		// granted it, and installing for an already-woken — possibly
 		// already-terminated — transaction would leak an unreleasable
 		// lock.
-		if !queuedRequest(sp.queue, r) {
+		if !slices.Contains(sp.queue, r) {
 			sp.mu.Unlock()
 			return false
 		}
@@ -1305,30 +1202,49 @@ func (m *Manager) grantRangeAwareLocked(r *request, touched stripeSet) bool {
 	return true
 }
 
-// refreshRangeWaitersLocked recomputes the wait edges of every queued
-// range and gap request. Called with rangeMu held.
-//
-//isolint:waiter-refresh
-func (m *Manager) refreshRangeWaitersLocked() {
-	for _, r := range m.rangeQ {
-		switch {
-		case r.isRange:
-			m.wf.Refresh(r.tx, m.rangeConflictHoldersLocked(r))
-		case r.isGap:
-			holders, _ := m.gapItemHoldersLocked(r.tx, r.key)
-			m.wf.Refresh(r.tx, unionTxIDs(
-				gapConflicts(r.tx, r.key, r.im, m.gapCoverLocked(r.key)), holders))
+// rangeWaiterConflictsLocked is the one conflict rule of range and gap
+// requests: admission, the drain's candidate scan, the grant step's
+// validation and the edge refresh all read it. A range request conflicts
+// with every other transaction's exclusive item hold, in any stripe, whose
+// row image satisfies its predicate (the AcquirePred rule, swept one
+// stripe at a time). A gap request conflicts with the owners of the
+// covering fragments its insert images satisfy and with every other holder
+// of an item lock on its key — the predicate twin's insert is one item
+// acquisition, whose sweep spans item holders and predicate owners alike;
+// a self-held Shared lock there marks the request the twin's upgrade, with
+// the same drain priority (stable while it waits). Sorted and
+// deduplicated. Called with rangeMu held and no stripe latch held.
+func (m *Manager) rangeWaiterConflictsLocked(r *request) []TxID {
+	var out []TxID
+	if r.isGap {
+		out = gapConflicts(r.tx, r.key, r.im, m.gapCoverLocked(r.key))
+		sp := m.stripeOf(r.key)
+		sp.mu.Lock()
+		if st := sp.items[r.key]; st != nil {
+			for _, h := range st.holders {
+				if h.tx != r.tx {
+					out = append(out, h.tx)
+				} else {
+					r.upgrade = h.mode == S
+				}
+			}
+		}
+		sp.mu.Unlock()
+	} else {
+		for _, sp := range m.stripes {
+			sp.mu.Lock()
+			//isolint:ordered the collected holders are sorted and deduplicated before return
+			for key, st := range sp.items {
+				for i := range st.holders {
+					h := &st.holders[i]
+					if h.tx != r.tx && conflicts(r.mode, h.mode) && h.im.matches(r.spec.Pred, key) {
+						out = append(out, h.tx)
+					}
+				}
+			}
+			sp.mu.Unlock()
 		}
 	}
-}
-
-// queuedRequest reports whether req is still present in q. Called with
-// the queue's latch held.
-func queuedRequest(q []*request, req *request) bool {
-	for _, r := range q {
-		if r == req {
-			return true
-		}
-	}
-	return false
+	slices.Sort(out)
+	return slices.Compact(out)
 }

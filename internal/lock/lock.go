@@ -85,7 +85,11 @@
 //   - Manager.gate, the stripe-set shared/exclusive gate, is the outermost:
 //     every item/predicate path enters through it.
 //   - Manager.rangeMu, the key-range table latch, nests inside the gate's
-//     shared side (range ops never take the gate exclusively).
+//     shared side (range ops never take the gate exclusively). A range or
+//     gap request is published, drained and decided under one rangeMu
+//     hold; item operations take rangeMu only after their stripe work
+//     (drainRangeIfWaiters), which is what orders their grants and
+//     releases behind a published request's conflict read.
 //   - stripe.mu, the per-stripe lock-table latch, nests inside both; the
 //     one-stripe-at-a-time discipline means two stripe latches are never
 //     held together.
@@ -265,6 +269,13 @@ type request struct {
 	spec    RangeSpec
 	im      Images
 	upgrade bool
+	// recheck marks a RecheckGap request, which the gap statistics do
+	// not count.
+	recheck bool
+	// pending marks a range or gap request published to rangeQ whose
+	// wait is not yet decided (acquireRangeAware): its own admission
+	// drain may grant it, but no refresh records its edges.
+	pending bool
 	ready   chan error
 	// handle receives the predicate handle on grant; rhandle the range one.
 	handle  PredHandle
@@ -1196,6 +1207,9 @@ func (m *Manager) ReleaseItem(tx TxID, key data.Key) {
 		m.dropItemLocked(sp, tx, key)
 		granted := m.drainStripeLocked(sp)
 		sp.mu.Unlock()
+		// A range or gap request may have been published after the
+		// activity check above (see drainRangeIfWaiters).
+		granted = append(granted, m.drainRangeIfWaiters()...)
 		m.gate.RUnlock()
 		m.notifyGranted(granted)
 		return
@@ -1256,6 +1270,8 @@ func (m *Manager) ReleaseAll(tx TxID) {
 			granted = append(granted, m.drainStripeLocked(sp)...)
 			sp.mu.Unlock()
 		}
+		// As in ReleaseItem: a range request may have been published since.
+		granted = append(granted, m.drainRangeIfWaiters()...)
 		m.gate.RUnlock()
 		m.notifyCancelled(cancelled, tx)
 		m.notifyGranted(granted)

@@ -17,11 +17,20 @@
 //     everything, Remove deletes its node.
 //
 // Edges always point from a waiting transaction to the transactions whose
-// granted locks block it. Every cycle is closed by the newest request —
-// grants only add edges toward a transaction that is not waiting at that
-// moment, and releases only remove edges — so checking at AddWaiter time
-// is sufficient, and the requester-is-victim rule stays deterministic: the
-// transaction whose request would close the cycle is the one refused.
+// granted locks block it. Every cycle is closed by the newest request, so
+// checking at AddWaiter time is sufficient, and the requester-is-victim
+// rule stays deterministic: the transaction whose request would close the
+// cycle is the one refused. Releases only remove edges, and a refresh
+// never adds an edge toward a waiting transaction. A refresh adds w -> h
+// only for a lock h was granted after w's deciding read — the conflict
+// set w's AddWaiter checked — had looked at h's stripe. That read comes
+// after w's request is visible in its queue: an item request enqueues
+// under the same stripe latch, and a range or gap request is published to
+// rangeQ before it reads (keyrange.go). So whatever grants h the lock
+// sees the queued w and refreshes w's edges before h is woken or returns
+// — under the stripe latch, or behind rangeMu — that is, before h can be
+// waiting. If h later waits on anything that leads back to w, its own
+// AddWaiter sees w -> h and h is refused.
 package lock
 
 import "sync"

@@ -313,7 +313,9 @@ func TestServerLoadgenAdmissionExact(t *testing.T) {
 // and inserts take the gap-acquisition path for real. Asserts a clean
 // wire (zero protocol errors), forward progress under deadlock retries,
 // DML actually flowing, and GapGrants > 0 — the insert/gap machinery
-// fired. Runs under -race with the full stack live.
+// fired. Runs under -race with the full stack live. A lock wait that is
+// never granted nor refused stalls every session behind it, so a
+// watchdog fails the run after loadgenStallDeadline, naming the stall.
 func TestServerLoadgenDMLKeyrange(t *testing.T) {
 	db := locking.NewDB(locking.WithPhantomProtection(locking.PhantomKeyrange))
 	tuples := make([]data.Tuple, 32)
@@ -331,7 +333,11 @@ func TestServerLoadgenDMLKeyrange(t *testing.T) {
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
+	stalled := false
 	defer func() {
+		if stalled {
+			return
+		}
 		srv.Close()
 		if err := <-serveErr; err != nil {
 			t.Errorf("Serve: %v", err)
@@ -339,13 +345,37 @@ func TestServerLoadgenDMLKeyrange(t *testing.T) {
 	}()
 
 	const txns = 200
-	res, err := loadgen.Run(loadgen.Config{
-		Addr:    ln.Addr().String(),
-		Clients: 4, Txns: txns, Keys: 32, HotKeys: 8, HotBias: 0.6, OpsPerTxn: 4,
-		ReadFrac: 0.2, ScanFrac: 0.3, DelFrac: 0.25,
-		Levels: []engine.Level{engine.Serializable, engine.RepeatableRead, engine.ReadCommitted},
-		Seed:   1,
-	})
+	type outcome struct {
+		res loadgen.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := loadgen.Run(loadgen.Config{
+			Addr:    ln.Addr().String(),
+			Clients: 4, Txns: txns, Keys: 32, HotKeys: 8, HotBias: 0.6, OpsPerTxn: 4,
+			ReadFrac: 0.2, ScanFrac: 0.3, DelFrac: 0.25,
+			Levels: []engine.Level{engine.Serializable, engine.RepeatableRead, engine.ReadCommitted},
+			Seed:   1,
+		})
+		done <- outcome{res, err}
+	}()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(loadgenStallDeadline):
+		// Close waits for every session, and a session parked in a lock
+		// wait that is never answered never returns: close in the
+		// background, dropping the clients, and fail now.
+		queued, st := parkedLockWaits(), db.LockStats()
+		stalled = true
+		go srv.Close()
+		t.Fatalf("loadgen stalled: no result after %v with %d lock requests queued process-wide "+
+			"(grants=%d waits=%d deadlocks=%d range grants/waits=%d/%d gap grants/waits=%d/%d)",
+			loadgenStallDeadline, queued, st.Grants, st.Waits, st.Deadlocks,
+			st.RangeGrants, st.RangeWaits, st.GapGrants, st.GapWaits)
+	}
+	res, err := out.res, out.err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,6 +397,18 @@ func TestServerLoadgenDMLKeyrange(t *testing.T) {
 	if st := db.LockStats(); st.GapGrants == 0 {
 		t.Fatalf("GapGrants = 0: the insert/gap path never fired (stats %+v)", st)
 	}
+}
+
+// loadgenStallDeadline bounds one loadgen run against a live server: a
+// clean run takes tens of milliseconds, hundreds under -race.
+const loadgenStallDeadline = 30 * time.Second
+
+// parkedLockWaits counts the goroutines parked in a lock-manager wait in
+// this process — the lock managers' queue length, read from outside the
+// engine (it includes any wait leaked by an earlier stalled run).
+func parkedLockWaits() int {
+	buf := make([]byte, 1<<22)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "lock.(*Manager).await(")
 }
 
 // TestServerDisconnectReleasesSnapshot: a client that vanishes with a
