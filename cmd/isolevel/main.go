@@ -574,7 +574,7 @@ func runBench(w io.Writer, args []string) error {
 		var err error
 		ep, err = obshttp.Serve(*httpAddr, obshttp.Source{Sink: sink,
 			Counters: func() map[string]int64 { return engineCounters(db) },
-			Gauges:   func() map[string]int64 { return mvGauges(db) }})
+			Gauges:   func() map[string]int64 { return engineGauges(db) }})
 		if err != nil {
 			return err
 		}
@@ -784,6 +784,20 @@ func engineCounters(db engine.DB) map[string]int64 {
 		}
 		m["mv_versions_reclaimed"] = st.VersionsReclaimed
 		m["mv_chains_reclaimed"] = st.ChainsReclaimed
+	}
+	return m
+}
+
+// engineGauges is mvGauges plus, for an engine with a lock manager,
+// live_fragments: the key-range fragments held right now (a value that
+// only grows is a leaked range lock).
+func engineGauges(db engine.DB) map[string]int64 {
+	m := mvGauges(db)
+	if ls, ok := db.(interface{ LockStats() lock.Stats }); ok {
+		if m == nil {
+			m = map[string]int64{}
+		}
+		m["live_fragments"] = ls.LockStats().LiveFragments
 	}
 	return m
 }

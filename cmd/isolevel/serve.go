@@ -96,7 +96,7 @@ func cmdServe(args []string) error {
 			}
 			return m
 		}
-		gauges := func() map[string]int64 { return mvGauges(db) }
+		gauges := func() map[string]int64 { return engineGauges(db) }
 		ep, err := obshttp.Serve(*httpAddr, obshttp.Source{Sink: sink, Counters: counters, Gauges: gauges, Hists: srv.Hists})
 		if err != nil {
 			return err

@@ -15,20 +15,33 @@ import (
 // existing keys, with anchors snapshotted through SnapshotInto exactly as
 // the locking engine's scans (and the benchmark's lock probes) do. Rows
 // outside the range sit on both sides so the anchor snapshot has to cut.
-func rangeInstallAllocs(t *testing.T, anchors int) float64 {
+// contended adds a second transaction holding a scan of the rows just above
+// the range for the whole measurement: every anchor of the measured
+// install is then new inside that scan's gap, so the install runs densify
+// against a resident cover, as a scan does with another scanner live.
+func rangeInstallAllocs(t *testing.T, anchors int, contended bool) float64 {
 	t.Helper()
 	store := sv.NewStore()
 	for i := 0; i < anchors; i++ {
 		store.Load(data.Tuple{Key: data.Key(fmt.Sprintf("r:%05d", i)), Row: data.Scalar(int64(i))})
+		store.Load(data.Tuple{Key: data.Key(fmt.Sprintf("s:%05d", i)), Row: data.Scalar(int64(i))})
 	}
 	store.Load(data.Tuple{Key: "a:below", Row: data.Scalar(0)}, data.Tuple{Key: "z:above", Row: data.Scalar(0)})
-	rng := predicate.KeyRange{Lo: "r:", Hi: "r;"}
-	spec := lock.RangeSpec{Pred: rng, Lo: rng.Lo, Hi: rng.Hi, Bounded: true,
-		SnapshotInto: func(r *data.KeyRuns) data.Key { return store.AppendRangeAnchors(r, rng.Lo, rng.Hi, true) }}
+	spec := func(rng predicate.KeyRange) lock.RangeSpec {
+		return lock.RangeSpec{Pred: rng, Lo: rng.Lo, Hi: rng.Hi, Bounded: true,
+			SnapshotInto: func(r *data.KeyRuns) data.Key { return store.AppendRangeAnchors(r, rng.Lo, rng.Hi, true) }}
+	}
+	measured := spec(predicate.KeyRange{Lo: "r:", Hi: "r;"})
 	lm := lock.NewManager()
 	lm.SetRowPresent(store.Exists)
+	if contended {
+		if _, err := lm.AcquireRange(2, spec(predicate.KeyRange{Lo: "s:", Hi: "s;"})); err != nil {
+			t.Fatal(err)
+		}
+		defer lm.ReleaseAll(2)
+	}
 	return testing.AllocsPerRun(100, func() {
-		if _, err := lm.AcquireRange(1, spec); err != nil {
+		if _, err := lm.AcquireRange(1, measured); err != nil {
 			t.Fatal(err)
 		}
 		lm.ReleaseAll(1)
@@ -38,15 +51,25 @@ func rangeInstallAllocs(t *testing.T, anchors int) float64 {
 // A range install stages anchors as per-stripe key runs in reusable
 // buffers, so its allocation count stops growing once every stripe has a
 // run: the same at 512 anchors as at 32. A return to per-key staging
-// fails the equality; the ceilings leave room for a later cut. The
-// predicate-lock install gets a ceiling in the same style.
+// fails the equality; the ceilings leave room for a later cut. With
+// another scan's fragments resident above the range, densify's cover
+// lookup and copy reuse scratch too: the contended install allocates no
+// more than the idle one, at either size. The predicate-lock install gets
+// a ceiling in the same style.
 func TestRangeInstallAllocsIndependentOfRangeSize(t *testing.T) {
-	at32 := rangeInstallAllocs(t, 32)
+	at32 := rangeInstallAllocs(t, 32, false)
 	if at32 > 25 {
 		t.Errorf("AcquireRange+ReleaseAll over 32 anchors: %.0f allocs, want <= 25", at32)
 	}
-	if at512 := rangeInstallAllocs(t, 512); at512 != at32 {
+	if at512 := rangeInstallAllocs(t, 512, false); at512 != at32 {
 		t.Errorf("AcquireRange+ReleaseAll: %.0f allocs over 512 anchors, %.0f over 32; want equal", at512, at32)
+	}
+	busy32 := rangeInstallAllocs(t, 32, true)
+	if busy32 > at32 {
+		t.Errorf("contended AcquireRange+ReleaseAll over 32 anchors: %.0f allocs, idle %.0f; want no more", busy32, at32)
+	}
+	if busy512 := rangeInstallAllocs(t, 512, true); busy512 != busy32 {
+		t.Errorf("contended AcquireRange+ReleaseAll: %.0f allocs over 512 anchors, %.0f over 32; want equal", busy512, busy32)
 	}
 
 	lm := lock.NewManager()

@@ -59,6 +59,20 @@
 // there (a fragment's predicate never matches outside its key bounds, and
 // a nil-row image satisfies no predicate).
 //
+// # Densification
+//
+// An install that anchors a fragment at a key carrying none before — a
+// fresh snapshot key, or a rowless lock-table-resident key, inside a gap
+// an older scan covers — would shadow that gap's cover: the gap below the
+// new anchor would be checked against the new scan's fragment alone. So
+// each new anchor k first inherits its pre-install cover
+// (densifyAnchorsLocked), less every fragment whose predicate's lower key
+// bound lies above k. Dropping those is sound by the GC's argument: a
+// fragment's predicate never matches a key outside its bounds, and the
+// fragments at k decide only writes at k and inserts into the gap below
+// k — keys at or below k, all outside such a fragment's bounds. Scans of
+// disjoint key ranges therefore copy none of each other's fragments.
+//
 // # Admission
 //
 // Range and gap requests share one admission path (acquireRangeAware), one
@@ -429,7 +443,7 @@ func (m *Manager) installRangeLocked(req *request) RangeHandle {
 	hold := m.newHold()
 	ceiling := m.snapshotAnchorsLocked(req.spec)
 	m.bucketAnchorsLocked(ceiling)
-	m.densifyAnchorsLocked(req.spec, ceiling)
+	m.densifyAnchorsLocked(req.spec)
 	f := fragment{tx: req.tx, handle: h, pred: req.spec.Pred}
 	for i, sp := range m.stripes {
 		sp.mu.Lock()
@@ -459,47 +473,110 @@ func (m *Manager) installRangeLocked(req *request) RangeHandle {
 }
 
 // densifyAnchorsLocked preserves gap coverage across the anchor
-// densification an install is about to perform. gapCoverLocked consults
-// only the single smallest fragment-bearing anchor at or above an insert
-// position, so a fragment anchored at a key that carried none before — a
-// lock-table-resident key with no row, or a fresh snapshot key inside a
-// gap an older scan already covers — would shadow the covering fragments
-// (or the supremum fragments) above it: an insert below the new anchor
-// would consult only the new scan's fragment and sail past the older
-// scan's. Before any of this install's fragments land, every such new
-// anchor inherits its pre-install cover, exactly as a granted insert
-// inherits its gap's cover onto the inserted key. Ascending key order
-// keeps each cover a pre-install one: an inherited copy at a lower key
-// never shadows a higher one. A no-op — one length sweep — while no
-// fragment exists anywhere. Called with rangeMu held and no stripe latch
-// held; latches one stripe at a time.
-func (m *Manager) densifyAnchorsLocked(spec RangeSpec, ceiling data.Key) {
-	shadowable := len(m.supFrags) != 0
-	for _, sp := range m.stripes {
-		if len(sp.frags) != 0 {
-			shadowable = true
-			break
-		}
-	}
-	if !shadowable {
+// densification an install is about to perform (see Densification in the
+// package comment). gapCoverLocked consults only the smallest
+// fragment-bearing anchor at or above an insert position, so a key that
+// carried no fragment before — a fresh snapshot key, or an in-range
+// lock-table-resident key with no row — would, once anchored, shadow the
+// older scans' cover above it. Before any of this install's fragments
+// land, every such new anchor k inherits the members of its pre-install
+// cover that can match at or below k.
+//
+// Only snapshot keys and in-range item keys can be new: an anchor already
+// carrying fragments is not. Every new key up to the cover's anchor shares
+// that one cover, copied into scratch because the splice shifts the live
+// slices the lookup's view aliases; the copies land below the anchor, so
+// the cover stays a pre-install one whatever order those keys take. Only
+// new keys spanning several gaps are sorted, so that each later gap's
+// lookup still runs above every copy already spliced. A no-op — one length
+// sweep — while no fragment exists anywhere. Called with rangeMu held, the
+// buckets filled and no stripe latch held; latches one stripe at a time.
+func (m *Manager) densifyAnchorsLocked(spec RangeSpec) {
+	if m.liveFragmentsLocked() == 0 {
 		return
 	}
 	newKeys := m.newAnchors[:0]
 	for i, sp := range m.stripes {
+		bucket := m.runBuckets[i]
 		sp.mu.Lock()
-		run := m.stripeInstallRunLocked(sp, spec, ceiling, m.runBuckets[i])
-		for _, k := range run {
-			if lo, hi := fragWindow(sp.frags, k); lo == hi {
+		for j, k := range bucket {
+			if (j == 0 || k != bucket[j-1]) && !anchoredAt(sp.frags, k) {
+				newKeys = append(newKeys, k)
+			}
+		}
+		for k := range sp.items {
+			if _, inBucket := slices.BinarySearch(bucket, k); !inBucket && spec.covers(k) && !anchoredAt(sp.frags, k) {
 				newKeys = append(newKeys, k)
 			}
 		}
 		sp.mu.Unlock()
 	}
 	m.newAnchors = newKeys
-	slices.Sort(newKeys)
-	for _, k := range newKeys {
-		m.inheritLocked(k, m.gapCoverLocked(k))
+	if len(newKeys) == 0 {
+		return
 	}
+	anchor, anchored := m.loadCoverLocked(slices.Min(newKeys))
+	if anchored && slices.Max(newKeys) > anchor {
+		slices.Sort(newKeys)
+	}
+	for _, k := range newKeys {
+		if anchored && k > anchor {
+			anchor, anchored = m.loadCoverLocked(k)
+		}
+		copies := m.fragCopy[:0]
+		for _, c := range m.cover {
+			if !c.bounded || k >= c.lo {
+				copies = append(copies, c.f)
+			}
+		}
+		m.fragCopy = copies
+		m.spliceInheritedLocked(k, copies)
+	}
+	clear(m.cover)
+}
+
+// anchoredAt reports whether any entry of frags is anchored at key.
+func anchoredAt(frags []anchoredFrag, key data.Key) bool {
+	i, j := fragWindow(frags, key)
+	return i < j
+}
+
+// coverFrag is one member of a densify cover, copied out of the live
+// fragment slices together with its predicate's lower key bound.
+type coverFrag struct {
+	f       fragment
+	lo      data.Key
+	bounded bool
+}
+
+// loadCoverLocked copies the cover of key into m.cover and returns the
+// cover's anchor (anchored false: the supremum). Called with rangeMu held.
+func (m *Manager) loadCoverLocked(key data.Key) (anchor data.Key, anchored bool) {
+	gc := m.gapCoverLocked(key)
+	cover := m.cover[:0]
+	for _, e := range gc.frags {
+		cover = appendCoverFrag(cover, e.f)
+	}
+	for _, f := range gc.sup {
+		cover = appendCoverFrag(cover, f)
+	}
+	m.cover = cover
+	return gc.anchor, gc.anchored
+}
+
+func appendCoverFrag(cover []coverFrag, f fragment) []coverFrag {
+	lo, _, bounded := predicate.KeyBounds(f.pred)
+	return append(cover, coverFrag{f: f, lo: lo, bounded: bounded})
+}
+
+// liveFragmentsLocked counts the fragments held anywhere: every stripe's
+// anchored entries plus the supremum fragments. Called with rangeMu held.
+func (m *Manager) liveFragmentsLocked() int {
+	n := len(m.supFrags)
+	for _, sp := range m.stripes {
+		n += len(sp.frags)
+	}
+	return n
 }
 
 // snapshotAnchorsLocked fills m.snapRuns with the spec's anchor set —
@@ -816,22 +893,33 @@ func gapConflicts(tx TxID, key data.Key, im Images, gc gapCover) []TxID {
 }
 
 // inheritLocked copies the covering fragments onto key (the next-key
-// inheritance of a granted insert), registering each copy in its owner's
-// hold so release stays exact. The cover is copied into scratch before the
-// splice — the view may alias the very slice the splice shifts. A no-op
-// when key is already the covering anchor. Called with rangeMu held.
+// inheritance of a granted insert). The cover is copied into scratch
+// before the splice — the view may alias the very slice the splice shifts.
+// A no-op when key is already the covering anchor. Called with rangeMu
+// held.
 func (m *Manager) inheritLocked(key data.Key, gc gapCover) {
-	if (len(gc.frags) == 0 && len(gc.sup) == 0) || (gc.anchored && gc.anchor == key) {
+	if gc.anchored && gc.anchor == key {
 		return
 	}
-	spIdx := m.stripeIndex(key)
-	sp := m.stripes[spIdx]
 	copies := m.fragCopy[:0]
 	for _, e := range gc.frags {
 		copies = append(copies, e.f)
 	}
 	copies = append(copies, gc.sup...)
 	m.fragCopy = copies
+	m.spliceInheritedLocked(key, copies)
+}
+
+// spliceInheritedLocked anchors copies at key, registering each in its
+// owner's hold so release stays exact — the one step a gap grant's and a
+// densify's inheritance share. copies must not alias fragment state.
+// Called with rangeMu held.
+func (m *Manager) spliceInheritedLocked(key data.Key, copies []fragment) {
+	if len(copies) == 0 {
+		return
+	}
+	spIdx := m.stripeIndex(key)
+	sp := m.stripes[spIdx]
 	sp.mu.Lock()
 	insertFragsAt(sp, key, copies)
 	sp.mu.Unlock()

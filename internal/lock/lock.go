@@ -335,6 +335,9 @@ type Stats struct {
 	// the sweeps deduplicated away while migrating dead anchors.
 	FragGCs        int64
 	FragsReclaimed int64
+	// LiveFragments is a gauge: the key-range fragments held right now,
+	// anchored and supremum, inherited copies included.
+	LiveFragments int64
 	// GateAcquires counts exclusive acquisitions of the cross-stripe
 	// predicate gate — the serialization events of predicate-table phantom
 	// prevention. Key-range locking never takes the exclusive gate, so on
@@ -604,11 +607,11 @@ type Manager struct {
 	// Install/release scratch, reused across range operations so a
 	// steady-state scan install allocates nothing: per-stripe anchor
 	// buckets, the per-stripe merged run, in-range item keys, existing
-	// in-range anchors, fragment copy buffers (inheritance and GC), the
-	// anchor-snapshot run buffer, GC candidate keys, and the rangeHold
-	// free-list; and for the range-aware drain, the set of stripes a
-	// release touched (touchedLocked) and its index list. All under
-	// rangeMu — no latch of their own.
+	// in-range anchors, densify's new anchors and gap cover, fragment copy
+	// buffers (inheritance and GC), the anchor-snapshot run buffer, GC
+	// candidate keys, and the rangeHold free-list; and for the range-aware
+	// drain, the set of stripes a release touched (touchedLocked) and its
+	// index list. All under rangeMu — no latch of their own.
 	touched      stripeSet
 	drainStripes []int
 	runBuckets   [][]data.Key
@@ -616,6 +619,7 @@ type Manager struct {
 	itemKeys     []data.Key
 	anchorKeys   []data.Key
 	newAnchors   []data.Key
+	cover        []coverFrag
 	fragCopy     []fragment
 	snapRuns     data.KeyRuns
 	gcKeys       []data.Key
@@ -785,6 +789,7 @@ func (m *Manager) Stats() Stats {
 	st.RangeGrants, st.RangeWaits = m.rangeGrants, m.rangeWaits
 	st.GapGrants, st.GapWaits = m.gapGrants, m.gapWaits
 	st.FragGCs, st.FragsReclaimed = m.fragGCs, m.fragsReclaimed
+	st.LiveFragments = int64(m.liveFragmentsLocked())
 	for i := range m.gapStripe {
 		st.PerStripe[i].GapGrants = m.gapStripe[i].grants
 		st.PerStripe[i].GapWaits = m.gapStripe[i].waits
