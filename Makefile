@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test race vet fmt lint isolint bench http-smoke serve-smoke fuzz fuzz-mixed fuzz-keyrange fuzz-dml fuzz-determinism
+.PHONY: verify build test race vet fmt lint isolint bench http-smoke serve-smoke fuzz fuzz-mixed fuzz-keyrange fuzz-dml fuzz-determinism fuzz-diff
 
 verify: lint build race ## vet + gofmt + isolint + build + race-enabled tests (CI runs more; see ci.yml)
 
@@ -124,3 +124,31 @@ fuzz-determinism:
 	$(GO) run ./cmd/isolevel fuzz -mixed -seed 1 -n 500 > /tmp/isolevel-fuzz-ma.out
 	$(GO) run ./cmd/isolevel fuzz -mixed -seed 1 -n 500 > /tmp/isolevel-fuzz-mb.out
 	diff /tmp/isolevel-fuzz-ma.out /tmp/isolevel-fuzz-mb.out
+
+# Byte-for-byte check against another revision: `make fuzz-diff BASE=<rev>`
+# builds cmd/isolevel at BASE in a throwaway git worktree, runs four fuzz
+# campaigns (uniform, mixed, keyrange, DML) with it and with the working
+# tree, and cmps each pair. A change that moves no grant decision leaves
+# all four identical; a difference prints its first lines and fails.
+BASE ?=
+FUZZ_DIFF_DIR ?= /tmp/isolevel-fuzz-diff
+FUZZ_DIFF_CAMPAIGNS = "-seed 1 -n 1000" "-mixed -seed 1 -n 500" "-engines keyrange -seed 1 -n 1000" "-seed 1 -n 500 -mix r:4,w:4,p:1,rc:1,wc:1,i:2,d:2,s:2"
+fuzz-diff:
+	@test -n "$(BASE)" || { echo "usage: make fuzz-diff BASE=<rev>"; exit 2; }
+	rm -rf $(FUZZ_DIFF_DIR)
+	mkdir -p $(FUZZ_DIFF_DIR)
+	$(GO) build -o $(FUZZ_DIFF_DIR)/isolevel-head ./cmd/isolevel
+	@sh -c 'dir=$(FUZZ_DIFF_DIR); trap "git worktree remove --force $$dir/base; git worktree prune" EXIT; \
+	git worktree add --quiet --detach $$dir/base $(BASE) || exit 1; \
+	(cd $$dir/base && $(GO) build -o $$dir/isolevel-base ./cmd/isolevel) || exit 1; \
+	status=0; i=0; \
+	for args in $(FUZZ_DIFF_CAMPAIGNS); do \
+	  i=$$((i+1)); \
+	  $$dir/isolevel-base fuzz $$args > $$dir/base-$$i.out 2>&1; \
+	  $$dir/isolevel-head fuzz $$args > $$dir/head-$$i.out 2>&1; \
+	  if cmp -s $$dir/base-$$i.out $$dir/head-$$i.out; then \
+	    echo "fuzz-diff: identical: fuzz $$args"; \
+	  else \
+	    echo "fuzz-diff: DIFFERS: fuzz $$args"; diff $$dir/base-$$i.out $$dir/head-$$i.out | head -20; status=1; \
+	  fi; \
+	done; exit $$status'

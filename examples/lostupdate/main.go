@@ -65,7 +65,7 @@ func runCursor(level isolevel.Level) {
 		addFromVar(2, "x", 20),
 		isolevel.CommitStep(2),
 		isolevel.OpStep(1, "wc1[x]", func(c *isolevel.ScheduleCtx) (any, error) {
-			return nil, c.Cursor("cur").UpdateCurrent(isolevel.Row{"val": c.Int("x") + 30})
+			return nil, c.Cursor("cur").UpdateCurrent(isolevel.NewRow(map[string]int64{"val": c.Int("x") + 30}))
 		}),
 		isolevel.CommitStep(1),
 	})

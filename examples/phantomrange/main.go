@@ -35,9 +35,9 @@ func main() {
 func run(level isolevel.Level) {
 	db := isolevel.NewKeyrangeDBShards(8)
 	db.Load(
-		isolevel.Tuple{Key: "emp:1", Row: isolevel.Row{"active": 1}},
-		isolevel.Tuple{Key: "emp:2", Row: isolevel.Row{"active": 0}},
-		isolevel.Tuple{Key: "emp:4", Row: isolevel.Row{"active": 1}},
+		isolevel.Tuple{Key: "emp:1", Row: isolevel.NewRow(map[string]int64{"active": 1})},
+		isolevel.Tuple{Key: "emp:2", Row: isolevel.NewRow(map[string]int64{"active": 0})},
+		isolevel.Tuple{Key: "emp:4", Row: isolevel.NewRow(map[string]int64{"active": 1})},
 	)
 	pred := isolevel.MustPredicate("active == 1")
 
@@ -60,7 +60,7 @@ func run(level isolevel.Level) {
 		}
 		// emp:3 falls into the gap between emp:2 and emp:4 — a phantom
 		// for the scanner's predicate.
-		if err := writer.Put("emp:3", isolevel.Row{"active": 1}); err != nil {
+		if err := writer.Put("emp:3", isolevel.NewRow(map[string]int64{"active": 1})); err != nil {
 			inserted <- err
 			return
 		}

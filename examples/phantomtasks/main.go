@@ -28,8 +28,8 @@ func main() {
 func run(level isolevel.Level) {
 	db := isolevel.NewDBFor(level)
 	db.Load(
-		isolevel.Tuple{Key: "task:1", Row: isolevel.Row{"hours": 4}},
-		isolevel.Tuple{Key: "task:2", Row: isolevel.Row{"hours": 3}},
+		isolevel.Tuple{Key: "task:1", Row: isolevel.NewRow(map[string]int64{"hours": 4})},
+		isolevel.Tuple{Key: "task:2", Row: isolevel.NewRow(map[string]int64{"hours": 3})},
 	)
 	pred := isolevel.MustPredicate(`key ~ "task:"`)
 
@@ -51,7 +51,7 @@ func run(level isolevel.Level) {
 			if c.Int("sum")+1 > limit {
 				return nil, fmt.Errorf("refused: %dh + 1h exceeds the limit", c.Int("sum"))
 			}
-			return nil, c.Tx.Put(key, isolevel.Row{"hours": 1})
+			return nil, c.Tx.Put(key, isolevel.NewRow(map[string]int64{"hours": 1}))
 		})
 		return []isolevel.Step{sum, ins}
 	}

@@ -239,13 +239,13 @@ func P3PhantomReread() Scenario {
 		ID:          "P3",
 		Description: "r1[P] w2[insert e3 in P] c2 r1[P again] c1, P = active employees",
 		Setup: []data.Tuple{
-			{Key: "emp:1", Row: data.Row{"active": 1}},
-			{Key: "emp:2", Row: data.Row{"active": 1}},
+			{Key: "emp:1", Row: data.NewRow(map[string]int64{"active": 1})},
+			{Key: "emp:2", Row: data.NewRow(map[string]int64{"active": 1})},
 		},
 		Steps: func() []schedule.Step {
 			return []schedule.Step{
 				selCount(1, "n1", "active == 1"),
-				insert(2, "emp:3", data.Row{"active": 1}),
+				insert(2, "emp:3", data.NewRow(map[string]int64{"active": 1})),
 				schedule.CommitStep(2),
 				selCount(1, "n2", "active == 1"),
 				schedule.CommitStep(1),
@@ -274,15 +274,15 @@ func P3PhantomConstraint() Scenario {
 		Variant:     "constraint",
 		Description: "two txns check sum(hours)<=8 then insert disjoint 1h tasks (SI's P3)",
 		Setup: []data.Tuple{
-			{Key: "task:1", Row: data.Row{"hours": 4}},
-			{Key: "task:2", Row: data.Row{"hours": 3}},
+			{Key: "task:1", Row: data.NewRow(map[string]int64{"hours": 4})},
+			{Key: "task:2", Row: data.NewRow(map[string]int64{"hours": 3})},
 		},
 		Steps: func() []schedule.Step {
 			return []schedule.Step{
 				selSum(1, "s1", `key ~ "task:"`, "hours"),
 				selSum(2, "s2", `key ~ "task:"`, "hours"),
-				insert(1, "task:3", data.Row{"hours": 1}),
-				insert(2, "task:4", data.Row{"hours": 1}),
+				insert(1, "task:3", data.NewRow(map[string]int64{"hours": 1})),
+				insert(2, "task:4", data.NewRow(map[string]int64{"hours": 1})),
 				schedule.CommitStep(1),
 				schedule.CommitStep(2),
 			}

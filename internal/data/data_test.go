@@ -1,6 +1,7 @@
 package data
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -23,28 +24,60 @@ func TestValOfNilRow(t *testing.T) {
 }
 
 func TestGetMissingField(t *testing.T) {
-	r := Row{"a": 1}
+	r := NewRow(map[string]int64{"a": 1})
 	if _, ok := r.Get("b"); ok {
 		t.Fatal("Get of missing field reported ok")
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	r := Row{"a": 1, "b": 2}
-	c := r.Clone()
-	c["a"] = 99
-	if r["a"] != 1 {
-		t.Fatalf("mutation of clone leaked into original: %v", r)
+// A row is a value: the map it was built from stays the caller's, and
+// changing it afterwards changes nothing in the row.
+func TestNewRowCopiesItsMap(t *testing.T) {
+	m := map[string]int64{"a": 1, "b": 2}
+	r := NewRow(m)
+	m["a"] = 99
+	m["c"] = 3
+	delete(m, "b")
+	if !r.Equal(NewRow(map[string]int64{"a": 1, "b": 2})) {
+		t.Fatalf("changing the constructor's map changed the row: %v", r)
 	}
-	if !r.Equal(Row{"a": 1, "b": 2}) {
-		t.Fatalf("original changed: %v", r)
+	if NewRow(nil) == nil || NewRow(nil).String() != "{}" {
+		t.Fatalf("NewRow(nil) = %v, want the empty row", NewRow(nil))
 	}
 }
 
-func TestCloneNil(t *testing.T) {
-	var r Row
-	if r.Clone() != nil {
-		t.Fatal("Clone of nil row should be nil")
+// A Scalar is one allocation: its one field lives inline.
+func TestScalarIsOneAllocation(t *testing.T) {
+	var sink Row
+	if n := testing.AllocsPerRun(100, func() { sink = Scalar(7) }); n != 1 {
+		t.Fatalf("Scalar allocates %v objects, want 1", n)
+	}
+	if sink.Val() != 7 {
+		t.Fatal(sink)
+	}
+}
+
+// readOnly is the whole method set of a row: everything in it reads.
+var readOnly = map[string]bool{"Val": true, "Get": true, "Equal": true, "With": true, "String": true}
+
+// Nothing outside this package can write a row: RowData exports no field,
+// and every method it has is one of the read-only set (With builds a new
+// row). A field or a method added to the type fails here until it is
+// argued into readOnly.
+func TestRowIsReadOnlyOutsideThePackage(t *testing.T) {
+	typ := reflect.TypeOf(Row(nil))
+	for i := 0; i < typ.Elem().NumField(); i++ {
+		if f := typ.Elem().Field(i); f.IsExported() {
+			t.Errorf("RowData exports field %s", f.Name)
+		}
+	}
+	for i := 0; i < typ.NumMethod(); i++ {
+		if m := typ.Method(i); !readOnly[m.Name] {
+			t.Errorf("Row has method %s outside the read-only set", m.Name)
+		}
+	}
+	if n := reflect.TypeOf(RowData{}).NumMethod(); n != 0 {
+		t.Errorf("RowData has %d value-receiver methods, want none", n)
 	}
 }
 
@@ -54,12 +87,13 @@ func TestEqual(t *testing.T) {
 		want bool
 	}{
 		{nil, nil, true},
-		{nil, Row{}, false},
-		{Row{}, Row{}, true},
-		{Row{"a": 1}, Row{"a": 1}, true},
-		{Row{"a": 1}, Row{"a": 2}, false},
-		{Row{"a": 1}, Row{"b": 1}, false},
-		{Row{"a": 1}, Row{"a": 1, "b": 2}, false},
+		{nil, NewRow(nil), false},
+		{NewRow(nil), NewRow(nil), true},
+		{NewRow(map[string]int64{"a": 1}), NewRow(map[string]int64{"a": 1}), true},
+		{NewRow(map[string]int64{"a": 1}), NewRow(map[string]int64{"a": 2}), false},
+		{NewRow(map[string]int64{"a": 1}), NewRow(map[string]int64{"b": 1}), false},
+		{NewRow(map[string]int64{"a": 1}), NewRow(map[string]int64{"a": 1, "b": 2}), false},
+		{Scalar(1), NewRow(map[string]int64{ValField: 1}), true},
 	}
 	for i, c := range cases {
 		if got := c.a.Equal(c.b); got != c.want {
@@ -72,26 +106,25 @@ func TestEqual(t *testing.T) {
 }
 
 func TestWithDoesNotMutate(t *testing.T) {
-	r := Row{"a": 1}
-	r2 := r.With("a", 5).With("b", 6)
-	if r["a"] != 1 {
+	r := NewRow(map[string]int64{"a": 1, "c": 3})
+	r2 := r.With("a", 5).With("b", 6).With("d", 7).With("0", 8)
+	if !r.Equal(NewRow(map[string]int64{"a": 1, "c": 3})) {
 		t.Fatalf("With mutated receiver: %v", r)
 	}
-	if r2["a"] != 5 || r2["b"] != 6 {
-		t.Fatalf("With result wrong: %v", r2)
+	if want := "{0:8, a:5, b:6, c:3, d:7}"; r2.String() != want {
+		t.Fatalf("With result = %v, want %s", r2, want)
 	}
 }
 
 func TestWithOnNil(t *testing.T) {
 	var r Row
-	r2 := r.With("x", 1)
-	if r2["x"] != 1 {
+	if r2 := r.With("x", 1); !r2.Equal(NewRow(map[string]int64{"x": 1})) {
 		t.Fatalf("With on nil row: %v", r2)
 	}
 }
 
 func TestRowStringDeterministic(t *testing.T) {
-	r := Row{"b": 2, "a": 1, "c": 3}
+	r := NewRow(map[string]int64{"b": 2, "a": 1, "c": 3})
 	want := "{a:1, b:2, c:3}"
 	for i := 0; i < 10; i++ {
 		if got := r.String(); got != want {
@@ -104,15 +137,13 @@ func TestRowStringDeterministic(t *testing.T) {
 	}
 }
 
-func TestTupleCloneAndString(t *testing.T) {
+func TestTupleString(t *testing.T) {
 	tp := Tuple{Key: "x", Row: Scalar(7)}
-	c := tp.Clone()
-	c.Row[ValField] = 9
-	if tp.Row.Val() != 7 {
-		t.Fatal("Tuple.Clone shares row storage")
-	}
 	if tp.String() != "x{val:7}" {
 		t.Fatalf("Tuple.String() = %q", tp.String())
+	}
+	if s := (Tuple{Key: "y"}).String(); s != "y<nil>" {
+		t.Fatalf("Tuple.String() of no row = %q", s)
 	}
 }
 
@@ -128,10 +159,20 @@ func TestSortTuplesAndKeys(t *testing.T) {
 	}
 }
 
-func TestCloneEqualProperty(t *testing.T) {
+// A row built from a map holds exactly the map: it equals itself, reads
+// back every field, and has no field the map lacks.
+func TestNewRowEqualProperty(t *testing.T) {
 	f := func(m map[string]int64) bool {
-		r := Row(m)
-		return r.Clone().Equal(r)
+		r := NewRow(m)
+		if !r.Equal(NewRow(m)) || len(r.fields) != len(m) {
+			return false
+		}
+		for k, v := range m {
+			if got, ok := r.Get(k); !ok || got != v {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -140,7 +181,7 @@ func TestCloneEqualProperty(t *testing.T) {
 
 func TestEqualReflexiveProperty(t *testing.T) {
 	f := func(m map[string]int64) bool {
-		r := Row(m)
+		r := NewRow(m)
 		return r.Equal(r)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -98,9 +98,9 @@ func TestRecorderAnnotatesWritesWithPredicates(t *testing.T) {
 	p := predicate.MustParse("active == 1")
 	r.RecordPredRead(1, p)
 	// A write whose after-image matches the registered predicate.
-	r.RecordWrite(2, "e9", nil, data.Row{"active": 1})
+	r.RecordWrite(2, "e9", nil, data.NewRow(map[string]int64{"active": 1}))
 	// A write that does not match.
-	r.RecordWrite(2, "e8", nil, data.Row{"active": 0})
+	r.RecordWrite(2, "e8", nil, data.NewRow(map[string]int64{"active": 0}))
 	h := r.History()
 	if len(h) != 3 {
 		t.Fatalf("history = %v", h)

@@ -175,7 +175,7 @@ func TestPredicateBlocksMatchingWrite(t *testing.T) {
 	// Insert of a matching row (phantom) must block.
 	done := make(chan error, 1)
 	go func() {
-		done <- m.AcquireItem(2, "emp:9", X, Images{After: data.Row{"active": 1}})
+		done <- m.AcquireItem(2, "emp:9", X, Images{After: data.NewRow(map[string]int64{"active": 1})})
 	}()
 	select {
 	case <-done:
@@ -195,7 +195,7 @@ func TestPredicateIgnoresNonMatchingWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Insert of a non-matching row sails through.
-	if err := m.AcquireItem(2, "emp:9", X, Images{After: data.Row{"active": 0}}); err != nil {
+	if err := m.AcquireItem(2, "emp:9", X, Images{After: data.NewRow(map[string]int64{"active": 0})}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,7 +203,7 @@ func TestPredicateIgnoresNonMatchingWrite(t *testing.T) {
 func TestPredicateConflictsWithHeldWrite(t *testing.T) {
 	m := NewManager()
 	// T1 holds X with a matching after-image; T2's predicate read must wait.
-	_ = m.AcquireItem(1, "emp:9", X, Images{After: data.Row{"active": 1}})
+	_ = m.AcquireItem(1, "emp:9", X, Images{After: data.NewRow(map[string]int64{"active": 1})})
 	done := make(chan error, 1)
 	go func() {
 		_, err := m.AcquirePred(2, predicate.MustParse("active == 1"), S)
@@ -270,7 +270,7 @@ func TestReadImageConflictsWithPredX(t *testing.T) {
 	// T2 reading a matching row must wait (read image conflicts).
 	done := make(chan error, 1)
 	go func() {
-		done <- m.AcquireItem(2, "emp:1", S, Images{Before: data.Row{"active": 1}})
+		done <- m.AcquireItem(2, "emp:1", S, Images{Before: data.NewRow(map[string]int64{"active": 1})})
 	}()
 	select {
 	case <-done:

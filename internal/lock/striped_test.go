@@ -85,7 +85,7 @@ func TestPredicateConflictSpansStripes(t *testing.T) {
 	done := make(chan error, len(keys))
 	for i, key := range keys {
 		go func(tx TxID, key data.Key) {
-			done <- m.AcquireItem(tx, key, X, Images{After: data.Row{"active": 1}})
+			done <- m.AcquireItem(tx, key, X, Images{After: data.NewRow(map[string]int64{"active": 1})})
 		}(TxID(i+2), key)
 	}
 	select {
@@ -197,7 +197,9 @@ func TestShardSweepBehaviorParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			blocked := make(chan error, 1)
-			go func() { blocked <- m.AcquireItem(2, "phantom", X, Images{After: data.Row{"a": 1}}) }()
+			go func() {
+				blocked <- m.AcquireItem(2, "phantom", X, Images{After: data.NewRow(map[string]int64{"a": 1})})
+			}()
 			select {
 			case err := <-blocked:
 				t.Fatalf("phantom insert not blocked: %v", err)
@@ -245,7 +247,7 @@ func TestPredicateVsItemStress(t *testing.T) {
 			key := data.Key(fmt.Sprintf("stress:%d", tx))
 			active := int64(tx % 2)
 			for i := 0; i < 300; i++ {
-				if err := m.AcquireItem(tx, key, X, Images{After: data.Row{"active": active}}); err != nil {
+				if err := m.AcquireItem(tx, key, X, Images{After: data.NewRow(map[string]int64{"active": active})}); err != nil {
 					t.Errorf("T%d: %v", tx, err)
 					return
 				}

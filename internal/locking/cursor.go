@@ -62,13 +62,13 @@ func (c *Cursor) Fetch() (data.Tuple, error) {
 		}
 		key := c.keys[c.pos]
 		if c.tx.proto.CursorRead != DurNone {
-			if err := c.tx.db.lm.AcquireItem(lock.TxID(c.tx.id), key, lock.S, lock.Images{Before: c.tx.db.store.Peek(key)}); err != nil {
+			if err := c.tx.db.lm.AcquireItem(lock.TxID(c.tx.id), key, lock.S, lock.Images{Before: c.tx.db.store.Get(key)}); err != nil {
 				return data.Tuple{}, c.tx.lockErr(err)
 			}
 			c.holds = c.tx.proto.CursorRead == DurCursor
 		}
 		c.curKey = key
-		row := c.tx.db.store.Peek(key)
+		row := c.tx.db.store.Get(key)
 		if c.tx.proto.CursorRead == DurShort {
 			c.tx.db.lm.ReleaseItem(lock.TxID(c.tx.id), key)
 		}
@@ -78,7 +78,7 @@ func (c *Cursor) Fetch() (data.Tuple, error) {
 			continue
 		}
 		c.tx.db.rec.Record(cursorReadOp(c.tx.id, key, row))
-		return data.Tuple{Key: key, Row: row.Clone()}, nil
+		return data.Tuple{Key: key, Row: row}, nil
 	}
 }
 
@@ -109,17 +109,16 @@ func (c *Cursor) UpdateCurrent(row data.Row) error {
 		return engine.ErrNoCursor
 	}
 	t := c.tx
-	after := row.Clone()
-	peek := t.db.store.Peek(c.curKey)
+	peek := t.db.store.Get(c.curKey)
 	// lockForWrite, not a bare item lock: if another transaction deleted
 	// the row under the cursor, this write re-creates it — an insert that
 	// the keyrange protocol must route through the covering gap lock.
-	if err := t.lockForWrite(c.curKey, peek, lock.Images{Before: peek, After: after}); err != nil {
+	if err := t.lockForWrite(c.curKey, peek, lock.Images{Before: peek, After: row}); err != nil {
 		return t.lockErr(err)
 	}
-	before := t.db.store.Put(c.curKey, after)
+	before := t.db.store.Put(c.curKey, row)
 	t.undo.Note(c.curKey, before)
-	t.db.rec.Record(cursorWriteOp(t.id, c.curKey, after))
+	t.db.rec.Record(cursorWriteOp(t.id, c.curKey, row))
 	// The while-current reference is now subsumed by the X hold: when the
 	// cursor moves it will release one reference, leaving the write lock in
 	// place until commit.

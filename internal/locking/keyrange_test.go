@@ -36,7 +36,7 @@ func TestKeyrangeBlocksPhantomInsert(t *testing.T) {
 	db := newKeyrangeDB(8)
 	loadScalars(db, map[string]int64{"a": 1, "m": 2})
 	p := predicate.Field{Name: "active", Op: predicate.EQ, Arg: 1}
-	db.Load(data.Tuple{Key: "emp:1", Row: data.Row{"active": 1}})
+	db.Load(data.Tuple{Key: "emp:1", Row: data.NewRow(map[string]int64{"active": 1})})
 
 	scanner := mustBegin(t, db, engine.Serializable)
 	rows, err := scanner.Select(p)
@@ -50,7 +50,7 @@ func TestKeyrangeBlocksPhantomInsert(t *testing.T) {
 	inserted := make(chan error, 1)
 	go func() {
 		w := mustBegin(t, db, engine.Serializable)
-		if err := w.Put("emp:2", data.Row{"active": 1}); err != nil {
+		if err := w.Put("emp:2", data.NewRow(map[string]int64{"active": 1})); err != nil {
 			inserted <- err
 			return
 		}
@@ -65,7 +65,7 @@ func TestKeyrangeBlocksPhantomInsert(t *testing.T) {
 	// A non-matching insert into the same range sails through (refined
 	// gap locks — same admission as the predicate table).
 	w2 := mustBegin(t, db, engine.Serializable)
-	if err := w2.Put("emp:0", data.Row{"active": 0}); err != nil {
+	if err := w2.Put("emp:0", data.NewRow(map[string]int64{"active": 0})); err != nil {
 		t.Fatalf("non-matching insert blocked: %v", err)
 	}
 	if err := w2.Commit(); err != nil {
@@ -90,7 +90,7 @@ func TestKeyrangeBlocksPhantomInsert(t *testing.T) {
 // appears between the two scans — exactly as with the predicate table.
 func TestKeyrangeAdmitsPhantomAtRepeatableRead(t *testing.T) {
 	db := newKeyrangeDB(8)
-	db.Load(data.Tuple{Key: "emp:1", Row: data.Row{"active": 1}})
+	db.Load(data.Tuple{Key: "emp:1", Row: data.NewRow(map[string]int64{"active": 1})})
 	p := predicate.Field{Name: "active", Op: predicate.EQ, Arg: 1}
 
 	scanner := mustBegin(t, db, engine.RepeatableRead)
@@ -99,7 +99,7 @@ func TestKeyrangeAdmitsPhantomAtRepeatableRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := mustBegin(t, db, engine.RepeatableRead)
-	if err := w.Put("emp:2", data.Row{"active": 1}); err != nil {
+	if err := w.Put("emp:2", data.NewRow(map[string]int64{"active": 1})); err != nil {
 		t.Fatalf("insert blocked at RR: %v", err)
 	}
 	if err := w.Commit(); err != nil {
@@ -123,8 +123,8 @@ func TestKeyrangeAdmitsPhantomAtRepeatableRead(t *testing.T) {
 func TestKeyrangeUpdateIntoPredicateBlocked(t *testing.T) {
 	db := newKeyrangeDB(8)
 	db.Load(
-		data.Tuple{Key: "emp:1", Row: data.Row{"active": 1}},
-		data.Tuple{Key: "emp:2", Row: data.Row{"active": 0}},
+		data.Tuple{Key: "emp:1", Row: data.NewRow(map[string]int64{"active": 1})},
+		data.Tuple{Key: "emp:2", Row: data.NewRow(map[string]int64{"active": 0})},
 	)
 	p := predicate.Field{Name: "active", Op: predicate.EQ, Arg: 1}
 	scanner := mustBegin(t, db, engine.Serializable)
@@ -134,7 +134,7 @@ func TestKeyrangeUpdateIntoPredicateBlocked(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		w := mustBegin(t, db, engine.Serializable)
-		if err := w.Put("emp:2", data.Row{"active": 1}); err != nil {
+		if err := w.Put("emp:2", data.NewRow(map[string]int64{"active": 1})); err != nil {
 			done <- err
 			return
 		}
@@ -199,8 +199,8 @@ func TestKeyrangeCursorGuard(t *testing.T) {
 func TestKeyrangeStaleAnchorPhantom(t *testing.T) {
 	db := newKeyrangeDB(8)
 	db.Load(
-		data.Tuple{Key: "a", Row: data.Row{"active": 0}},
-		data.Tuple{Key: "r", Row: data.Row{"active": 0}},
+		data.Tuple{Key: "a", Row: data.NewRow(map[string]int64{"active": 0})},
+		data.Tuple{Key: "r", Row: data.NewRow(map[string]int64{"active": 0})},
 	)
 	p5 := predicate.Field{Name: "active", Op: predicate.EQ, Arg: 5}
 	p4 := predicate.Field{Name: "active", Op: predicate.EQ, Arg: 4}
@@ -213,7 +213,7 @@ func TestKeyrangeStaleAnchorPhantom(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := mustBegin(t, db, engine.Serializable)
-	if err := t0.Put("m", data.Row{"active": 0}); err != nil {
+	if err := t0.Put("m", data.NewRow(map[string]int64{"active": 0})); err != nil {
 		t.Fatal(err)
 	}
 	if err := t0.Abort(); err != nil {
@@ -235,7 +235,7 @@ func TestKeyrangeStaleAnchorPhantom(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		t6 := mustBegin(t, db, engine.Serializable)
-		if err := t6.Put("g", data.Row{"active": 4}); err != nil {
+		if err := t6.Put("g", data.NewRow(map[string]int64{"active": 4})); err != nil {
 			done <- err
 			return
 		}
@@ -271,7 +271,7 @@ func TestKeyrangeStaleAnchorPhantom(t *testing.T) {
 // key) gets a P3 phantom the predicate protocol would have blocked.
 func TestKeyrangeCursorResurrectBlocked(t *testing.T) {
 	db := newKeyrangeDB(8)
-	db.Load(data.Tuple{Key: "e1", Row: data.Row{"val": 5}})
+	db.Load(data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"val": 5})})
 	p := predicate.Field{Name: "val", Op: predicate.GE, Arg: 1}
 
 	// t1 (READ COMMITTED: short cursor locks) parks a cursor on e1.
@@ -301,7 +301,7 @@ func TestKeyrangeCursorResurrectBlocked(t *testing.T) {
 	// for t3 that must block on the covering gap.
 	done := make(chan error, 1)
 	go func() {
-		if err := cur.UpdateCurrent(data.Row{"val": 9}); err != nil {
+		if err := cur.UpdateCurrent(data.NewRow(map[string]int64{"val": 9})); err != nil {
 			done <- err
 			return
 		}
@@ -328,14 +328,14 @@ func TestKeyrangeCursorResurrectBlocked(t *testing.T) {
 // fragments outlive the undo).
 func TestKeyrangeInsertRollbackKeepsCoverage(t *testing.T) {
 	db := newKeyrangeDB(8)
-	db.Load(data.Tuple{Key: "emp:9", Row: data.Row{"active": 1}})
+	db.Load(data.Tuple{Key: "emp:9", Row: data.NewRow(map[string]int64{"active": 1})})
 	p := predicate.Field{Name: "active", Op: predicate.EQ, Arg: 1}
 	scanner := mustBegin(t, db, engine.Serializable)
 	if _, err := scanner.Select(p); err != nil {
 		t.Fatal(err)
 	}
 	w := mustBegin(t, db, engine.Serializable)
-	if err := w.Put("emp:3", data.Row{"active": 0}); err != nil {
+	if err := w.Put("emp:3", data.NewRow(map[string]int64{"active": 0})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Abort(); err != nil {
@@ -345,7 +345,7 @@ func TestKeyrangeInsertRollbackKeepsCoverage(t *testing.T) {
 	blocked := make(chan error, 1)
 	go func() {
 		w2 := mustBegin(t, db, engine.Serializable)
-		if err := w2.Put("emp:5", data.Row{"active": 1}); err != nil {
+		if err := w2.Put("emp:5", data.NewRow(map[string]int64{"active": 1})); err != nil {
 			blocked <- err
 			return
 		}

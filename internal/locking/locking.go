@@ -7,11 +7,10 @@
 // before-image undo, exactly the recovery model whose interaction with
 // Dirty Writes the paper discusses in §3.
 //
-// Rows cross the engine boundary by copy, once each way: Put and
-// Cursor.UpdateCurrent copy the caller's row, and Get, Select, Fetch and
-// Current return copies the caller owns. In between — lock images, the
-// pre-lock peek, the re-read under a Shared lock, the store and the undo
-// log — every layer shares the stored rows, which sv never modifies.
+// Rows are immutable values (data.Row), so nothing copies one: the row a
+// caller hands to Put or Cursor.UpdateCurrent is the row the store holds,
+// the lock's row image and, once overwritten, the undo log's
+// before-image; Get, Select, Fetch and Current hand out the stored rows.
 //
 // Phantom prevention — the predicate-lock rows of Table 2 — comes in two
 // interchangeable protocols (WithPhantomProtection): the paper's literal
@@ -232,12 +231,12 @@ func (t *Tx) Get(key data.Key) (data.Row, error) {
 	case DurNone:
 		// No read locks: sees in-place uncommitted data.
 	case DurShort, DurLong:
-		if err := t.db.lm.AcquireItem(lock.TxID(t.id), key, lock.S, lock.Images{Before: t.db.store.Peek(key)}); err != nil {
+		if err := t.db.lm.AcquireItem(lock.TxID(t.id), key, lock.S, lock.Images{Before: t.db.store.Get(key)}); err != nil {
 			t.db.obs.RecordOp(start)
 			return nil, t.lockErr(err)
 		}
 	}
-	row := t.db.store.Peek(key)
+	row := t.db.store.Get(key)
 	t.recordRead(key, row)
 	if t.proto.ReadItem == DurShort {
 		t.db.lm.ReleaseItem(lock.TxID(t.id), key)
@@ -246,27 +245,22 @@ func (t *Tx) Get(key data.Key) (data.Row, error) {
 	if row == nil {
 		return nil, engine.ErrNotFound
 	}
-	return row.Clone(), nil
+	return row, nil
+}
+
+// Delete implements engine.Tx: a Put of no row.
+func (t *Tx) Delete(key data.Key) error {
+	return t.Put(key, nil)
 }
 
 // Put implements engine.Tx: Exclusive item lock (long everywhere except
-// Degree 0), in-place write, before-image to the undo log. The store keeps
-// a copy of row; the caller's row stays the caller's.
-func (t *Tx) Put(key data.Key, row data.Row) error {
-	return t.write(key, row.Clone())
-}
-
-// Delete implements engine.Tx.
-func (t *Tx) Delete(key data.Key) error {
-	return t.write(key, nil)
-}
-
-func (t *Tx) write(key data.Key, after data.Row) error {
+// Degree 0), in-place write, before-image to the undo log.
+func (t *Tx) Put(key data.Key, after data.Row) error {
 	if err := t.live(); err != nil {
 		return err
 	}
 	start := t.db.obs.Now()
-	peek := t.db.store.Peek(key) // image for predicate-lock conflicts
+	peek := t.db.store.Get(key) // image for predicate-lock conflicts
 	im := lock.Images{Before: peek, After: after}
 	if err := t.lockForWrite(key, peek, im); err != nil {
 		t.db.obs.RecordOp(start)
@@ -394,15 +388,9 @@ func (t *Tx) Select(p predicate.P) ([]data.Tuple, error) {
 		return nil, err
 	}
 	matches := t.db.store.Select(p)
-	var out []data.Tuple
-	if len(matches) > 0 {
-		out = make([]data.Tuple, 0, len(matches))
-	}
+	out := matches[:0] // the store's result is ours: filter it in place
 	for _, m := range matches {
-		switch t.proto.ReadItem {
-		case DurNone:
-			out = append(out, data.Tuple{Key: m.Key, Row: m.Row.Clone()})
-		case DurShort, DurLong:
+		if t.proto.ReadItem != DurNone {
 			if err := t.db.lm.AcquireItem(lock.TxID(t.id), m.Key, lock.S, lock.Images{Before: m.Row}); err != nil {
 				g.releaseShort()
 				t.db.obs.RecordOp(start)
@@ -410,14 +398,15 @@ func (t *Tx) Select(p predicate.P) ([]data.Tuple, error) {
 			}
 			// Re-read under the lock: the row may have changed (or vanished)
 			// while we waited.
-			row := t.db.store.Peek(m.Key)
-			if row != nil && p.Match(data.Tuple{Key: m.Key, Row: row}) {
-				out = append(out, data.Tuple{Key: m.Key, Row: row.Clone()})
-			}
+			m.Row = t.db.store.Get(m.Key)
 			if t.proto.ReadItem == DurShort {
 				t.db.lm.ReleaseItem(lock.TxID(t.id), m.Key)
 			}
+			if m.Row == nil || !p.Match(m) {
+				continue
+			}
 		}
+		out = append(out, m)
 	}
 	t.db.rec.RecordPredRead(t.id, p)
 	g.releaseShort()

@@ -239,8 +239,8 @@ func TestRepeatableReadBlocksWriter(t *testing.T) {
 func TestRepeatableReadAllowsPhantom(t *testing.T) {
 	db := NewDB()
 	db.Load(
-		data.Tuple{Key: "e1", Row: data.Row{"active": 1}},
-		data.Tuple{Key: "e2", Row: data.Row{"active": 1}},
+		data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"active": 1})},
+		data.Tuple{Key: "e2", Row: data.NewRow(map[string]int64{"active": 1})},
 	)
 	p := predicate.MustParse("active == 1")
 	t1 := mustBegin(t, db, engine.RepeatableRead)
@@ -249,7 +249,7 @@ func TestRepeatableReadAllowsPhantom(t *testing.T) {
 		t.Fatalf("first select: %v, %v", rows, err)
 	}
 	t2 := mustBegin(t, db, engine.RepeatableRead)
-	if err := t2.Put("e3", data.Row{"active": 1}); err != nil {
+	if err := t2.Put("e3", data.NewRow(map[string]int64{"active": 1})); err != nil {
 		t.Fatalf("phantom insert blocked at RR: %v", err)
 	}
 	_ = t2.Commit()
@@ -263,7 +263,7 @@ func TestRepeatableReadAllowsPhantom(t *testing.T) {
 // SERIALIZABLE: long predicate locks — the phantom insert blocks.
 func TestSerializableBlocksPhantom(t *testing.T) {
 	db := NewDB()
-	db.Load(data.Tuple{Key: "e1", Row: data.Row{"active": 1}})
+	db.Load(data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"active": 1})})
 	p := predicate.MustParse("active == 1")
 	t1 := mustBegin(t, db, engine.Serializable)
 	if _, err := t1.Select(p); err != nil {
@@ -271,7 +271,7 @@ func TestSerializableBlocksPhantom(t *testing.T) {
 	}
 	t2 := mustBegin(t, db, engine.Serializable)
 	done := make(chan error, 1)
-	go func() { done <- t2.Put("e9", data.Row{"active": 1}) }()
+	go func() { done <- t2.Put("e9", data.NewRow(map[string]int64{"active": 1})) }()
 	select {
 	case <-done:
 		t.Fatal("phantom insert should block at SERIALIZABLE")
@@ -287,12 +287,12 @@ func TestSerializableBlocksPhantom(t *testing.T) {
 // Non-matching inserts are not blocked by the predicate lock.
 func TestSerializablePredicateIgnoresNonMatching(t *testing.T) {
 	db := NewDB()
-	db.Load(data.Tuple{Key: "e1", Row: data.Row{"active": 1}})
+	db.Load(data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"active": 1})})
 	p := predicate.MustParse("active == 1")
 	t1 := mustBegin(t, db, engine.Serializable)
 	_, _ = t1.Select(p)
 	t2 := mustBegin(t, db, engine.Serializable)
-	if err := t2.Put("e9", data.Row{"active": 0}); err != nil {
+	if err := t2.Put("e9", data.NewRow(map[string]int64{"active": 0})); err != nil {
 		t.Fatalf("non-matching insert blocked: %v", err)
 	}
 	_ = t2.Commit()
@@ -329,11 +329,11 @@ func TestUpgradeDeadlockVictim(t *testing.T) {
 // changed while waiting is reported with its committed value.
 func TestSelectRereadsUnderLock(t *testing.T) {
 	db := NewDB()
-	db.Load(data.Tuple{Key: "e1", Row: data.Row{"active": 1, "v": 1}})
+	db.Load(data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"active": 1, "v": 1})})
 	t1 := mustBegin(t, db, engine.ReadCommitted)
 	t2 := mustBegin(t, db, engine.ReadCommitted)
 	// T1 updates e1 but keeps it active.
-	if err := t1.Put("e1", data.Row{"active": 1, "v": 2}); err != nil {
+	if err := t1.Put("e1", data.NewRow(map[string]int64{"active": 1, "v": 2})); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan []data.Tuple, 1)

@@ -12,16 +12,18 @@ import (
 
 var phantomProtocols = []Phantom{PhantomPredicate, PhantomKeyrange}
 
-// Rows cross the engine boundary by copy: a caller that mutates a row it
-// got from Get, Select, Fetch or Current, or a row it handed to Put or
-// UpdateCurrent, changes nothing the engine sees — not later reads, not
-// the row images predicate and key-range conflicts are decided on, not
-// the before-images rollback restores, not ReadCommittedRow.
+// Rows cross the engine boundary as shared immutable values. What a caller
+// keeps is its own: changing the map it built a row from changes nothing
+// the engine sees — not later reads, not the row images predicate and
+// key-range conflicts are decided on, not the before-images rollback
+// restores, not ReadCommittedRow. What the engine hands out is the row it
+// stores, uncopied: Get, Select, Fetch and Current return the stored row,
+// and a write stores the row it was handed.
 func TestRowsCrossingTheBoundaryAreCallerOwned(t *testing.T) {
 	for _, ph := range phantomProtocols {
 		t.Run(ph.String(), func(t *testing.T) {
 			db := NewDB(WithPhantomProtection(ph))
-			db.Load(data.Tuple{Key: "e1", Row: data.Row{"dept": 1}}, data.Tuple{Key: "e2", Row: data.Row{"dept": 1}})
+			db.Load(data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"dept": 1})}, data.Tuple{Key: "e2", Row: data.NewRow(map[string]int64{"dept": 1})})
 			dept1 := predicate.MustParse("dept == 1")
 			wantDept := func(tx engine.Tx, key data.Key, want int64) {
 				t.Helper()
@@ -36,56 +38,58 @@ func TestRowsCrossingTheBoundaryAreCallerOwned(t *testing.T) {
 
 			// Rows handed out.
 			t1 := mustBegin(t, db, engine.Serializable)
+			stored := db.ReadCommittedRow("e1")
 			row, err := t1.Get("e1")
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || row != stored {
+				t.Fatalf("Get(e1) = %p, %v; want the stored row %p", row, err, stored)
 			}
-			row["dept"] = 9
 			rows, err := t1.Select(dept1)
-			if err != nil || len(rows) != 2 {
-				t.Fatalf("Select = %v, %v", rows, err)
-			}
-			for _, r := range rows {
-				r.Row["dept"] = 9
+			if err != nil || len(rows) != 2 || rows[0].Row != stored {
+				t.Fatalf("Select = %v, %v; want the stored rows", rows, err)
 			}
 			cur, err := t1.OpenCursor(dept1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fetched, err := cur.Fetch()
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || fetched.Row != stored {
+				t.Fatalf("Fetch = %v, %v; want the stored row", fetched, err)
 			}
-			fetched.Row["dept"] = 9
 			current, err := cur.Current()
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || current.Row != stored {
+				t.Fatalf("Current = %v, %v; want the stored row", current, err)
 			}
-			current.Row["dept"] = 9
 			wantDept(t1, "e1", 1)
 			wantDept(t1, "e2", 1)
 
 			// Rows handed in.
-			put := data.Row{"dept": 1, "v": 2}
+			putFields := map[string]int64{"dept": 1, "v": 2}
+			put := data.NewRow(putFields)
 			if err := t1.Put("e1", put); err != nil {
 				t.Fatal(err)
 			}
-			put["dept"] = 2
+			putFields["dept"] = 2
 			if _, err := cur.Fetch(); err != nil { // e2
 				t.Fatal(err)
 			}
-			upd := data.Row{"dept": 1, "v": 3}
+			updFields := map[string]int64{"dept": 1, "v": 3}
+			upd := data.NewRow(updFields)
 			if err := cur.UpdateCurrent(upd); err != nil {
 				t.Fatal(err)
 			}
-			upd["dept"] = 2
+			updFields["dept"] = 2
+			if current, err := cur.Current(); err != nil || current.Row != upd {
+				t.Fatalf("Current after UpdateCurrent = %v, %v; want the row handed in", current, err)
+			}
 			_ = cur.Close()
-			wantDept(t1, "e1", 1)
+			if own, err := t1.Get("e1"); err != nil || own != put {
+				t.Fatalf("Get(e1) after Put = %v, %v; want the row handed in", own, err)
+			}
 			wantDept(t1, "e2", 1)
 
 			// T1's exclusive locks carry dept-1 images, so a dept == 2 scan
-			// has nothing to wait for. Had the engine kept the caller's rows,
-			// both the images and the stored rows would now say dept 2.
+			// has nothing to wait for. Had the rows followed the callers'
+			// maps, both the images and the stored rows would now say dept 2.
 			scanned := make(chan error, 1)
 			t2 := mustBegin(t, db, engine.Serializable)
 			go func() {
@@ -113,24 +117,23 @@ func TestRowsCrossingTheBoundaryAreCallerOwned(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, key := range []data.Key{"e1", "e2"} {
-				if got := db.ReadCommittedRow(key); !got.Equal(data.Row{"dept": 1}) {
+				if got := db.ReadCommittedRow(key); !got.Equal(data.NewRow(map[string]int64{"dept": 1})) {
 					t.Fatalf("%s after rollback = %v, want {dept:1}", key, got)
 				}
 			}
 
-			// A committed write is the row as it was handed in, and
-			// ReadCommittedRow hands out a copy too.
+			// A committed write is the row that was handed in.
 			t3 := mustBegin(t, db, engine.Serializable)
-			put = data.Row{"dept": 1, "v": 5}
+			putFields = map[string]int64{"dept": 1, "v": 5}
+			put = data.NewRow(putFields)
 			if err := t3.Put("e1", put); err != nil {
 				t.Fatal(err)
 			}
-			put["v"] = 6
+			putFields["v"] = 6
 			if err := t3.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			db.ReadCommittedRow("e1")["v"] = 7
-			if got := db.ReadCommittedRow("e1"); !got.Equal(data.Row{"dept": 1, "v": 5}) {
+			if got := db.ReadCommittedRow("e1"); got != put || !got.Equal(data.NewRow(map[string]int64{"dept": 1, "v": 5})) {
 				t.Fatalf("e1 after commit = %v, want {dept:1, v:5}", got)
 			}
 		})

@@ -222,9 +222,9 @@ func ProbeLevel(level engine.Level) (MeasuredProtocol, error) {
 	{
 		p := predicate.MustParse("active == 1")
 		db := locking.NewDB()
-		db.Load(data.Tuple{Key: "e1", Row: data.Row{"active": 1}})
+		db.Load(data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"active": 1})})
 		t1, _ := db.Begin(level)
-		_ = t1.Put("e9", data.Row{"active": 1})
+		_ = t1.Put("e9", data.NewRow(map[string]int64{"active": 1}))
 		t2, _ := db.Begin(level)
 		selBlocked, done := probe(func() { _, _ = t2.Select(p) })
 		_ = t1.Commit()
@@ -232,13 +232,13 @@ func ProbeLevel(level engine.Level) (MeasuredProtocol, error) {
 		_ = t2.Abort()
 
 		db2 := locking.NewDB()
-		db2.Load(data.Tuple{Key: "e1", Row: data.Row{"active": 1}})
+		db2.Load(data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"active": 1})})
 		r, _ := db2.Begin(level)
 		if _, err := r.Select(p); err != nil {
 			return mp, err
 		}
 		w, _ := db2.Begin(level)
-		insBlocked, done2 := probe(func() { _ = w.Put("e8", data.Row{"active": 1}) })
+		insBlocked, done2 := probe(func() { _ = w.Put("e8", data.NewRow(map[string]int64{"active": 1})) })
 		_ = r.Commit()
 		<-done2
 		_ = w.Commit()

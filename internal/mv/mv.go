@@ -40,21 +40,16 @@
 // has reached its own commit timestamp (WaitSafe), so the next snapshot
 // its session takes contains what it just committed.
 //
-// # Row ownership
+// # Rows
 //
-// A version's row is immutable once it is installed: nothing ever writes
-// into a stored row's fields, a newer version replaces the whole row. So
-// the store copies only where a row enters from a caller that keeps it,
-// and shares everywhere else. Load copies the caller's rows; Install and
-// InstallAbove take ownership of the rows they are given (the caller must
-// not modify them afterwards); ReadAt and SelectAt return the stored rows
-// themselves, which the caller must treat as read-only — they stay valid
-// for as long as the caller likes, since a later version replaces the row
-// rather than changing it; and Chain returns copies the caller owns. An
-// engine above copies a row once on the way in and once on the way out,
-// and never in between: a before-image read for a write, a row image
-// handed to a lock, and a version installed from a private write set all
-// share.
+// A row is an immutable value (data.Row), and so is a committed version:
+// a newer version replaces a row, nothing changes one. So the store never
+// copies a row. Load, Install and InstallAbove keep the rows they are
+// given; ReadAt and SelectAt hand out the stored rows themselves, valid for
+// as long as the caller likes; and Chain copies only the chain, whose
+// versions it shares. A row is shared end to end: the row a transaction
+// writes is the version it commits, and the version every later snapshot
+// reads.
 //
 // # Scans
 //
@@ -418,7 +413,7 @@ func (s *Store) Load(ts TS, tuples ...data.Tuple) {
 	for _, t := range tuples {
 		sh := s.shardOf(t.Key)
 		sh.mu.Lock()
-		sh.append(t.Key, Version{CommitTS: ts, Row: t.Row.Clone()}, 0)
+		sh.append(t.Key, Version{CommitTS: ts, Row: t.Row}, 0)
 		sh.mu.Unlock()
 	}
 }
@@ -500,8 +495,7 @@ func visibleAt(chain []Version, ts TS) *Version {
 // ReadAt returns the version of key visible at snapshot ts: the committed
 // version with the largest CommitTS <= ts. ok is false if no version is
 // visible (never written, or the visible version is a tombstone — the
-// tombstone itself is returned so callers can distinguish). The row is the
-// stored one, read-only to the caller (see Row ownership).
+// tombstone itself is returned so callers can distinguish).
 func (s *Store) ReadAt(key data.Key, ts TS) (v Version, ok bool) {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
@@ -530,11 +524,10 @@ func (s *Store) LatestCommitTS(key data.Key) TS {
 	return chain[len(chain)-1].CommitTS
 }
 
-// Install appends committed versions for writer at commit timestamp ts,
-// taking ownership of the rows in writes (see Row ownership). The caller
-// (the engine's commit critical section, under LockWriteSet) guarantees ts
-// exceeds every CommitTS already in the touched chains. It forgets
-// nothing: InstallAbove at horizon 0.
+// Install appends committed versions for writer at commit timestamp ts.
+// The caller (the engine's commit critical section, under LockWriteSet)
+// guarantees ts exceeds every CommitTS already in the touched chains. It
+// forgets nothing: InstallAbove at horizon 0.
 func (s *Store) Install(ts TS, writer int, writes map[data.Key]data.Row) {
 	s.InstallAbove(0, ts, writer, writes)
 }
@@ -554,9 +547,8 @@ func (s *Store) InstallAbove(horizon, ts TS, writer int, writes map[data.Key]dat
 	}
 }
 
-// SelectAt returns all tuples visible at ts that satisfy p, sorted by key,
-// with the stored rows, read-only to the caller (see Row ownership). It
-// reads only the part of the key space p can cover: per stripe, under the
+// SelectAt returns all tuples visible at ts that satisfy p, sorted by key.
+// It reads only the part of the key space p can cover: per stripe, under the
 // stripe's read latch, the index run inside predicate.KeyBounds(p) — the
 // whole index when p says nothing about keys — resolving each key's
 // visible version on its chain in place. For ts <= Oracle.Safe the stripes
@@ -585,8 +577,7 @@ func (s *Store) SelectAt(p predicate.P, ts TS) []data.Tuple {
 	return out
 }
 
-// SnapshotAt returns every visible tuple at ts, sorted by key, sharing
-// the stored rows as SelectAt does.
+// SnapshotAt returns every visible tuple at ts, sorted by key.
 func (s *Store) SnapshotAt(ts TS) []data.Tuple {
 	return s.SelectAt(predicate.True{}, ts)
 }
@@ -605,12 +596,7 @@ func (s *Store) Chain(key data.Key) []Version {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := make([]Version, len(sh.chains[key]))
-	copy(out, sh.chains[key])
-	for i := range out {
-		out[i].Row = out[i].Row.Clone()
-	}
-	return out
+	return slices.Clone(sh.chains[key])
 }
 
 // Reclaimed returns how many versions and how many whole chains the store

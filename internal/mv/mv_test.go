@@ -1,7 +1,6 @@
 package mv
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -97,9 +96,9 @@ func TestLatestCommitTS(t *testing.T) {
 func TestSelectAt(t *testing.T) {
 	s := NewStore()
 	s.Install(1, 1, map[data.Key]data.Row{
-		"e1": {"active": 1}, "e2": {"active": 0},
+		"e1": data.NewRow(map[string]int64{"active": 1}), "e2": data.NewRow(map[string]int64{"active": 0}),
 	})
-	s.Install(5, 2, map[data.Key]data.Row{"e3": {"active": 1}})
+	s.Install(5, 2, map[data.Key]data.Row{"e3": data.NewRow(map[string]int64{"active": 1})})
 	p := predicate.MustParse("active == 1")
 	if got := s.SelectAt(p, 1); len(got) != 1 || got[0].Key != "e1" {
 		t.Fatalf("at ts 1: %v", got)
@@ -129,32 +128,28 @@ func TestChainCopies(t *testing.T) {
 	if len(c) != 1 || c[0].Writer != 7 {
 		t.Fatalf("chain = %v", c)
 	}
-	c[0].Row[data.ValField] = 99
-	if v, _ := s.ReadAt("x", 1); v.Row.Val() != 1 {
+	c[0] = Version{CommitTS: 1, Row: data.Scalar(99)}
+	if v, _ := s.ReadAt("x", 1); v.Row.Val() != 1 || v.Writer != 7 {
 		t.Fatal("Chain leaked internal storage")
 	}
 }
 
-// Rows are immutable once installed, so the store keeps the row Install
-// was given and ReadAt and SelectAt hand that same row out, uncopied;
-// Load, which serves callers that keep their rows, copies.
+// Rows are immutable values, so the store keeps the row Install or Load
+// was given, and ReadAt, SelectAt and Chain hand that same row out.
 func TestReadAtSharesStoredRow(t *testing.T) {
 	s := NewStore()
 	row := data.Scalar(1)
 	s.Install(1, 1, map[data.Key]data.Row{"x": row})
 	loaded := data.Scalar(2)
 	s.Load(1, data.Tuple{Key: "y", Row: loaded})
-	same := func(a, b data.Row) bool {
-		return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
-	}
-	if v, _ := s.ReadAt("x", 1); !same(v.Row, row) {
+	if v, _ := s.ReadAt("x", 1); v.Row != row {
 		t.Error("ReadAt copied the installed row")
 	}
-	if got := s.SelectAt(predicate.True{}, 1); len(got) != 2 || !same(got[0].Row, row) {
-		t.Errorf("SelectAt = %v: want the installed row itself", got)
+	if got := s.SelectAt(predicate.True{}, 1); len(got) != 2 || got[0].Row != row || got[1].Row != loaded {
+		t.Errorf("SelectAt = %v: want the stored rows themselves", got)
 	}
-	if v, _ := s.ReadAt("y", 1); same(v.Row, loaded) || v.Row.Val() != 2 {
-		t.Errorf("Load kept the caller's row, or lost it: %v", v.Row)
+	if c := s.Chain("y"); len(c) != 1 || c[0].Row != loaded {
+		t.Errorf("Chain = %v: want the loaded row itself", c)
 	}
 }
 

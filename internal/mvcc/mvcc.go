@@ -28,16 +28,13 @@
 // watermark has reached its commit timestamp, so a session's next
 // snapshot always contains its own last commit.
 //
-// # Rows cross the boundary by copy
+// # Rows are shared, not copied
 //
-// The store's rows are immutable once installed (mv "Row ownership"), so
-// the engine copies a row exactly once on the way in — Put and
-// UpdateCurrent copy the caller's row into the private write set, and
-// Install then takes that copy as the committed version — and exactly once
-// on the way out: Get, ReadCommittedRow, Select, Fetch and Current hand the
-// caller a copy. Everything between shares: the before-image read of a
-// write, the row images of an RC write lock, own-write overlays, and the
-// result set a cursor walks.
+// A row is an immutable value (data.Row), so the engine never copies one.
+// The row a caller hands to Put or UpdateCurrent goes into the private
+// write set, into an RC write lock's row images, and at commit into the
+// store as the committed version; Get, ReadCommittedRow, Select, Fetch and
+// Current hand out the stored rows, or the write set's own.
 //
 // # Registering readers
 //
@@ -233,7 +230,7 @@ func (db *DB) install(id int, writes map[data.Key]data.Row, stripes []int) mv.TS
 // before the timestamp is chosen until the read has returned — unregistered,
 // a commit in between could forget the version visible there and the read
 // would report a live row missing. It returns the timestamp it read at,
-// and the stored row, read-only.
+// and the stored row.
 func (db *DB) readCommitted(key data.Key) (v mv.Version, ok bool, ts mv.TS) {
 	ts = db.oracle.Acquire()
 	defer db.oracle.Release(ts)
@@ -247,7 +244,7 @@ func (db *DB) ReadCommittedRow(key data.Key) data.Row {
 	if !ok {
 		return nil
 	}
-	return v.Row.Clone()
+	return v.Row
 }
 
 // Levels implements engine.DB.
@@ -324,8 +321,7 @@ func (db *DB) beginSI(start mv.TS) *SITx {
 // store's answer to p at the transaction's snapshot, sorted by key. A
 // written key leaves base; its new row, if it is not a delete and
 // satisfies p, joins the result in key order. order lists the keys of
-// writes, each once. The result shares the rows of base and writes: the
-// caller copies what it hands out (cloneRows).
+// writes, each once.
 func overlay(p predicate.P, base []data.Tuple, writes map[data.Key]data.Row, order []data.Key) []data.Tuple {
 	if len(order) == 0 {
 		return base
@@ -349,15 +345,6 @@ func overlay(p predicate.P, base []data.Tuple, writes map[data.Key]data.Row, ord
 		out = append(out, b)
 	}
 	return append(out, own...)
-}
-
-// cloneRows replaces every row of tuples, a result set the caller built,
-// with a copy, so the caller can hand it out.
-func cloneRows(tuples []data.Tuple) []data.Tuple {
-	for i := range tuples {
-		tuples[i].Row = tuples[i].Row.Clone()
-	}
-	return tuples
 }
 
 func levelList(levels []engine.Level) string {

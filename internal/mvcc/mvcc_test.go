@@ -117,8 +117,8 @@ func TestSharedIDSequence(t *testing.T) {
 }
 
 // mapOverlay is the overlay Select used before the sorted merge, kept as
-// the reference: rebuild the base as a map, apply every own write, re-clone
-// and re-sort.
+// the reference: rebuild the base as a map, apply every own write, and
+// re-sort.
 func mapOverlay(p predicate.P, base []data.Tuple, writes map[data.Key]data.Row) []data.Tuple {
 	merged := map[data.Key]data.Row{}
 	for _, b := range base {
@@ -133,7 +133,7 @@ func mapOverlay(p predicate.P, base []data.Tuple, writes map[data.Key]data.Row) 
 	}
 	out := make([]data.Tuple, 0, len(merged))
 	for key, row := range merged {
-		out = append(out, data.Tuple{Key: key, Row: row.Clone()})
+		out = append(out, data.Tuple{Key: key, Row: row})
 	}
 	data.SortTuples(out)
 	return out

@@ -33,7 +33,7 @@ import (
 type RCTx struct {
 	db     *DB
 	id     int
-	writes map[data.Key]data.Row // own uncommitted writes (overlay), nil = delete; the transaction's own copies, installed as they are
+	writes map[data.Key]data.Row // own uncommitted writes (overlay), nil = delete; the rows Put was given, installed as they are
 	order  []data.Key
 	done   bool
 
@@ -101,7 +101,7 @@ func (t *RCTx) Get(key data.Key) (data.Row, error) {
 		}
 		t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Read, Item: key, Version: -1}.WithValue(row.Val()))
 		t.db.obs.RecordOp(start)
-		return row.Clone(), nil
+		return row, nil
 	}
 	v, ok, ts := t.db.readCommitted(key)
 	if !ok {
@@ -115,20 +115,16 @@ func (t *RCTx) Get(key data.Key) (data.Row, error) {
 	t.reads = append(t.reads, TimedRead{TS: ts, Op: op})
 	t.db.rec.Record(op)
 	t.db.obs.RecordOp(start)
-	return v.Row.Clone(), nil
+	return v.Row, nil
 }
+
+// Delete implements engine.Tx: a Put of no row.
+func (t *RCTx) Delete(key data.Key) error { return t.Put(key, nil) }
 
 // Put implements engine.Tx: take a long write lock (first-writer-wins —
-// block, don't abort), then buffer a copy of the write; that copy is the
-// version Commit installs.
+// block, don't abort), then buffer the write; that row is the version
+// Commit installs.
 func (t *RCTx) Put(key data.Key, row data.Row) error {
-	return t.write(key, row.Clone())
-}
-
-// Delete implements engine.Tx.
-func (t *RCTx) Delete(key data.Key) error { return t.write(key, nil) }
-
-func (t *RCTx) write(key data.Key, row data.Row) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
@@ -162,11 +158,10 @@ func (t *RCTx) Select(p predicate.P) ([]data.Tuple, error) {
 	out, err := t.selectAt(p, ts)
 	t.db.oracle.Release(ts)
 	t.db.obs.RecordOp(start)
-	return cloneRows(out), err
+	return out, err
 }
 
 // selectAt is the scan of Select and OpenCursor at statement snapshot ts.
-// Its result shares the stored rows and the write set's.
 func (t *RCTx) selectAt(p predicate.P, ts mv.TS) ([]data.Tuple, error) {
 	out := overlay(p, t.db.store.SelectAt(p, ts), t.writes, t.order)
 	t.db.rec.RecordPredRead(t.id, p)
@@ -234,23 +229,21 @@ func (c *rcCursor) Fetch() (data.Tuple, error) {
 	op := history.Op{Tx: c.tx.id, Kind: history.ReadCursor, Item: cur.Key, Version: -1}.WithValue(cur.Row.Val())
 	c.tx.reads = append(c.tx.reads, TimedRead{TS: c.snapTS, Op: op})
 	c.tx.db.rec.Record(op)
-	return cur.Clone(), nil
+	return cur, nil
 }
 
 func (c *rcCursor) Current() (data.Tuple, error) {
 	if c.pos < 0 || c.pos >= len(c.tuples) {
 		return data.Tuple{}, engine.ErrNoCursor
 	}
-	return c.tuples[c.pos].Clone(), nil
+	return c.tuples[c.pos], nil
 }
 
 // UpdateCurrent write-locks the row, then re-checks it against the cursor
 // snapshot: if another transaction committed a change to this row after
 // the cursor opened, the update fails with ErrRowChanged (Oracle's write
 // consistency restart, surfaced as an error). This is what makes P4C "Not
-// Possible" at Read Consistency while plain P4 remains possible. Like
-// Put, it copies row once, and the lock's after-image and the write set
-// share that copy.
+// Possible" at Read Consistency while plain P4 remains possible.
 func (c *rcCursor) UpdateCurrent(row data.Row) error {
 	if c.closed || c.tx.done {
 		return engine.ErrTxDone
@@ -259,7 +252,6 @@ func (c *rcCursor) UpdateCurrent(row data.Row) error {
 		return engine.ErrNoCursor
 	}
 	key := c.tuples[c.pos].Key
-	row = row.Clone()
 	t := c.tx
 	var before data.Row
 	if v, ok, _ := t.db.readCommitted(key); ok {

@@ -184,12 +184,12 @@ func TestCursorUpdateCleanPath(t *testing.T) {
 // committed sets.
 func TestPhantomsPossible(t *testing.T) {
 	db := NewDB(WithLevels(engine.ReadConsistency))
-	db.Load(data.Tuple{Key: "e1", Row: data.Row{"active": 1}})
+	db.Load(data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"active": 1})})
 	p := predicate.MustParse("active == 1")
 	t1 := beginRC(t, db)
 	rows1, _ := t1.Select(p)
 	t2 := beginRC(t, db)
-	_ = t2.Put("e2", data.Row{"active": 1})
+	_ = t2.Put("e2", data.NewRow(map[string]int64{"active": 1}))
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}

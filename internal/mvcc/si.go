@@ -34,7 +34,7 @@ type SITx struct {
 	db     *DB
 	id     int
 	start  mv.TS
-	writes map[data.Key]data.Row // nil row = delete; rows are the transaction's own copies, installed as they are
+	writes map[data.Key]data.Row // nil row = delete; the rows Put was given, installed as they are
 	order  []data.Key            // write order, for deterministic install
 	done   bool
 
@@ -101,7 +101,7 @@ func (t *SITx) Get(key data.Key) (data.Row, error) {
 		}
 		t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Read, Item: key, Version: -1}.WithValue(row.Val()))
 		t.db.obs.RecordOp(start)
-		return row.Clone(), nil
+		return row, nil
 	}
 	v, ok := t.db.store.ReadAt(key, t.start)
 	if !ok {
@@ -113,21 +113,17 @@ func (t *SITx) Get(key data.Key) (data.Row, error) {
 	t.reads = append(t.reads, readRecord{key: key, val: v.Row.Val(), found: true})
 	t.db.rec.Record(history.Op{Tx: t.id, Kind: history.Read, Item: key, Version: -1}.WithValue(v.Row.Val()))
 	t.db.obs.RecordOp(start)
-	return v.Row.Clone(), nil
+	return v.Row, nil
 }
 
-// Put implements engine.Tx: buffer a copy of the write privately; that
-// copy is the version Commit installs.
-func (t *SITx) Put(key data.Key, row data.Row) error {
-	return t.write(key, row.Clone())
-}
-
-// Delete implements engine.Tx.
+// Delete implements engine.Tx: a Put of no row.
 func (t *SITx) Delete(key data.Key) error {
-	return t.write(key, nil)
+	return t.Put(key, nil)
 }
 
-func (t *SITx) write(key data.Key, row data.Row) error {
+// Put implements engine.Tx: buffer the write privately; that row is the
+// version Commit installs.
+func (t *SITx) Put(key data.Key, row data.Row) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
@@ -150,13 +146,6 @@ func (t *SITx) write(key data.Key, row data.Row) error {
 // so a re-evaluation always returns the same set (no A3 phantoms, Remark
 // 10) even though P3 constraint phantoms remain possible.
 func (t *SITx) Select(p predicate.P) ([]data.Tuple, error) {
-	out, err := t.scan(p)
-	return cloneRows(out), err
-}
-
-// scan is Select without the copy out: its result shares the stored rows
-// and the write set's.
-func (t *SITx) scan(p predicate.P) ([]data.Tuple, error) {
 	if t.done {
 		return nil, engine.ErrTxDone
 	}
@@ -180,10 +169,9 @@ func (t *SITx) RangeReads() []RangeRead { return t.rangeReads }
 
 // OpenCursor implements engine.Tx. Snapshot cursors are trivially stable
 // (the snapshot never moves), so the cursor is a simple iterator over the
-// Select result, which it shares until Fetch and Current copy a row out;
-// UpdateCurrent is a buffered write.
+// Select result; UpdateCurrent is a buffered write.
 func (t *SITx) OpenCursor(p predicate.P) (engine.Cursor, error) {
-	tuples, err := t.scan(p)
+	tuples, err := t.Select(p)
 	if err != nil {
 		return nil, err
 	}
@@ -208,14 +196,14 @@ func (c *siCursor) Fetch() (data.Tuple, error) {
 	cur := c.tuples[c.pos]
 	c.tx.reads = append(c.tx.reads, readRecord{key: cur.Key, val: cur.Row.Val(), found: true, cursor: true})
 	c.tx.db.rec.Record(history.Op{Tx: c.tx.id, Kind: history.ReadCursor, Item: cur.Key, Version: -1}.WithValue(cur.Row.Val()))
-	return cur.Clone(), nil
+	return cur, nil
 }
 
 func (c *siCursor) Current() (data.Tuple, error) {
 	if c.pos < 0 || c.pos >= len(c.tuples) {
 		return data.Tuple{}, engine.ErrNoCursor
 	}
-	return c.tuples[c.pos].Clone(), nil
+	return c.tuples[c.pos], nil
 }
 
 func (c *siCursor) UpdateCurrent(row data.Row) error {

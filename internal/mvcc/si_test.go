@@ -172,14 +172,14 @@ func TestReadsNeverBlock(t *testing.T) {
 func TestNoA3Phantom(t *testing.T) {
 	db := NewDB(WithLevels(engine.SnapshotIsolation))
 	db.Load(
-		data.Tuple{Key: "t1", Row: data.Row{"hours": 4}},
-		data.Tuple{Key: "t2", Row: data.Row{"hours": 3}},
+		data.Tuple{Key: "t1", Row: data.NewRow(map[string]int64{"hours": 4})},
+		data.Tuple{Key: "t2", Row: data.NewRow(map[string]int64{"hours": 3})},
 	)
 	p := predicate.MustParse("hours > 0")
 	t1 := beginSI(t, db)
 	rows1, _ := t1.Select(p)
 	t2 := beginSI(t, db)
-	_ = t2.Put("t3", data.Row{"hours": 1})
+	_ = t2.Put("t3", data.NewRow(map[string]int64{"hours": 1}))
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +195,8 @@ func TestNoA3Phantom(t *testing.T) {
 func TestP3ConstraintPhantomPossible(t *testing.T) {
 	db := NewDB(WithLevels(engine.SnapshotIsolation))
 	db.Load(
-		data.Tuple{Key: "task:1", Row: data.Row{"hours": 4}},
-		data.Tuple{Key: "task:2", Row: data.Row{"hours": 3}},
+		data.Tuple{Key: "task:1", Row: data.NewRow(map[string]int64{"hours": 4})},
+		data.Tuple{Key: "task:2", Row: data.NewRow(map[string]int64{"hours": 3})},
 	)
 	p := predicate.MustParse(`key ~ "task:"`)
 	sum := func(tx engine.Tx) int64 {
@@ -219,8 +219,8 @@ func TestP3ConstraintPhantomPossible(t *testing.T) {
 	if s := sum(t2); s+1 > 8 {
 		t.Fatal("setup: T2 should believe it can add 1 hour")
 	}
-	_ = t1.Put("task:3", data.Row{"hours": 1})
-	_ = t2.Put("task:4", data.Row{"hours": 1})
+	_ = t1.Put("task:3", data.NewRow(map[string]int64{"hours": 1}))
+	_ = t2.Put("task:4", data.NewRow(map[string]int64{"hours": 1}))
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestKeyBoundsCover(t *testing.T) {
 			continue
 		}
 		for _, k := range keys {
-			if p.Match(data.Tuple{Key: k, Row: data.Row{"v": 1}}) && !(lo <= k && k < hi) {
+			if p.Match(data.Tuple{Key: k, Row: data.NewRow(map[string]int64{"v": 1})}) && !(lo <= k && k < hi) {
 				t.Errorf("KeyBounds(%s) = [%q, %q) fails to cover matching key %q", p, lo, hi, k)
 			}
 		}

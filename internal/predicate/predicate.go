@@ -102,14 +102,8 @@ type Field struct {
 
 // Match implements P.
 func (f Field) Match(t data.Tuple) bool {
-	if t.Row == nil {
-		return false
-	}
-	v, ok := t.Row[f.Name]
-	if !ok {
-		return false
-	}
-	return f.Op.Eval(v, f.Arg)
+	v, ok := t.Row.Get(f.Name)
+	return ok && f.Op.Eval(v, f.Arg)
 }
 
 func (f Field) String() string { return fmt.Sprintf("%s %s %d", f.Name, f.Op, f.Arg) }

@@ -9,7 +9,7 @@ import (
 )
 
 func tup(key string, fields map[string]int64) data.Tuple {
-	return data.Tuple{Key: data.Key(key), Row: data.Row(fields)}
+	return data.Tuple{Key: data.Key(key), Row: data.NewRow(fields)}
 }
 
 func TestCmpOpEval(t *testing.T) {
@@ -99,19 +99,19 @@ func TestBooleanCombinators(t *testing.T) {
 func TestMatchEitherCoversBothImages(t *testing.T) {
 	p := Field{Name: "active", Op: EQ, Arg: 1}
 	// Update that moves a row INTO the predicate: before misses, after hits.
-	if !MatchEither(p, "e1", data.Row{"active": 0}, data.Row{"active": 1}) {
+	if !MatchEither(p, "e1", data.NewRow(map[string]int64{"active": 0}), data.NewRow(map[string]int64{"active": 1})) {
 		t.Fatal("predicate should cover write whose after-image matches")
 	}
 	// Delete that removes a matching row: before hits, after nil.
-	if !MatchEither(p, "e1", data.Row{"active": 1}, nil) {
+	if !MatchEither(p, "e1", data.NewRow(map[string]int64{"active": 1}), nil) {
 		t.Fatal("predicate should cover delete of a matching row")
 	}
 	// Irrelevant write.
-	if MatchEither(p, "e1", data.Row{"active": 0}, data.Row{"active": 0}) {
+	if MatchEither(p, "e1", data.NewRow(map[string]int64{"active": 0}), data.NewRow(map[string]int64{"active": 0})) {
 		t.Fatal("predicate covered an irrelevant write")
 	}
 	// Insert of a matching row (phantom!).
-	if !MatchEither(p, "e9", nil, data.Row{"active": 1}) {
+	if !MatchEither(p, "e9", nil, data.NewRow(map[string]int64{"active": 1})) {
 		t.Fatal("predicate must cover phantom inserts")
 	}
 }
@@ -309,10 +309,10 @@ func randomPred(r *rand.Rand, depth int) P {
 }
 
 func randomTuple(r *rand.Rand) data.Tuple {
-	row := data.Row{}
+	row := data.NewRow(nil)
 	for _, f := range []string{"a", "b", "c", "d"} {
 		if r.Intn(2) == 0 {
-			row[f] = int64(r.Intn(21) - 10)
+			row = row.With(f, int64(r.Intn(21)-10))
 		}
 	}
 	keys := []string{"x", "y", "z", "k:1", "l:2", "m:3"}
@@ -390,7 +390,7 @@ func TestQuickFieldEvalMatchesDirect(t *testing.T) {
 	f := func(v, arg int64, opRaw uint8) bool {
 		op := CmpOp(int(opRaw) % 6)
 		p := Field{Name: "f", Op: op, Arg: arg}
-		got := p.Match(data.Tuple{Key: "k", Row: data.Row{"f": v}})
+		got := p.Match(data.Tuple{Key: "k", Row: data.NewRow(map[string]int64{"f": v})})
 		return got == op.Eval(v, arg)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -28,18 +28,15 @@
 // per-stripe runs. The hash map stays the point path: Get, Put and Delete
 // never search the index for a row.
 //
-// # Row ownership
+// # Rows
 //
-// A row is immutable once it is installed: nothing ever writes into a
-// stored row's fields, a write replaces the whole row. So the store copies
-// only at its edges and shares everywhere else. Load copies the caller's
-// rows; Put and Restore take ownership of the row they are given (the
-// caller must not modify it afterwards); Peek and Select return the stored
-// rows themselves, which the caller must treat as read-only; and Get and
-// Snapshot return copies the caller owns. Before-images returned by Put
-// and Delete are stored rows, fit for an undo log or a lock's row images
-// as they are. An engine above copies a row once on the way in and once on
-// the way out, and never in between.
+// A row is an immutable value (data.Row): nothing can write into it, and a
+// write replaces the whole row. So the store never copies one. Load, Put
+// and Restore keep the rows they are given; Get and Select hand out the
+// stored rows themselves, valid for as long as the caller likes; and the
+// before-images Put and Delete return are fit for an undo log or a lock's
+// row images as they are. A row is shared end to end, from the caller
+// that built it to every transaction that reads it.
 //
 //isolint:deterministic
 package sv
@@ -105,21 +102,14 @@ func (s *Store) Load(tuples ...data.Tuple) {
 	for _, t := range tuples {
 		sh := s.shardOf(t.Key)
 		sh.mu.Lock()
-		sh.rows[t.Key] = t.Row.Clone()
+		sh.rows[t.Key] = t.Row
 		sh.index.Insert(t.Key)
 		sh.mu.Unlock()
 	}
 }
 
-// Get returns a copy of the current row, or nil if absent.
+// Get returns the current row, or nil if absent.
 func (s *Store) Get(key data.Key) data.Row {
-	return s.Peek(key).Clone()
-}
-
-// Peek returns the current row itself, or nil if absent: read-only to the
-// caller (see Row ownership), and valid for as long as the caller likes,
-// since a later write replaces the row rather than changing it.
-func (s *Store) Peek(key data.Key) data.Row {
 	sh := s.shardOf(key)
 	sh.mu.RLock()
 	row := sh.rows[key]
@@ -136,8 +126,8 @@ func (s *Store) Exists(key data.Key) bool {
 	return ok
 }
 
-// Put installs row (insert or update), taking ownership of it, and returns
-// the before-image (nil for an insert).
+// Put installs row (insert or update) and returns the before-image (nil
+// for an insert).
 func (s *Store) Put(key data.Key, row data.Row) (before data.Row) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
@@ -160,8 +150,7 @@ func (s *Store) Delete(key data.Key) (before data.Row) {
 	return before
 }
 
-// Restore writes a before-image back (undo), taking ownership of it like
-// Put: nil removes the row.
+// Restore writes a before-image back (undo): nil removes the row.
 func (s *Store) Restore(key data.Key, before data.Row) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
@@ -175,8 +164,7 @@ func (s *Store) Restore(key data.Key, before data.Row) {
 	sh.mu.Unlock()
 }
 
-// Select returns all tuples satisfying p, sorted by key, sharing the
-// stored rows (read-only to the caller; see Row ownership). It reads only
+// Select returns all tuples satisfying p, sorted by key. It reads only
 // the part of the key space p can cover: per stripe, under the stripe's
 // read latch, the index run inside predicate.KeyBounds(p) — the whole
 // index when p says nothing about keys — matching each row in place. Each
@@ -199,15 +187,6 @@ func (s *Store) Select(p predicate.P) []data.Tuple {
 	}
 	slices.SortFunc(out, func(a, b data.Tuple) int { return cmp.Compare(a.Key, b.Key) })
 	s.obs.RecordScan(start)
-	return out
-}
-
-// Snapshot returns a copy of every row, sorted by key (final-state checks).
-func (s *Store) Snapshot() []data.Tuple {
-	out := s.Select(predicate.True{})
-	for i := range out {
-		out[i].Row = out[i].Row.Clone()
-	}
 	return out
 }
 
@@ -303,7 +282,7 @@ type UndoLog struct {
 }
 
 // Note appends a before-image — a row the store returned from Put or
-// Delete, kept as it is since stored rows never change.
+// Delete.
 func (u *UndoLog) Note(key data.Key, before data.Row) {
 	u.records = append(u.records, UndoRecord{Key: key, Before: before})
 }

@@ -32,50 +32,47 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
+// Get no longer copies, but what it returns still cannot change the
+// store: a row has no mutator, and With builds a new row instead.
 func TestGetReturnsCopy(t *testing.T) {
 	s := NewStore()
 	s.Put("x", data.Scalar(1))
 	r := s.Get("x")
-	r[data.ValField] = 99
-	if s.Get("x").Val() != 1 {
+	if changed := r.With(data.ValField, 99); changed.Val() != 99 {
+		t.Fatalf("With = %v", changed)
+	}
+	if r.Val() != 1 || s.Get("x").Val() != 1 {
 		t.Fatal("Get leaked internal storage")
 	}
 }
 
-// The store copies only at its edges: Load and Get/Snapshot copy, while
-// Put takes ownership and Peek/Select share the stored row — whose
-// fields no store operation ever changes, so a shared row stays what it
-// was when read.
+// Rows are immutable values, so the store shares them end to end: Load,
+// Put and Restore keep the row they are given, Get and Select hand that
+// same row out, and a later write replaces the stored row without
+// changing any row already handed out.
 func TestRowOwnership(t *testing.T) {
 	s := NewStore()
 	loaded := data.Scalar(1)
 	s.Load(data.Tuple{Key: "x", Row: loaded})
-	loaded[data.ValField] = 99
-	if s.Get("x").Val() != 1 {
-		t.Fatal("Load kept the caller's row")
-	}
-	snap := s.Snapshot()
-	snap[0].Row[data.ValField] = 99
-	if s.Get("x").Val() != 1 {
-		t.Fatal("Snapshot leaked internal storage")
+	if s.Get("x") != loaded {
+		t.Fatal("Load copied the row")
 	}
 	row := data.Scalar(2)
 	before := s.Put("x", row)
-	if sel := s.Select(predicate.True{}); len(sel) != 1 || !sameRow(sel[0].Row, row) || !sameRow(s.Peek("x"), row) {
-		t.Fatal("Put/Peek/Select copied instead of sharing the stored row")
+	if before != loaded {
+		t.Fatalf("Put's before-image = %p, want the loaded row %p", before, loaded)
+	}
+	if sel := s.Select(predicate.True{}); len(sel) != 1 || sel[0].Row != row || s.Get("x") != row {
+		t.Fatal("Get/Select copied instead of sharing the stored row")
 	}
 	s.Put("x", data.Scalar(3))
 	if before.Val() != 1 || row.Val() != 2 {
 		t.Fatalf("a write changed rows already handed out: before %v, row %v", before, row)
 	}
-}
-
-// sameRow reports whether a and b are the same map, not just equal ones.
-func sameRow(a, b data.Row) bool {
-	a["probe"] = 1
-	defer delete(a, "probe")
-	_, ok := b["probe"]
-	return ok
+	s.Restore("x", before)
+	if s.Get("x") != loaded {
+		t.Fatal("Restore copied the before-image")
+	}
 }
 
 func TestRestore(t *testing.T) {
@@ -94,15 +91,15 @@ func TestRestore(t *testing.T) {
 func TestSelectAndSnapshot(t *testing.T) {
 	s := NewStore()
 	s.Load(
-		data.Tuple{Key: "e1", Row: data.Row{"active": 1}},
-		data.Tuple{Key: "e2", Row: data.Row{"active": 0}},
-		data.Tuple{Key: "e3", Row: data.Row{"active": 1}},
+		data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"active": 1})},
+		data.Tuple{Key: "e2", Row: data.NewRow(map[string]int64{"active": 0})},
+		data.Tuple{Key: "e3", Row: data.NewRow(map[string]int64{"active": 1})},
 	)
 	got := s.Select(predicate.MustParse("active == 1"))
 	if len(got) != 2 || got[0].Key != "e1" || got[1].Key != "e3" {
 		t.Fatalf("Select = %v", got)
 	}
-	if len(s.Snapshot()) != 3 || s.Len() != 3 {
+	if len(s.Select(predicate.True{})) != 3 || s.Len() != 3 {
 		t.Fatal("Snapshot/Len wrong")
 	}
 	keys := s.Keys()
@@ -233,7 +230,7 @@ func TestSelectMatchesFullScan(t *testing.T) {
 					t.Fatalf("shards=%d step %d: Select(%s)\n got %v\nwant %v", shards, step, p, got, want)
 				}
 			}
-			if got, want := s.Keys(), data.Keys(s.Snapshot()); !slices.Equal(got, want) {
+			if got, want := s.Keys(), data.Keys(s.Select(predicate.True{})); !slices.Equal(got, want) {
 				t.Fatalf("shards=%d step %d: Keys = %v, Snapshot keys = %v", shards, step, got, want)
 			}
 		}

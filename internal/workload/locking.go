@@ -228,7 +228,7 @@ func PredicateVsItemMix(db engine.DB, level engine.Level, writers, rounds int) (
 				matching[name] = true
 			}
 			steps = append(steps, schedule.OpStep(t, name, func(ctx *schedule.Ctx) (any, error) {
-				return nil, ctx.Tx.Put(key, data.Row{"active": active})
+				return nil, ctx.Tx.Put(key, data.NewRow(map[string]int64{"active": active}))
 			}))
 		}
 		steps = append(steps, schedule.CommitStep(s))

@@ -128,8 +128,12 @@ func NewDBForShards(level Level, shards int) DB { return anomalies.NewDBForShard
 // Key identifies a data item.
 type Key = data.Key
 
-// Row is a set of named int64 fields.
+// Row is a set of named int64 fields: an immutable value, shared rather
+// than copied (nil means "no row").
 type Row = data.Row
+
+// NewRow builds a row holding a copy of fields.
+func NewRow(fields map[string]int64) Row { return data.NewRow(fields) }
 
 // Tuple pairs a key with a row.
 type Tuple = data.Tuple

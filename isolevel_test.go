@@ -166,7 +166,7 @@ func TestFacadeWorkload(t *testing.T) {
 func TestFacadePredicate(t *testing.T) {
 	p := isolevel.MustPredicate("active == 1")
 	db := isolevel.NewLockingDB()
-	db.Load(isolevel.Tuple{Key: "e1", Row: isolevel.Row{"active": 1}})
+	db.Load(isolevel.Tuple{Key: "e1", Row: isolevel.NewRow(map[string]int64{"active": 1})})
 	tx, _ := db.Begin(isolevel.Serializable)
 	rows, err := tx.Select(p)
 	if err != nil || len(rows) != 1 {
