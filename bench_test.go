@@ -288,10 +288,12 @@ func BenchmarkShardSweepLockingDisjoint(b *testing.B) {
 // BenchmarkKeyrangeWritersUnderScan is the headline comparison: a
 // SERIALIZABLE scanner holds its phantom protection for the whole
 // benchmark while concurrent writers update non-matching rows on spread
-// keys. Under the predicate table every write funnels through the
-// cross-stripe gate's exclusive side for its conflict check; under
-// key-range locking writes consult only their own stripe's fragments.
-// The gate-acquires/op metric is the direct evidence: zero on keyrange.
+// keys. Under the predicate table every write checks the held predicate
+// under its stripe latch, and every writer's commit takes the cross-stripe
+// gate's exclusive side, since its ReleaseAll runs while a predicate is
+// held; under key-range locking writes and commits consult only their own
+// stripes. The gate-acquires/op metric is the direct evidence: zero on
+// keyrange.
 func BenchmarkKeyrangeWritersUnderScan(b *testing.B) {
 	const keys = 128
 	for _, proto := range []string{"predicate", "keyrange"} {

@@ -32,45 +32,15 @@ func dumpWaitsFor(g *WaitsFor) string {
 	return b.String()
 }
 
-// Free-running key-range traffic must never hang: every wait is either
-// granted or refused as a deadlock victim. Four workers run transactions
-// of four random operations over 24 keys — a Shared item read, an
-// Exclusive item write whose row image lies in every range covering its
-// key, or a six-key AcquireRange with static anchors — then ReleaseAll,
-// retrying deadlock victims. Unlike the lockstep fuzzer, the operations
-// race on real cores, so a range request's conflict read interleaves with
-// item grants and striped releases; a conflict set read before the
-// request is queued misses a writer granted mid-read (an unchecked
-// 2-cycle later closed by an edge refresh) or a holder that releases
-// without draining the range queue (a lost wakeup). A watchdog fails the
-// test as soon as no transaction finishes for 500 ms and prints the
-// waits-for graph, so a stall is a named failure, not a test timeout.
-// The run is bounded by transaction count (10,000: a fraction of a second,
-// a few seconds under -race), so repeat it with -count to hunt a rare
-// interleaving.
-func TestKeyrangeFreeRunningNeverStalls(t *testing.T) {
-	const workers, txnsPerWorker, nkeys, span = 4, 2500, 24, 6
-	m := NewManager()
-	keys := make([]data.Key, nkeys+1)
-	for i := range keys {
-		keys[i] = data.Key(fmt.Sprintf("k:%02d", i))
-	}
-	im := Images{Before: data.Scalar(1), After: data.Scalar(2)}
-	op := func(r *rand.Rand, tx TxID) error {
-		k := keys[r.Intn(nkeys)]
-		switch r.Intn(3) {
-		case 0:
-			return m.AcquireItem(tx, k, S, Images{Before: im.Before})
-		case 1:
-			return m.AcquireItem(tx, k, X, im)
-		}
-		lo := r.Intn(nkeys - span + 1)
-		rng := predicate.KeyRange{Lo: keys[lo], Hi: keys[lo+span]}
-		_, err := m.AcquireRange(tx, RangeSpec{Pred: rng, Lo: rng.Lo, Hi: rng.Hi, Bounded: true,
-			Anchors: keys[lo : lo+span], Ceiling: keys[lo+span]})
-		return err
-	}
-
+// runFreeRunning drives m from four workers, each running txnsPerWorker
+// transactions of four op calls followed by ReleaseAll and retrying
+// deadlock victims, with a watchdog that fails the test as soon as no
+// transaction finishes for 500 ms and prints the waits-for graph, so a
+// stall is a named failure, not a test timeout. It returns the manager's
+// stats once every worker is done.
+func runFreeRunning(t *testing.T, m *Manager, txnsPerWorker int, op func(r *rand.Rand, tx TxID) error) Stats {
+	t.Helper()
+	const workers = 4
 	var nextTx atomic.Int64
 	var finished atomic.Int64
 	done := make(chan struct{})
@@ -108,10 +78,7 @@ func TestKeyrangeFreeRunningNeverStalls(t *testing.T) {
 	for {
 		select {
 		case <-done:
-			if st := m.Stats(); st.RangeGrants == 0 || st.Deadlocks == 0 {
-				t.Fatalf("mix starved: %d range grants, %d deadlocks", st.RangeGrants, st.Deadlocks)
-			}
-			return
+			return m.Stats()
 		case <-tick.C:
 			n := finished.Load()
 			if n == last {
@@ -120,5 +87,86 @@ func TestKeyrangeFreeRunningNeverStalls(t *testing.T) {
 			}
 			last = n
 		}
+	}
+}
+
+// freeRunKeys returns the 25 keys k:00..k:24 the free-running tests draw
+// from: 24 to lock and a ceiling for ranges ending at the last.
+func freeRunKeys() []data.Key {
+	keys := make([]data.Key, 25)
+	for i := range keys {
+		keys[i] = data.Key(fmt.Sprintf("k:%02d", i))
+	}
+	return keys
+}
+
+// Free-running key-range traffic must never hang: every wait is either
+// granted or refused as a deadlock victim. Four workers run transactions
+// of four random operations over 24 keys — a Shared item read, an
+// Exclusive item write whose row image lies in every range covering its
+// key, or a six-key AcquireRange with static anchors — then ReleaseAll,
+// retrying deadlock victims. Unlike the lockstep fuzzer, the operations
+// race on real cores, so a range request's conflict read interleaves with
+// item grants and striped releases; a conflict set read before the
+// request is queued misses a writer granted mid-read (an unchecked
+// 2-cycle later closed by an edge refresh) or a holder that releases
+// without draining the range queue (a lost wakeup). The run is bounded by
+// transaction count (10,000: a fraction of a second, a few seconds under
+// -race), so repeat it with -count to hunt a rare interleaving.
+func TestKeyrangeFreeRunningNeverStalls(t *testing.T) {
+	const nkeys, span = 24, 6
+	m := NewManager()
+	keys := freeRunKeys()
+	im := Images{Before: data.Scalar(1), After: data.Scalar(2)}
+	st := runFreeRunning(t, m, 2500, func(r *rand.Rand, tx TxID) error {
+		k := keys[r.Intn(nkeys)]
+		switch r.Intn(3) {
+		case 0:
+			return m.AcquireItem(tx, k, S, Images{Before: im.Before})
+		case 1:
+			return m.AcquireItem(tx, k, X, im)
+		}
+		lo := r.Intn(nkeys - span + 1)
+		rng := predicate.KeyRange{Lo: keys[lo], Hi: keys[lo+span]}
+		_, err := m.AcquireRange(tx, RangeSpec{Pred: rng, Lo: rng.Lo, Hi: rng.Hi, Bounded: true,
+			Anchors: keys[lo : lo+span], Ceiling: keys[lo+span]})
+		return err
+	})
+	if st.RangeGrants == 0 || st.Deadlocks == 0 {
+		t.Fatalf("mix starved: %d range grants, %d deadlocks", st.RangeGrants, st.Deadlocks)
+	}
+}
+
+// The predicate protocol's twin of the stress above: Shared and Exclusive
+// item operations with row images, and Shared or Exclusive predicate
+// locks over six-key ranges. Item requests run on the striped path while
+// predicates are only held and take the exclusive gate while one is
+// queued, so the free-running mix crosses that switch in both directions
+// on every core: an item waiter enqueued beside a held predicate must
+// still be granted by the predicate holder's ReleaseAll, and a predicate
+// request queued behind striped item holders by their releases.
+func TestPredicateFreeRunningNeverStalls(t *testing.T) {
+	const nkeys, span = 24, 6
+	m := NewManager()
+	keys := freeRunKeys()
+	im := Images{Before: data.Scalar(1), After: data.Scalar(2)}
+	st := runFreeRunning(t, m, 2500, func(r *rand.Rand, tx TxID) error {
+		k := keys[r.Intn(nkeys)]
+		switch r.Intn(4) {
+		case 0:
+			return m.AcquireItem(tx, k, S, Images{Before: im.Before})
+		case 1:
+			return m.AcquireItem(tx, k, X, im)
+		}
+		lo := r.Intn(nkeys - span + 1)
+		mode := S
+		if r.Intn(2) == 0 {
+			mode = X
+		}
+		_, err := m.AcquirePred(tx, predicate.KeyRange{Lo: keys[lo], Hi: keys[lo+span]}, mode)
+		return err
+	})
+	if st.PredGrants == 0 || st.PredWaits == 0 || st.Deadlocks == 0 {
+		t.Fatalf("mix starved: %d predicate grants, %d predicate waits, %d deadlocks", st.PredGrants, st.PredWaits, st.Deadlocks)
 	}
 }

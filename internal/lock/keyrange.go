@@ -19,9 +19,8 @@
 //     covering fragments onto j — InnoDB-style gap-lock inheritance, so
 //     coverage survives the key space densifying under a live scan;
 //   - disjoint-key item traffic never touches any cross-stripe structure:
-//     while no fragment is held or wanted (one atomic counter, the exact
-//     predActivity pattern) every fast path is byte-for-byte the striped
-//     item path, and even with a live scan, item operations consult only
+//     while no fragment is held or wanted (one atomic counter) every fast
+//     path is byte-for-byte the striped item path, and even with a live scan, item operations consult only
 //     their own stripe. The shared-exclusive gate's exclusive side is
 //     never taken on this protocol (Stats.GateAcquires stays zero).
 //
@@ -931,21 +930,28 @@ func (m *Manager) spliceInheritedLocked(key data.Key, copies []fragment) {
 	m.inheritsSinceGC += len(copies)
 }
 
-// itemConflictHoldersLocked is the fragment-aware item conflict set: the
-// same-key item holders plus, for an exclusive request, the owners of the
-// fragments anchored at the key whose predicates its images satisfy.
-// Sorted and deduplicated. Called with the key's stripe latched (or the
-// gate exclusive).
+// itemConflictHoldersLocked is an item request's whole conflict set: the
+// same-key item holders; for an exclusive request, the owners of the
+// fragments anchored at the key whose predicates its images satisfy; and
+// the holders of conflicting-mode predicate locks whose predicates its
+// images satisfy. Sorted and deduplicated. Called with the key's stripe
+// latched under the shared gate (or the gate exclusive), which fixes all
+// three.
 func (m *Manager) itemConflictHoldersLocked(sp *stripe, req *request) []TxID {
 	out := itemConflictHolders(sp.items[req.key], req)
-	if req.mode != X || len(sp.frags) == 0 {
-		return out
-	}
 	n := len(out)
-	i, j := fragWindow(sp.frags, req.key)
-	for _, e := range sp.frags[i:j] {
-		if e.f.tx != req.tx && req.im.matches(e.f.pred, req.key) {
-			out = append(out, e.f.tx)
+	if req.mode == X && len(sp.frags) != 0 {
+		i, j := fragWindow(sp.frags, req.key)
+		for _, e := range sp.frags[i:j] {
+			if e.f.tx != req.tx && req.im.matches(e.f.pred, req.key) {
+				out = append(out, e.f.tx)
+			}
+		}
+	}
+	for i := range m.preds {
+		ps := &m.preds[i]
+		if ps.tx != req.tx && conflicts(req.mode, ps.mode) && req.im.matches(ps.pred, req.key) {
+			out = append(out, ps.tx)
 		}
 	}
 	if len(out) == n {

@@ -36,10 +36,20 @@
 // guarded by a shared-exclusive gate over the stripe set: item operations
 // run under the shared side (per-stripe latches provide their mutual
 // exclusion), while predicate operations take the exclusive side and with
-// it a stable view of every stripe. While no predicate lock is held or
-// wanted (tracked by one atomic counter) item operations never touch the
-// gate's exclusive side at all, which is what lets disjoint-key workloads
-// scale with the stripe count.
+// it a stable view of every stripe.
+//
+// The line between the two sides follows §2.3's definition: a predicate
+// lock is defined by what it conflicts with, so once granted it is a fixed
+// fact that a later item request only has to check. The predicate table
+// and its queue are written only under the exclusive gate, so under the
+// shared side an item request sees its whole conflict set — same-key
+// holders under its stripe latch, plus the held predicates its images
+// satisfy. Only a predicate request that is still waiting needs every
+// stripe held still, because its conflict set spans them all; so item
+// acquires and releases take the exclusive side only while one is queued,
+// and ReleaseAll (which may release predicates, unblocking waiters in any
+// stripe) only while a predicate lock is held or wanted. Held predicates
+// alone leave disjoint-key item traffic scaling with the stripe count.
 //
 // # Phantom prevention: two protocols
 //
@@ -66,12 +76,13 @@
 //
 // An item lock granted at once allocates nothing at steady state. The
 // request is a stack value; an item's holders are a small slice of values;
-// emptied lock-table entries and per-(stripe, transaction) held-key sets
+// emptied lock-table entries and per-(stripe, transaction) held-key lists
 // are recycled through per-stripe free lists, and per-transaction
 // footprints — stripe bitsets, walked in ascending order without a sort —
 // through per-slot free lists. Conflict sets are built by append, sort and
 // compact, never through a map. A request that has to wait allocates its
 // heap copy and its ready channel (plus the waits-for edges it records).
+// A granted predicate lock is a value in the predicate table's slice.
 // Free lists are bounded (freeListMax) and deterministic: no sync.Pool.
 //
 // # Latch hierarchy
@@ -83,7 +94,9 @@
 // are held, never later ones:
 //
 //   - Manager.gate, the stripe-set shared/exclusive gate, is the outermost:
-//     every item/predicate path enters through it.
+//     every path enters through it — item and range paths on the shared
+//     side, predicate paths (and item paths while a predicate request
+//     waits) on the exclusive side.
 //   - Manager.rangeMu, the key-range table latch, nests inside the gate's
 //     shared side (range ops never take the gate exclusively). A range or
 //     gap request is published, drained and decided under one rangeMu
@@ -104,7 +117,7 @@
 //
 // The free lists have no latch of their own, so the hierarchy names none:
 // stripe.itemFree and stripe.heldFree live under stripe.mu (or the
-// exclusive gate) with the items and held maps they recycle,
+// exclusive gate) with the items and held-key lists they recycle,
 // footprintSlot.free under footprintSlot.mu with the footprints, and the
 // range-drain scratch (Manager.touched) under Manager.rangeMu.
 //
@@ -245,12 +258,12 @@ func (st *itemState) drop(tx TxID) {
 // PredHandle identifies a granted predicate lock for later release.
 type PredHandle int64
 
-// predState is a granted predicate lock.
+// predState is a granted predicate lock, an entry of Manager.preds.
 type predState struct {
-	tx   TxID
-	mode Mode
-	pred predicate.P
-	refs int
+	handle PredHandle
+	tx     TxID
+	mode   Mode
+	pred   predicate.P
 }
 
 // request is a lock request. Acquisitions build it as a stack value and
@@ -437,20 +450,21 @@ func (m *Manager) takeFootprint(tx TxID, dst []int) []int {
 }
 
 // stripe is one shard of the item lock table: its own lock table, wait
-// queue and latch. held tracks which keys each transaction holds in this
-// stripe so ReleaseAll is O(held keys), not O(table).
+// queue and latch. held lists the keys each transaction holds in this
+// stripe, unordered and each once, so ReleaseAll is O(held keys), not
+// O(table).
 type stripe struct {
 	idx   int
 	mu    sync.Mutex
 	items map[data.Key]*itemState
-	held  map[TxID]map[data.Key]struct{}
+	held  map[TxID][]data.Key
 	queue []*request // waiting item requests: upgrades first, then arrival order
 
 	// itemFree and heldFree recycle emptied lock-table entries and
-	// per-transaction held-key sets, so a steady stream of grants and
+	// per-transaction held-key lists, so a steady stream of grants and
 	// releases allocates neither. Guarded like items and held.
 	itemFree []*itemState
-	heldFree []map[data.Key]struct{}
+	heldFree [][]data.Key
 
 	// frags holds the key-range fragments anchored in this stripe as one
 	// slice sorted by anchor key, entries with equal anchors adjacent
@@ -501,32 +515,55 @@ func (sp *stripe) dropHolder(key data.Key, st *itemState, tx TxID) {
 	}
 }
 
-// noteHeld records that tx holds key in this stripe, reporting whether it
-// is tx's first key here. Called with sp latched (or the gate exclusive).
+// noteHeld records that tx holds key in this stripe — a key it did not
+// hold here — reporting whether it is tx's first key here. Called with sp
+// latched (or the gate exclusive).
 func (sp *stripe) noteHeld(tx TxID, key data.Key) (first bool) {
-	hk := sp.held[tx]
-	if hk == nil {
+	hk, ok := sp.held[tx]
+	if !ok {
 		if n := len(sp.heldFree); n > 0 {
 			hk = sp.heldFree[n-1]
 			sp.heldFree = sp.heldFree[:n-1]
-		} else {
-			hk = map[data.Key]struct{}{}
 		}
-		sp.held[tx] = hk
 		first = true
 	}
-	hk[key] = struct{}{}
+	sp.held[tx] = append(hk, key)
 	return first
 }
 
-// recycleHeld forgets tx's held-key set, keeping the emptied map for
-// reuse unless it grew past freeListMax keys (clearing a map keeps its
-// buckets). Called with sp latched (or the gate exclusive).
-func (sp *stripe) recycleHeld(tx TxID, hk map[data.Key]struct{}) {
+// forgetHeld removes key from tx's held keys here by swapping the last
+// key into its place (a transaction releasing early mostly releases what
+// it took last, so the search runs from the end). Called with sp latched
+// (or the gate exclusive).
+func (sp *stripe) forgetHeld(tx TxID, key data.Key) {
+	hk, ok := sp.held[tx]
+	if !ok {
+		return
+	}
+	for i := len(hk) - 1; i >= 0; i-- {
+		if hk[i] == key {
+			last := len(hk) - 1
+			hk[i] = hk[last]
+			hk[last] = ""
+			hk = hk[:last]
+			break
+		}
+	}
+	if len(hk) == 0 {
+		sp.recycleHeld(tx, hk)
+		return
+	}
+	sp.held[tx] = hk
+}
+
+// recycleHeld forgets tx's held keys, keeping the emptied slice for reuse
+// unless it grew past freeListMax keys. Called with sp latched (or the
+// gate exclusive).
+func (sp *stripe) recycleHeld(tx TxID, hk []data.Key) {
 	delete(sp.held, tx)
-	if len(hk) <= freeListMax && len(sp.heldFree) < freeListMax {
+	if cap(hk) <= freeListMax && len(sp.heldFree) < freeListMax {
 		clear(hk)
-		sp.heldFree = append(sp.heldFree, hk)
+		sp.heldFree = append(sp.heldFree, hk[:0])
 	}
 }
 
@@ -534,16 +571,16 @@ func (sp *stripe) recycleHeld(tx TxID, hk map[data.Key]struct{}) {
 // per-stripe step; the caller drains). Called with sp latched (or the gate
 // exclusive).
 func (sp *stripe) releaseTxLocked(tx TxID) {
-	hk := sp.held[tx]
-	//isolint:ordered removals of tx's own holds commute; which recycled entry lands where on a free list is unobservable, and the drain runs afterwards
-	for key := range hk {
+	hk, ok := sp.held[tx]
+	if !ok {
+		return
+	}
+	for _, key := range hk {
 		if st := sp.items[key]; st != nil {
 			sp.dropHolder(key, st, tx)
 		}
 	}
-	if hk != nil {
-		sp.recycleHeld(tx, hk)
-	}
+	sp.recycleHeld(tx, hk)
 }
 
 // Manager is a striped lock manager. The zero value is not usable; use
@@ -555,32 +592,30 @@ type Manager struct {
 	// gate is the shared-exclusive gate over the stripe set. Item
 	// operations hold it shared (stripe latches give them mutual
 	// exclusion); predicate operations — whose conflicts span every
-	// stripe — and item operations racing predicate state hold it
-	// exclusively, quiescing the stripes.
+	// stripe — hold it exclusively, quiescing the stripes, and so do item
+	// operations while a predicate request waits, and ReleaseAll while
+	// any predicate lock is held or wanted.
 	gate sync.RWMutex
 
-	// predActivity counts predicate holders plus queued predicate
-	// requests. It changes only under the exclusive gate; item fast paths
-	// read it under the shared gate, where zero is stable and means no
-	// predicate conflict is possible and no release can unblock one.
-	predActivity atomic.Int64
-
-	// preds and predQ are the cross-stripe predicate-lock table and its
-	// wait queue; handles generates PredHandles. All three are touched
-	// only under the exclusive gate.
-	preds   map[PredHandle]*predState
+	// preds and predQ are the cross-stripe predicate-lock table (granted
+	// locks in grant order) and its wait queue; handles generates
+	// PredHandles. All three are written only under the exclusive gate, so
+	// under the shared gate they are fixed: an item request reads the held
+	// predicates it must not conflict with from preds, and an empty predQ
+	// means no item grant or release can change what a predicate request
+	// waits on.
+	preds   []predState
 	predQ   []*request
 	handles PredHandle
 
 	// Key-range locking state (keyrange.go). rangeMu orders range
 	// operations against each other; item operations never take it from
 	// inside a stripe latch, and only at all while range waiters exist
-	// (rangeQLen) or fragments are live (rangeActivity — the predActivity
-	// pattern). rangeHolds, rangeQ, supFrags, gapStripe, the range/gap
-	// counters and every scratch buffer below are touched only under
-	// rangeMu; fragments themselves (stripe.frags) are written under
-	// rangeMu plus the stripe's latch and readable under either (see the
-	// stripe fields).
+	// (rangeQLen) or fragments are live (rangeActivity). rangeHolds,
+	// rangeQ, supFrags, gapStripe, the range/gap counters and every
+	// scratch buffer below are touched only under rangeMu; fragments
+	// themselves (stripe.frags) are written under rangeMu plus the
+	// stripe's latch and readable under either (see the stripe fields).
 	rangeMu       sync.Mutex
 	rangeQ        []*request
 	rangeQLen     atomic.Int64
@@ -668,7 +703,6 @@ func NewManagerShards(n int) *Manager {
 	m := &Manager{
 		striper:    striper,
 		stripes:    make([]*stripe, striper.Count()),
-		preds:      map[PredHandle]*predState{},
 		gapStripe:  make([]gapStripeStats, striper.Count()),
 		touched:    newStripeSet(striper.Count()),
 		runBuckets: make([][]data.Key, striper.Count()),
@@ -678,7 +712,7 @@ func NewManagerShards(n int) *Manager {
 		m.stripes[i] = &stripe{
 			idx:   i,
 			items: map[data.Key]*itemState{},
-			held:  map[TxID]map[data.Key]struct{}{},
+			held:  map[TxID][]data.Key{},
 		}
 	}
 	return m
@@ -814,17 +848,22 @@ func (m *Manager) Stats() Stats {
 // the queue. Returns ErrDeadlock if waiting would close a waits-for cycle.
 func (m *Manager) AcquireItem(tx TxID, key data.Key, mode Mode, im Images) error {
 	m.gate.RLock()
-	if m.predActivity.Load() == 0 {
-		// Striped fast path: no predicate lock is held or wanted, so the
-		// only possible conflicts are same-key item locks in key's stripe.
+	if len(m.predQ) == 0 {
+		// Striped path: no predicate request waits, so the request's
+		// conflicts are same-key item locks in key's stripe and the held
+		// predicates, which the shared gate keeps fixed.
 		return m.acquireItemStriped(tx, key, mode, im)
 	}
 	m.gate.RUnlock()
 	return m.acquireItemGated(tx, key, mode, im)
 }
 
-// acquireItemStriped is the shared-gate item path. Called with the gate
-// held shared; releases it before blocking or returning.
+// acquireItemStriped is the shared-gate item path, taken while no
+// predicate request waits. A grant then makes no waiter grantable — item
+// waiters wait on same-key holders' modes and on held predicates, and a
+// grant relaxes neither — so refreshing the stripe's wait edges stands in
+// for a drain. Called with the gate held shared; releases it before
+// blocking or returning.
 func (m *Manager) acquireItemStriped(tx TxID, key data.Key, mode Mode, im Images) error {
 	sp := m.stripeOf(key)
 	sp.mu.Lock()
@@ -895,9 +934,10 @@ func (m *Manager) acquireItemStriped(tx TxID, key data.Key, mode Mode, im Images
 	return m.await(q)
 }
 
-// acquireItemGated is the exclusive-gate item path, used whenever
-// predicate locks are held or wanted: conflicts may then span the
-// predicate table, so the request needs the stable cross-stripe view.
+// acquireItemGated is the exclusive-gate item path, used while a predicate
+// request waits: the request's grant or its image merge can change that
+// waiter's conflict set, so the grant is followed by a drain over every
+// stripe and the predicate queue.
 func (m *Manager) acquireItemGated(tx TxID, key data.Key, mode Mode, im Images) error {
 	m.gate.Lock()
 	m.gateAcquires.Add(1)
@@ -970,7 +1010,6 @@ func (m *Manager) AcquirePred(tx TxID, p predicate.P, mode Mode) (PredHandle, er
 	on := m.conflictHoldersLocked(&req)
 	if len(on) == 0 {
 		m.installPredLocked(&req)
-		m.predActivity.Add(1) // new holder
 		m.refreshAllWaitersLocked()
 		m.gate.Unlock()
 		m.obs.RecordGateHold(gs)
@@ -985,7 +1024,6 @@ func (m *Manager) AcquirePred(tx TxID, p predicate.P, mode Mode) (PredHandle, er
 	}
 	q := req.queued()
 	m.predQ = append(m.predQ, q)
-	m.predActivity.Add(1) // new waiter (stays counted when it becomes a holder)
 	m.predWaits++
 	m.notifyWaiting(tx, on)
 	m.obsWait(q, on, -1)
@@ -1048,42 +1086,33 @@ func itemConflictHolders(st *itemState, req *request) []TxID {
 // locks — item locks in any stripe and predicate locks — conflict with
 // req, sorted. Called with the gate held exclusively.
 func (m *Manager) conflictHoldersLocked(req *request) []TxID {
+	if !req.isPred {
+		return m.itemConflictHoldersLocked(m.stripeOf(req.key), req)
+	}
 	var out []TxID
-	if req.isPred {
-		// Predicate request vs item holders in every stripe.
-		for _, sp := range m.stripes {
-			//isolint:ordered the collected holders are sorted and deduplicated before return
-			for key, st := range sp.items {
-				for i := range st.holders {
-					h := &st.holders[i]
-					if h.tx == req.tx || !conflicts(req.mode, h.mode) {
-						continue
-					}
-					if h.im.matches(req.pred, key) {
-						out = append(out, h.tx)
-					}
+	// Predicate request vs item holders in every stripe.
+	for _, sp := range m.stripes {
+		//isolint:ordered the collected holders are sorted and deduplicated before return
+		for key, st := range sp.items {
+			for i := range st.holders {
+				h := &st.holders[i]
+				if h.tx == req.tx || !conflicts(req.mode, h.mode) {
+					continue
+				}
+				if h.im.matches(req.pred, key) {
+					out = append(out, h.tx)
 				}
 			}
 		}
-		// Predicate request vs predicate holders.
-		for _, ps := range m.preds {
-			if ps.tx == req.tx || !conflicts(req.mode, ps.mode) {
-				continue
-			}
-			if !predicate.DisjointWith(req.pred, ps.pred) {
-				out = append(out, ps.tx)
-			}
+	}
+	// Predicate request vs predicate holders.
+	for i := range m.preds {
+		ps := &m.preds[i]
+		if ps.tx == req.tx || !conflicts(req.mode, ps.mode) {
+			continue
 		}
-	} else {
-		out = m.itemConflictHoldersLocked(m.stripeOf(req.key), req)
-		// Item request vs predicate holders.
-		for _, ps := range m.preds {
-			if ps.tx == req.tx || !conflicts(req.mode, ps.mode) {
-				continue
-			}
-			if req.im.matches(ps.pred, req.key) {
-				out = append(out, ps.tx)
-			}
+		if !predicate.DisjointWith(req.pred, ps.pred) {
+			out = append(out, ps.tx)
 		}
 	}
 	slices.Sort(out)
@@ -1122,7 +1151,7 @@ func (m *Manager) installPredLocked(req *request) {
 	m.predGrants++
 	m.handles++
 	req.handle = m.handles
-	m.preds[req.handle] = &predState{tx: req.tx, mode: req.mode, pred: req.pred, refs: 1}
+	m.preds = append(m.preds, predState{handle: req.handle, tx: req.tx, mode: req.mode, pred: req.pred})
 }
 
 // enqueue inserts req into q: upgrades go before non-upgrades (but after
@@ -1171,29 +1200,23 @@ func (m *Manager) dropItemLocked(sp *stripe, tx TxID, key data.Key) {
 		return
 	}
 	sp.dropHolder(key, st, tx)
-	if hk := sp.held[tx]; hk != nil {
-		delete(hk, key)
-		if len(hk) == 0 {
-			sp.recycleHeld(tx, hk)
-		}
-	}
+	sp.forgetHeld(tx, key)
 }
 
 // ReleaseItem decrements tx's hold on key, removing the lock at zero and
 // draining the stripe's wait queue.
 func (m *Manager) ReleaseItem(tx TxID, key data.Key) {
 	m.gate.RLock()
-	if m.predActivity.Load() == 0 {
+	if len(m.predQ) == 0 {
+		// No predicate request waits, so a one-key release can unblock
+		// only waiters in key's stripe (held predicates stay held), and
+		// draining that stripe grants what a drain of every stripe would.
 		if m.rangeActivity.Load() != 0 {
 			// Range activity: the release may unblock a queued range or
 			// gap request as well as this stripe's item waiters; drain
-			// both in global arrival order (see drainRangeLocked). The
-			// gate is deliberately rangeActivity, not rangeQLen: the
-			// predicate twin drains globally-by-seq exactly while a
-			// predicate lock is *held* (predActivity), so draining
-			// per-stripe here while fragments are live would reorder
-			// cross-stripe grants and break the protocols' trace
-			// equivalence.
+			// both in global arrival order (see drainRangeLocked), the
+			// order the predicate twin's gated drain uses while a
+			// predicate request waits.
 			m.rangeMu.Lock()
 			sp := m.stripeOf(key)
 			sp.mu.Lock()
@@ -1220,8 +1243,8 @@ func (m *Manager) ReleaseItem(tx TxID, key data.Key) {
 		return
 	}
 	m.gate.RUnlock()
-	// Predicate activity: the release may unblock a predicate waiter, so
-	// the drain needs the cross-stripe view.
+	// A predicate request waits: the release may unblock it, so the drain
+	// needs the cross-stripe view.
 	m.gate.Lock()
 	m.gateAcquires.Add(1)
 	gs := m.obs.Now()
@@ -1237,11 +1260,12 @@ func (m *Manager) ReleasePred(tx TxID, handle PredHandle) {
 	m.gate.Lock()
 	m.gateAcquires.Add(1)
 	gs := m.obs.Now()
-	if ps, ok := m.preds[handle]; ok && ps.tx == tx {
-		ps.refs--
-		if ps.refs <= 0 {
-			delete(m.preds, handle)
-			m.predActivity.Add(-1)
+	for i := range m.preds {
+		if m.preds[i].handle == handle {
+			if m.preds[i].tx == tx {
+				m.preds = slices.Delete(m.preds, i, i+1)
+			}
+			break
 		}
 	}
 	granted := m.drainAllLocked()
@@ -1254,7 +1278,7 @@ func (m *Manager) ReleasePred(tx TxID, handle PredHandle) {
 // all long-duration locks) and cancels any of tx's queued requests.
 func (m *Manager) ReleaseAll(tx TxID) {
 	m.gate.RLock()
-	if m.predActivity.Load() == 0 {
+	if len(m.preds) == 0 && len(m.predQ) == 0 {
 		if m.rangeActivity.Load() != 0 {
 			m.releaseAllRangeAware(tx)
 			return
@@ -1284,6 +1308,9 @@ func (m *Manager) ReleaseAll(tx TxID) {
 	}
 	m.gate.RUnlock()
 
+	// Predicate activity: tx's predicates and its keys in every stripe go
+	// in one step, then one drain over every stripe in global arrival
+	// order, the order keyrange's drainRangeLocked keeps too.
 	m.gate.Lock()
 	m.gateAcquires.Add(1)
 	gs := m.obs.Now()
@@ -1295,17 +1322,8 @@ func (m *Manager) ReleaseAll(tx TxID) {
 		sp.releaseTxLocked(tx)
 		cancelled = append(cancelled, cancelQueued(&sp.queue, tx, m.wf)...)
 	}
-	removedPreds := int64(0)
-	for h, ps := range m.preds {
-		if ps.tx == tx {
-			delete(m.preds, h)
-			removedPreds++
-		}
-	}
-	m.predActivity.Add(-removedPreds)
-	predCancelled := cancelQueued(&m.predQ, tx, m.wf)
-	m.predActivity.Add(-int64(len(predCancelled)))
-	cancelled = append(cancelled, predCancelled...)
+	m.preds = slices.DeleteFunc(m.preds, func(ps predState) bool { return ps.tx == tx })
+	cancelled = append(cancelled, cancelQueued(&m.predQ, tx, m.wf)...)
 	granted := m.drainAllLocked()
 	m.gate.Unlock()
 	m.obs.RecordGateHold(gs)
@@ -1350,7 +1368,8 @@ func cancelQueued(q *[]*request, tx TxID, wf *WaitsFor) []*request {
 // upgrades first then arrival order, refreshes the wait edges of the
 // requests that stay blocked, and returns the granted ones for
 // notification outside the latches. Called with sp latched under the
-// shared gate and no predicate activity (item-item conflicts only).
+// shared gate and no predicate request queued (so only sp's waiters can
+// become grantable).
 func (m *Manager) drainStripeLocked(sp *stripe) []*request {
 	var granted []*request
 	for {
@@ -1577,12 +1596,7 @@ func (m *Manager) Holding(tx TxID, key data.Key) (Mode, bool) {
 func (m *Manager) HoldingPred(tx TxID) bool {
 	m.gate.RLock()
 	defer m.gate.RUnlock()
-	for _, ps := range m.preds {
-		if ps.tx == tx {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(m.preds, func(ps predState) bool { return ps.tx == tx })
 }
 
 // QueueLen reports the number of waiting requests (for tests and metrics).

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -286,6 +287,7 @@ func TestReadImageConflictsWithPredX(t *testing.T) {
 type recordingObserver struct {
 	mu      sync.Mutex
 	waits   []TxID
+	waitOn  [][]TxID // waitOn[i] is what waits[i] waited on
 	granted []TxID
 }
 
@@ -293,6 +295,7 @@ func (o *recordingObserver) TxWaiting(tx TxID, on []TxID) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.waits = append(o.waits, tx)
+	o.waitOn = append(o.waitOn, slices.Clone(on))
 }
 
 func (o *recordingObserver) TxGranted(tx TxID) {

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -107,6 +108,82 @@ func TestPredicateConflictSpansStripes(t *testing.T) {
 	st := m.Stats()
 	if st.PredGrants != 1 || st.Waits != int64(len(keys)) {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// A held predicate lock is a fixed fact an item request checks under its
+// stripe latch; only a queued predicate request needs the exclusive gate.
+// While T1 holds a Shared predicate and nothing is queued, T2's item
+// acquires and releases on four stripes never take the gate, and T2's
+// Exclusive write whose before-image matches still waits on T1 with the
+// waits-for edge. Once T3's Exclusive predicate queues, T4's item acquire
+// takes the gate. T1's ReleaseAll then grants T2 and T3 in arrival order.
+func TestHeldPredicateLeavesItemPathStriped(t *testing.T) {
+	m := NewManagerShards(8)
+	o := &recordingObserver{}
+	m.SetObserver(o)
+	keys := keysOnDistinctStripes(t, m, 4)
+	emp := func(active, dept int64) data.Row {
+		return data.NewRow(map[string]int64{"active": active, "dept": dept})
+	}
+	if _, err := m.AcquirePred(1, predicate.MustParse("active == 1"), S); err != nil {
+		t.Fatal(err)
+	}
+	gate := m.Stats().GateAcquires
+	for _, k := range keys {
+		if err := m.AcquireItem(2, k, S, Images{Before: emp(1, 3)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AcquireItem(2, k, X, Images{Before: emp(0, 3), After: emp(0, 4)}); err != nil {
+			t.Fatal(err)
+		}
+		m.ReleaseItem(2, k)
+		m.ReleaseItem(2, k)
+	}
+	if got := m.Stats().GateAcquires; got != gate {
+		t.Fatalf("item traffic under a held predicate took the gate %d times, want 0", got-gate)
+	}
+
+	e2 := make(chan error, 1)
+	go func() { e2 <- m.AcquireItem(2, keys[0], X, Images{Before: emp(1, 3), After: emp(0, 3)}) }()
+	waitForQueue(t, m, 1)
+	o.mu.Lock()
+	waits, on := slices.Clone(o.waits), slices.Clone(o.waitOn)
+	o.mu.Unlock()
+	if !slices.Equal(waits, []TxID{2}) || !slices.Equal(on[0], []TxID{1}) {
+		t.Fatalf("TxWaiting = %v on %v, want T2 on [1]", waits, on)
+	}
+	if got := dumpWaitsFor(m.wf); got != "2:[1] " {
+		t.Fatalf("waits-for = %q, want T2 -> T1", got)
+	}
+	if got := m.Stats().GateAcquires; got != gate {
+		t.Fatalf("a wait on a held predicate took the gate %d times, want 0", got-gate)
+	}
+
+	e3 := make(chan error, 1)
+	go func() {
+		_, err := m.AcquirePred(3, predicate.MustParse("dept == 7"), X)
+		e3 <- err
+	}()
+	waitForQueue(t, m, 2)
+	gate = m.Stats().GateAcquires
+	if err := m.AcquireItem(4, keys[3], S, Images{Before: emp(0, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats().GateAcquires; got != gate+1 {
+		t.Fatalf("item acquire beside a queued predicate took the gate %d times, want 1", got-gate)
+	}
+
+	m.ReleaseAll(1)
+	for _, e := range []chan error{e2, e3} {
+		if err := <-e; err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !slices.Equal(o.granted, []TxID{2, 3}) {
+		t.Fatalf("granted = %v, want [2 3]: T1's release grants in arrival order", o.granted)
 	}
 }
 

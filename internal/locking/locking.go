@@ -54,8 +54,10 @@ type Phantom uint8
 
 const (
 	// PhantomPredicate is the paper's literal mechanism: one predicate
-	// lock per Select, in the lock manager's cross-stripe table behind the
-	// shared-exclusive gate.
+	// lock per Select, in the lock manager's cross-stripe table. Granting
+	// and releasing it take the manager's exclusive gate; while it is only
+	// held, item locks check it on their striped path, and take the gate
+	// only while another predicate request waits.
 	PhantomPredicate Phantom = iota
 	// PhantomKeyrange is the practical mechanism real schedulers use:
 	// key-range (next-key) locks. A Select locks the existing keys of its

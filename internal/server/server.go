@@ -30,6 +30,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 
 	"isolevel/internal/engine"
 	"isolevel/internal/obs"
@@ -230,19 +231,28 @@ func (s *Server) handle(conn net.Conn) {
 
 // isDataStmt reports whether line is a data statement (GET/SET/DEL/SCAN
 // — the statements that do row work and may block on locks). SET
-// TRANSACTION is a control statement.
+// TRANSACTION is a control statement. It reads the first two words in
+// place, so classifying a statement allocates nothing.
 func isDataStmt(line string) bool {
-	f := strings.Fields(line)
-	if len(f) == 0 {
-		return false
-	}
-	switch strings.ToUpper(f[0]) {
-	case "GET", "DEL", "SCAN":
+	verb, rest := nextWord(line)
+	switch {
+	case strings.EqualFold(verb, "GET"), strings.EqualFold(verb, "DEL"), strings.EqualFold(verb, "SCAN"):
 		return true
-	case "SET":
-		return len(f) < 2 || !strings.EqualFold(f[1], "TRANSACTION")
+	case strings.EqualFold(verb, "SET"):
+		arg, _ := nextWord(rest)
+		return !strings.EqualFold(arg, "TRANSACTION")
 	}
 	return false
+}
+
+// nextWord returns the first word of s and what follows it, splitting at
+// unicode.IsSpace as strings.Fields does; word is "" when s is blank.
+func nextWord(s string) (word, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // acquireSlot takes an inflight-statement slot, waiting in the bounded
