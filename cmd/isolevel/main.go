@@ -156,10 +156,9 @@ commands:
         scheduler aborts surface as typed -RETRY errors (see README
         "Serving traffic" for the grammar and retry contract)
         knobs: -family locking|keyrange|mv -shards N -level L
-               -max-sessions N (admission control; excess sessions
-                are greeted -BUSY and closed)
-               -max-inflight N -max-queue N (backpressure; statements
-                past the queue are shed with -BUSY)
+               -max-sessions N (admission control, the one bound:
+                excess sessions are greeted -BUSY and closed; a
+                statement line over 4 KiB gets -ERR and a close)
                -preload N (warm acct:NNNNNN rows for load runs)
                -http ADDR (live /metrics with server counters and the
                 statement-latency histogram)
@@ -168,7 +167,7 @@ commands:
         skew (-keys -hot-keys -hot-bias), op mix (-ops -read-frac
         -scan-frac -del-frac), mixed levels (-levels SER,SI,RC sampled per
         transaction), retry loop (-retries), seeded (-seed); reports
-        commits/retries/shed/busy and p50/p90/p99 latency
+        commits/retries/shed and p50/p90/p99 latency
 `)
 }
 

@@ -53,8 +53,6 @@ func cmdServe(args []string) error {
 	shards := fs.Int("shards", 0, "engine stripe count (0 = default)")
 	levelName := fs.String("level", "", "default session isolation level (default: SERIALIZABLE for locking families, SNAPSHOT ISOLATION for mv)")
 	maxSessions := fs.Int("max-sessions", server.DefaultMaxSessions, "admission control: concurrent sessions before -BUSY")
-	maxInflight := fs.Int("max-inflight", server.DefaultMaxInflight, "backpressure: statements executing at once")
-	maxQueued := fs.Int("max-queue", server.DefaultMaxQueued, "backpressure: statements waiting for a slot before -BUSY")
 	preload := fs.Int("preload", 0, "preload this many acct:NNNNNN rows (value 100) so load runs start warm")
 	httpAddr := fs.String("http", "", "serve /metrics, /debug/pprof/ and /debug/vars on this address")
 	if err := fs.Parse(args); err != nil {
@@ -85,8 +83,6 @@ func cmdServe(args []string) error {
 		DefaultLevel: level,
 		Family:       *family,
 		MaxSessions:  *maxSessions,
-		MaxInflight:  *maxInflight,
-		MaxQueued:    *maxQueued,
 	})
 	if *httpAddr != "" {
 		counters := func() map[string]int64 {
@@ -108,8 +104,8 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serve: family=%s level=%s sessions<=%d inflight<=%d queue<=%d on %s\n",
-		*family, level, *maxSessions, *maxInflight, *maxQueued, ln.Addr())
+	fmt.Printf("serve: family=%s level=%s sessions<=%d on %s\n",
+		*family, level, *maxSessions, ln.Addr())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	waitForInterrupt()

@@ -15,9 +15,10 @@
 //
 // Each transaction samples an isolation level from Levels (mixed-level
 // traffic on one engine), a hot-or-cold key set per op, and retries on
-// the server's "-RETRY <KIND>" replies up to Retries times. "-BUSY"
-// statement sheds abort the attempt and retry. "-ERR" replies count as
-// protocol errors: a healthy run reports zero.
+// the server's "-RETRY <KIND>" replies up to Retries times. "-BUSY" is
+// a greeting-time admission reply only; any other "-" reply ("-ERR",
+// a "-BUSY" after the greeting) counts as a protocol error: a healthy
+// run reports zero.
 //
 // The generator is seeded (Seed) so a given config replays the same
 // statement stream per client; timing, and therefore interleaving,
@@ -105,7 +106,6 @@ type Result struct {
 	Commits   int64 // committed transactions
 	Retries   int64 // -RETRY replies honored with a rerun
 	GaveUp    int64 // transactions abandoned after Retries retries
-	Busy      int64 // statements shed by backpressure (-BUSY mid-session)
 	ProtoErrs int64 // -ERR replies, malformed replies, dead connections
 	Dropped   int64 // open-loop arrivals dropped (all clients busy)
 
@@ -129,8 +129,8 @@ func (r Result) Throughput() float64 {
 func (r Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "loadgen: clients=%d admitted=%d shed=%d\n", r.Clients, r.Admitted, r.Shed)
-	fmt.Fprintf(&b, "  commits=%d retries=%d gave-up=%d busy=%d dropped=%d proto-errors=%d reads=%d writes=%d scans=%d dels=%d\n",
-		r.Commits, r.Retries, r.GaveUp, r.Busy, r.Dropped, r.ProtoErrs, r.Reads, r.Writes, r.Scans, r.Dels)
+	fmt.Fprintf(&b, "  commits=%d retries=%d gave-up=%d dropped=%d proto-errors=%d reads=%d writes=%d scans=%d dels=%d\n",
+		r.Commits, r.Retries, r.GaveUp, r.Dropped, r.ProtoErrs, r.Reads, r.Writes, r.Scans, r.Dels)
 	fmt.Fprintf(&b, "  throughput=%.0f tx/s over %v\n", r.Throughput(), r.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  txn latency (ns):  %s\n", r.Txn.Summary())
 	fmt.Fprintf(&b, "  stmt latency (ns): %s\n", r.Stmt.Summary())
@@ -142,9 +142,9 @@ func Run(cfg Config) (Result, error) {
 	cfg.fill()
 	res := Result{Clients: cfg.Clients}
 	var (
-		admitted, shed, commits, retries, gaveUp             atomic.Int64
-		busy, protoErrs, dropped, reads, writes, scans, dels atomic.Int64
-		txnHist, stmtHist                                    obs.Histogram
+		admitted, shed, commits, retries, gaveUp       atomic.Int64
+		protoErrs, dropped, reads, writes, scans, dels atomic.Int64
+		txnHist, stmtHist                              obs.Histogram
 	)
 
 	// Connect the whole fleet first: admission decisions land before any
@@ -220,7 +220,7 @@ func Run(cfg Config) (Result, error) {
 					return
 				}
 				t0 := time.Now()
-				switch c.runTxn(&retries, &busy, &reads, &writes, &scans, &dels) {
+				switch c.runTxn(&retries, &reads, &writes, &scans, &dels) {
 				case txnCommitted:
 					commits.Add(1)
 					txnHist.Record(time.Since(t0).Nanoseconds())
@@ -238,7 +238,7 @@ func Run(cfg Config) (Result, error) {
 
 	res.Admitted, res.Shed = admitted.Load(), shed.Load()
 	res.Commits, res.Retries, res.GaveUp = commits.Load(), retries.Load(), gaveUp.Load()
-	res.Busy, res.ProtoErrs, res.Dropped = busy.Load(), protoErrs.Load(), dropped.Load()
+	res.ProtoErrs, res.Dropped = protoErrs.Load(), dropped.Load()
 	res.Reads, res.Writes, res.Scans, res.Dels = reads.Load(), writes.Load(), scans.Load(), dels.Load()
 	res.Txn, res.Stmt = txnHist.Snapshot(), stmtHist.Snapshot()
 	return res, nil
@@ -309,7 +309,7 @@ func (c *client) genTxn() (level string, ops []op) {
 }
 
 // runTxn runs one transaction including its retry loop.
-func (c *client) runTxn(retries, busy, reads, writes, scans, dels *atomic.Int64) txnOutcome {
+func (c *client) runTxn(retries, reads, writes, scans, dels *atomic.Int64) txnOutcome {
 	level, ops := c.genTxn()
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		switch res := c.attempt(level, ops, reads, writes, scans, dels); res {
@@ -317,8 +317,6 @@ func (c *client) runTxn(retries, busy, reads, writes, scans, dels *atomic.Int64)
 			return txnCommitted
 		case attemptRetry:
 			retries.Add(1)
-		case attemptBusy:
-			busy.Add(1)
 		case attemptDead:
 			return txnDead
 		}
@@ -331,12 +329,11 @@ type attemptResult int
 const (
 	attemptOK    attemptResult = iota
 	attemptRetry               // -RETRY: server rolled the txn back; rerun
-	attemptBusy                // -BUSY statement shed; abort and rerun
 	attemptDead                // protocol error or dead connection
 )
 
 // attempt runs BEGIN, the ops, COMMIT once. On -RETRY the server has
-// already aborted; on -BUSY this client aborts before retrying.
+// already aborted.
 func (c *client) attempt(level string, ops []op, reads, writes, scans, dels *atomic.Int64) attemptResult {
 	begin := "BEGIN"
 	if level != "" {
@@ -365,13 +362,6 @@ func (c *client) attempt(level string, ops []op, reads, writes, scans, dels *ato
 		switch {
 		case status == '-' && strings.HasPrefix(line, "-RETRY"):
 			return attemptRetry
-		case status == '-' && strings.HasPrefix(line, "-BUSY"):
-			// The statement was shed, not executed: the transaction is
-			// still open and must be abandoned before the rerun.
-			if st, _, err := c.roundTrip("ABORT"); err != nil || st == 0 {
-				return attemptDead
-			}
-			return attemptBusy
 		case status == '-':
 			return attemptDead
 		}
@@ -394,11 +384,6 @@ func (c *client) attempt(level string, ops []op, reads, writes, scans, dels *ato
 		return attemptOK
 	case strings.HasPrefix(line, "-RETRY"):
 		return attemptRetry
-	case strings.HasPrefix(line, "-BUSY"):
-		if st, _, err := c.roundTrip("ABORT"); err != nil || st == 0 {
-			return attemptDead
-		}
-		return attemptBusy
 	}
 	return attemptDead
 }

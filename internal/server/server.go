@@ -5,15 +5,16 @@
 // contract; a dropped connection's open transaction is aborted on
 // teardown.
 //
-// Two protection mechanisms bound the traffic tier:
-//
-//   - Admission control: at most MaxSessions connections are admitted at
-//     once. Excess connections are greeted with "-BUSY ..." and closed —
-//     the admission decision is serialized, so shed counts are exact.
-//   - Backpressure: at most MaxInflight statements execute concurrently;
-//     up to MaxQueued more may wait for a slot, and statements beyond
-//     that are shed with "-BUSY ..." instead of growing an unbounded
-//     queue.
+// One protection mechanism bounds the traffic tier: admission control.
+// At most MaxSessions connections are admitted at once; excess
+// connections are greeted with "-BUSY ..." and closed — the admission
+// decision is serialized, so shed counts are exact. A session runs one
+// statement at a time, so statements in flight never exceed admitted
+// sessions; there is no separate statement gate, because a statement
+// blocked on a lock would hold its gate slot and queue the lock's holder
+// behind its own waiters, a wait the deadlock detector cannot see. A
+// statement line is at most the reader's 4 KiB buffer: a longer one gets
+// "-ERR statement too long" and the connection is closed.
 //
 // The server keeps a statement-latency histogram (internal/obs) and a
 // counter set shaped for obshttp's /metrics page.
@@ -25,51 +26,39 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"unicode"
+	"time"
 
 	"isolevel/internal/engine"
 	"isolevel/internal/obs"
-	"isolevel/internal/obs/wallclock"
 	"isolevel/internal/session"
 )
 
-// Defaults for Config's zero values.
-const (
-	DefaultMaxSessions = 1024
-	DefaultMaxInflight = 256
-	DefaultMaxQueued   = 1024
-)
+// DefaultMaxSessions is the admission limit for a zero Config.MaxSessions.
+const DefaultMaxSessions = 1024
 
-// Config configures a Server. DB is required; zero limits take the
-// package defaults.
+// Config configures a Server. DB is required; a zero MaxSessions takes
+// DefaultMaxSessions.
 type Config struct {
 	DB           engine.DB
 	DefaultLevel engine.Level // level for sessions that never SET/BEGIN one
 	Family       string       // engine family name, echoed in the greeting
 	MaxSessions  int          // admitted connections at once
-	MaxInflight  int          // statements executing at once
-	MaxQueued    int          // statements waiting for an inflight slot
-	Clock        obs.Clock    // latency clock; nil = wall clock
 }
 
 // Server serves the wire protocol over a Config's engine.
 type Server struct {
-	cfg   Config
-	clock obs.Clock
-	gate  chan struct{} // inflight-statement slots
+	cfg Config
 
 	stats       session.Stats
 	stmtLatency obs.Histogram
 
 	accepted     atomic.Int64
 	shedSessions atomic.Int64
-	shedStmts    atomic.Int64
-	queued       atomic.Int64
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -84,22 +73,7 @@ func New(cfg Config) *Server {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = DefaultMaxInflight
-	}
-	if cfg.MaxQueued <= 0 {
-		cfg.MaxQueued = DefaultMaxQueued
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = wallclock.New()
-	}
-	return &Server{
-		cfg:   cfg,
-		clock: clock,
-		gate:  make(chan struct{}, cfg.MaxInflight),
-		conns: map[net.Conn]struct{}{},
-	}
+	return &Server{cfg: cfg, conns: map[net.Conn]struct{}{}}
 }
 
 // Serve accepts connections on ln until Close. Each admitted connection
@@ -186,36 +160,24 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	for {
-		line, err := br.ReadString('\n')
+		// ReadSlice bounds a statement line by the reader's buffer; a
+		// line that ends without a newline (EOF mid-line) never runs.
+		raw, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			bw.WriteString("-ERR statement too long\r\n")
+			_ = bw.Flush() // the connection closes either way
+			return
+		}
 		if err != nil {
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
-		if strings.TrimSpace(line) == "" {
+		raw = bytes.TrimRight(raw, "\r\n")
+		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
-		// Backpressure applies to data statements only: COMMIT/ABORT and
-		// the other control statements always run, because shedding the
-		// statement that releases locks would wedge the very queue it is
-		// waiting behind.
-		var release func()
-		if isDataStmt(line) {
-			var ok bool
-			if release, ok = s.acquireSlot(); !ok {
-				s.shedStmts.Add(1)
-				bw.WriteString("-BUSY statement shed (queue full)\r\n")
-				if bw.Flush() != nil {
-					return
-				}
-				continue
-			}
-		}
-		start := s.clock.Now()
-		reply, quit := sess.Exec(line)
-		s.stmtLatency.Record(s.clock.Now() - start)
-		if release != nil {
-			release()
-		}
+		start := time.Now()
+		reply, quit := sess.Exec(string(raw))
+		s.stmtLatency.Record(int64(time.Since(start)))
 		if reply != "" {
 			bw.WriteString(reply)
 			bw.WriteString("\r\n")
@@ -227,51 +189,6 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// isDataStmt reports whether line is a data statement (GET/SET/DEL/SCAN
-// — the statements that do row work and may block on locks). SET
-// TRANSACTION is a control statement. It reads the first two words in
-// place, so classifying a statement allocates nothing.
-func isDataStmt(line string) bool {
-	verb, rest := nextWord(line)
-	switch {
-	case strings.EqualFold(verb, "GET"), strings.EqualFold(verb, "DEL"), strings.EqualFold(verb, "SCAN"):
-		return true
-	case strings.EqualFold(verb, "SET"):
-		arg, _ := nextWord(rest)
-		return !strings.EqualFold(arg, "TRANSACTION")
-	}
-	return false
-}
-
-// nextWord returns the first word of s and what follows it, splitting at
-// unicode.IsSpace as strings.Fields does; word is "" when s is blank.
-func nextWord(s string) (word, rest string) {
-	s = strings.TrimLeftFunc(s, unicode.IsSpace)
-	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
-		return s[:i], s[i:]
-	}
-	return s, ""
-}
-
-// acquireSlot takes an inflight-statement slot, waiting in the bounded
-// queue if none is free. ok == false means the queue is full and the
-// statement must be shed.
-func (s *Server) acquireSlot() (release func(), ok bool) {
-	release = func() { <-s.gate }
-	select {
-	case s.gate <- struct{}{}:
-		return release, true
-	default:
-	}
-	if s.queued.Add(1) > int64(s.cfg.MaxQueued) {
-		s.queued.Add(-1)
-		return nil, false
-	}
-	s.gate <- struct{}{}
-	s.queued.Add(-1)
-	return release, true
 }
 
 // Close stops accepting, closes every live connection (their sessions
@@ -303,13 +220,6 @@ func (s *Server) Stats() *session.Stats { return &s.stats }
 // control.
 func (s *Server) SessionsShed() int64 { return s.shedSessions.Load() }
 
-// StatementsShed returns the number of statements shed by backpressure.
-func (s *Server) StatementsShed() int64 { return s.shedStmts.Load() }
-
-// StatementsQueued returns the number of statements currently waiting
-// for an inflight slot (tests poll this to order backpressure scenarios).
-func (s *Server) StatementsQueued() int64 { return s.queued.Load() }
-
 // Counters returns the server's counter set in the flat shape
 // obshttp.Source.Counters expects.
 func (s *Server) Counters() map[string]int64 {
@@ -321,7 +231,6 @@ func (s *Server) Counters() map[string]int64 {
 		"server_sessions_active":   active,
 		"server_sessions_shed":     s.shedSessions.Load(),
 		"server_stmts":             s.stats.Statements.Load(),
-		"server_stmts_shed":        s.shedStmts.Load(),
 		"server_begins":            s.stats.Begins.Load(),
 		"server_commits":           s.stats.Commits.Load(),
 		"server_aborts":            s.stats.Aborts.Load(),

@@ -2,7 +2,9 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -172,67 +174,75 @@ func TestServerDeadlockRetry(t *testing.T) {
 	}
 }
 
-// TestServerBackpressureShed pins the statement gate exactly: with one
-// inflight slot and a one-statement queue, a third concurrent data
-// statement is shed with -BUSY while control statements (COMMIT) bypass
-// the gate — the commit that releases the blocking lock can never be
-// shed behind the statements waiting on it.
-func TestServerBackpressureShed(t *testing.T) {
+// TestServerLockHolderNeverQueuesBehindItsWaiters: with more sessions
+// blocked on T1's lock than the server has ever capped executing
+// statements at, T1's own next statements still run — every wait in the
+// server is a lock wait the deadlock detector sees — so T1 commits, each
+// waiter reads its write, and Close returns.
+func TestServerLockHolderNeverQueuesBehindItsWaiters(t *testing.T) {
 	db := locking.NewDB()
-	srv := server.New(server.Config{
-		DB: db, DefaultLevel: engine.Serializable, Family: "locking",
-		MaxInflight: 1, MaxQueued: 1,
-	})
-	defer srv.Close()
+	srv := server.New(server.Config{DB: db, DefaultLevel: engine.Serializable, Family: "locking"})
+	defer closeWithin(t, srv)
 
 	const hello = "+HELLO isolevel family=locking level=SER"
-	c1 := pipeClient(t, srv, hello)
-	c2 := pipeClient(t, srv, hello)
-	c3 := pipeClient(t, srv, hello)
-	c4 := pipeClient(t, srv, hello)
+	holder := pipeClient(t, srv, hello)
+	holder.do("BEGIN", "+OK T1 SER")
+	holder.do("SET x 1", "+OK")
 
-	c1.do("BEGIN", "+OK T1 SER")
-	c1.do("SET x 1", "+OK") // slot taken and released; x stays locked
+	const readers = 257
+	rs := make([]*wireClient, readers)
+	for i := range rs {
+		rs[i] = pipeClient(t, srv, hello)
+		rs[i].send("GET x")
+	}
+	waitFor(t, func() bool { return db.LockStats().Waits >= readers }, "all 257 readers' GET x to block on T1's lock")
+	if got := db.LockStats().Waits; got != readers {
+		t.Fatalf("lock waits = %d, want %d", got, readers)
+	}
 
-	// c2's write blocks on c1's lock while holding the single slot.
-	c2.do("BEGIN", "+OK T2 SER")
-	c2.send("SET x 2")
-	for i := 0; db.LockStats().Waits == 0; i++ {
-		if i > 1_000_000 {
-			t.Fatal("c2's SET x never blocked")
+	holder.do("SET y 1", "+OK")
+	holder.do("COMMIT", "+OK")
+	for i, r := range rs {
+		if got := r.readLine(); got != ":1" {
+			t.Fatalf("reader %d: GET x = %q, want :1", i, got)
 		}
-		runtime.Gosched()
+	}
+}
+
+// TestServerBoundsStatementLine: a statement line longer than the
+// server's read buffer is refused with -ERR instead of buffered whole,
+// the connection is closed, and the session's open transaction is rolled
+// back.
+func TestServerBoundsStatementLine(t *testing.T) {
+	db := locking.NewDB()
+	db.Load(data.Tuple{Key: "x", Row: data.Scalar(0)})
+	srv := server.New(server.Config{DB: db, DefaultLevel: engine.Serializable, Family: "locking"})
+	defer closeWithin(t, srv)
+
+	const hello = "+HELLO isolevel family=locking level=SER"
+	c := pipeClient(t, srv, hello)
+	c.do("BEGIN", "+OK T1 SER")
+	c.do("SET x 1", "+OK")
+
+	// net.Pipe is synchronous: the writer blocks as soon as the server
+	// stops reading, so the 1 MiB newline-free line has its own goroutine.
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := c.conn.Write(append([]byte("SET x "), bytes.Repeat([]byte("9"), 1<<20)...))
+		wrote <- err
+	}()
+	if got := c.readLine(); got != "-ERR statement too long" {
+		t.Fatalf("reply to a 1 MiB line = %q, want -ERR statement too long", got)
+	}
+	if line, err := c.br.ReadString('\n'); err != io.EOF {
+		t.Fatalf("after the refusal: read %q, %v; want io.EOF (connection closed)", line, err)
+	}
+	if err := <-wrote; err == nil {
+		t.Fatal("the server read the whole 1 MiB line")
 	}
 
-	// c3's statement occupies the one queue seat.
-	c3.send("SET y 1")
-	for i := 0; srv.StatementsQueued() == 0; i++ {
-		if i > 1_000_000 {
-			t.Fatal("c3's SET y never queued")
-		}
-		runtime.Gosched()
-	}
-
-	// c4's statement finds slot and queue full: shed, exactly once.
-	c4.send("SET z 1")
-	if got := c4.readLine(); got != "-BUSY statement shed (queue full)" {
-		t.Fatalf("c4 reply = %q, want -BUSY statement shed (queue full)", got)
-	}
-
-	// COMMIT bypasses the gate, releasing the lock and unwinding the
-	// queue: c2 completes, then c3.
-	c1.do("COMMIT", "+OK")
-	if got := c2.readLine(); got != "+OK" {
-		t.Fatalf("c2 SET x after unblock = %q, want +OK", got)
-	}
-	if got := c3.readLine(); got != "+OK" {
-		t.Fatalf("c3 SET y after unblock = %q, want +OK", got)
-	}
-	c2.do("COMMIT", "+OK")
-
-	if got := srv.StatementsShed(); got != 1 {
-		t.Fatalf("StatementsShed = %d, want 1", got)
-	}
+	r := pipeClient(t, srv, hello)
+	r.do("GET x", ":0") // T1's lock released and its write rolled back
 }
 
 // TestServerLoadgenAdmissionExact drives the in-process load generator
@@ -411,51 +421,142 @@ func parkedLockWaits() int {
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "lock.(*Manager).await(")
 }
 
-// TestServerDisconnectReleasesSnapshot: a client that vanishes with a
-// SNAPSHOT ISOLATION transaction open must not hold version GC back for
-// the life of the server — closing the session aborts the transaction,
-// which releases its snapshot, and the horizon catches up with the commits
-// it was holding.
+// TestServerDisconnectReleasesSnapshot: a client that leaves a
+// transaction open and then fails — disconnects, dies mid-line, or stops
+// reading its replies — must not keep its locks, its SNAPSHOT ISOLATION
+// snapshot (which holds version GC back) or its admission slot. Closing
+// the session aborts the transaction; the half-written statement never
+// runs.
 func TestServerDisconnectReleasesSnapshot(t *testing.T) {
-	db := mvcc.NewDB()
-	db.Load(data.Tuple{Key: "x", Row: data.Scalar(1)})
-	srv := server.New(server.Config{DB: db, DefaultLevel: engine.SnapshotIsolation, Family: "mv"})
-	defer srv.Close()
+	families := []struct {
+		name  string
+		db    func() engine.DB
+		level engine.Level
+	}{
+		{"locking", func() engine.DB { return locking.NewDB() }, engine.Serializable},
+		{"mv", func() engine.DB { return mvcc.NewDB() }, engine.SnapshotIsolation},
+	}
+	faults := []struct {
+		name  string
+		fault func(t *testing.T, c *wireClient, srv *server.Server)
+	}{
+		{"disconnect", func(t *testing.T, c *wireClient, srv *server.Server) {}},
+		{"half-written line", func(t *testing.T, c *wireClient, srv *server.Server) {
+			if _, err := c.conn.Write([]byte("COMMIT")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"unread replies", func(t *testing.T, c *wireClient, srv *server.Server) {
+			n := srv.Stats().Statements.Load()
+			c.send("GET x")
+			waitFor(t, func() bool { return srv.Stats().Statements.Load() > n }, "the unread GET x to run")
+		}},
+	}
+	for _, fam := range families {
+		for _, f := range faults {
+			t.Run(fam.name+"/"+f.name, func(t *testing.T) {
+				db := fam.db()
+				db.Load(data.Tuple{Key: "x", Row: data.Scalar(1)})
+				srv := server.New(server.Config{DB: db, DefaultLevel: fam.level, Family: fam.name, MaxSessions: 1})
+				defer closeWithin(t, srv)
+				mvdb, _ := db.(*mvcc.DB)
 
-	sc, cc := net.Pipe()
-	served := make(chan struct{})
+				sc, cc := net.Pipe()
+				served := make(chan struct{})
+				go func() {
+					defer close(served)
+					srv.ServeConn(sc)
+				}()
+				c := &wireClient{t: t, conn: cc, br: bufio.NewReader(cc)}
+				defer cc.Close()
+				code := fam.level.Code()
+				hello := "+HELLO isolevel family=" + fam.name + " level=" + code
+				if got := c.readLine(); got != hello {
+					t.Fatalf("greeting = %q, want %q", got, hello)
+				}
+				c.do("BEGIN", "+OK T1 "+code)
+				c.do("GET x", ":1")
+				c.do("SET x 2", "+OK")
+
+				// Commits beside the open transaction: on mv its snapshot
+				// holds the horizon back by each of them.
+				const writes = 3
+				for i := 0; i < writes; i++ {
+					tx, err := db.Begin(fam.level)
+					if err == nil {
+						err = tx.Put("w", data.Scalar(int64(i)))
+					}
+					if err == nil {
+						err = tx.Commit()
+					}
+					if err != nil {
+						t.Fatalf("write %d beside the open transaction: %v", i, err)
+					}
+				}
+				if mvdb != nil {
+					if st := mvdb.MVStats(); st.SnapshotsActive != 1 || st.HorizonLag != writes {
+						t.Fatalf("with the transaction open: %+v, want 1 snapshot holding the horizon %d commits back", st, writes)
+					}
+					if n := len(mvdb.Chain("w")); n != writes {
+						t.Fatalf("w holds %d versions under the open snapshot, want all %d", n, writes)
+					}
+				}
+
+				f.fault(t, c, srv)
+				cc.Close()
+				select {
+				case <-served:
+				case <-time.After(10 * time.Second):
+					t.Fatal("the session never tore down")
+				}
+
+				if mvdb != nil {
+					if st := mvdb.MVStats(); st.SnapshotsActive != 0 || st.HorizonLag != 0 {
+						t.Fatalf("after the fault: %+v, want nothing registered and the horizon at the watermark", st)
+					}
+				}
+				// The admission slot came back (MaxSessions is 1), T1's
+				// write was rolled back, and its lock released.
+				next := pipeClient(t, srv, hello)
+				next.do("GET x", ":1")
+				next.do("SET x 9", "+OK")
+				next.do("GET x", ":9")
+				if mvdb != nil {
+					next.do("SET w 99", "+OK")
+					if n := len(mvdb.Chain("w")); n != 2 {
+						t.Fatalf("w holds %d versions after the next commit, want 2", n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// closeWithin closes srv under a watchdog: a Close that never returns
+// (a handler wedged server-side) fails the test after 5 s instead of
+// hanging the package; the wedged goroutines are left behind.
+func closeWithin(t *testing.T, srv *server.Server) {
+	t.Helper()
+	done := make(chan struct{})
 	go func() {
-		defer close(served)
-		srv.ServeConn(sc)
+		srv.Close()
+		close(done)
 	}()
-	holder := &wireClient{t: t, conn: cc, br: bufio.NewReader(cc)}
-	defer cc.Close()
-	if got := holder.readLine(); got != "+HELLO isolevel family=mv level=SI" {
-		t.Fatalf("greeting = %q", got)
-	}
-	holder.do("BEGIN ISOLATION LEVEL SNAPSHOT_ISOLATION", "+OK T1 SI")
-	holder.do("GET x", ":1")
-
-	wr := pipeClient(t, srv, "+HELLO isolevel family=mv level=SI")
-	const writes = 5
-	for i := 2; i < 2+writes; i++ {
-		wr.do(fmt.Sprintf("SET x %d", i), "+OK")
-	}
-	if st := db.MVStats(); st.SnapshotsActive != 1 || st.HorizonLag != writes {
-		t.Fatalf("with the transaction open: %+v, want 1 snapshot holding the horizon %d commits back", st, writes)
-	}
-	if n := len(db.Chain("x")); n != 1+writes {
-		t.Fatalf("x holds %d versions under the open snapshot, want all %d", n, 1+writes)
-	}
-	holder.do("GET x", ":1")
-
-	cc.Close() // no COMMIT, no ABORT, no QUIT
-	<-served
-	if st := db.MVStats(); st.SnapshotsActive != 0 || st.HorizonLag != 0 {
-		t.Fatalf("after the disconnect: %+v, want nothing registered and the horizon at the watermark", st)
-	}
-	wr.do("SET x 99", "+OK")
-	if n := len(db.Chain("x")); n != 2 {
-		t.Fatalf("x holds %d versions after the next commit, want 2", n)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("srv.Close() did not return within 5s")
 	}
 }
