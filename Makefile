@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test race vet fmt lint isolint bench http-smoke serve-smoke fuzz fuzz-mixed fuzz-keyrange fuzz-dml fuzz-determinism fuzz-diff
+.PHONY: verify build test race vet fmt lint isolint bench serve-smoke fuzz fuzz-mixed fuzz-keyrange fuzz-dml fuzz-determinism fuzz-diff
 
 verify: lint build race ## vet + gofmt + isolint + build + race-enabled tests (CI runs more; see ci.yml)
 
@@ -35,31 +35,14 @@ race:
 bench:
 	$(GO) run ./benchmark -quick
 
-# Observability endpoint smoke: a bench run with -http must serve live
-# /metrics (Prometheus text with the isolevel_* families), /debug/pprof/
-# and /debug/vars while it blocks after the report. Background the
-# bench, poll until the socket answers, probe all three, always kill.
-HTTP_SMOKE_ADDR ?= 127.0.0.1:8723
-http-smoke:
-	$(GO) build -o /tmp/isolevel-http ./cmd/isolevel
-	sh -c '/tmp/isolevel-http bench -scenario hotspot-lockstep -level "READ COMMITTED" -workers 4 -rounds 10 -obs -http $(HTTP_SMOKE_ADDR) > /tmp/isolevel-http.log 2>&1 & \
-	pid=$$!; trap "kill $$pid 2>/dev/null" EXIT; ok=; \
-	for i in $$(seq 1 50); do \
-	  curl -fsS http://$(HTTP_SMOKE_ADDR)/metrics > /tmp/isolevel-metrics.out 2>/dev/null && ok=1 && break; \
-	  sleep 0.2; \
-	done; \
-	test -n "$$ok" || { echo "http-smoke: endpoint never answered"; cat /tmp/isolevel-http.log; exit 1; }; \
-	curl -fsS -o /dev/null http://$(HTTP_SMOKE_ADDR)/debug/pprof/ && \
-	curl -fsS -o /dev/null http://$(HTTP_SMOKE_ADDR)/debug/vars && \
-	grep -q "^isolevel_op_latency" /tmp/isolevel-metrics.out && \
-	grep -q "^isolevel_lock_grants_total" /tmp/isolevel-metrics.out && \
-	echo "http-smoke: ok"'
-
-# Traffic-tier smoke: start `serve -family keyrange` with metrics, drive
-# it with a fixed-seed mixed-level load (hot keys induce lock conflicts),
-# and assert a healthy run: zero protocol errors, nonzero commits, and
-# the server counter families live on /metrics. Background the server,
-# poll until the HTTP endpoint answers, always kill.
+# Traffic-tier and observability-endpoint smoke: start `serve -family
+# keyrange` with -http, drive it with a fixed-seed mixed-level load (hot
+# keys induce lock conflicts), and assert a healthy run: zero protocol
+# errors, nonzero commits, the server and engine families live on
+# /metrics (the isolevel_op_latency histogram summary and the
+# isolevel_lock_grants_total counter among them), and /debug/pprof/ and
+# /debug/vars answering. Background the server, poll until the HTTP
+# endpoint answers, always kill.
 SERVE_SMOKE_ADDR ?= 127.0.0.1:7431
 SERVE_SMOKE_HTTP ?= 127.0.0.1:8731
 serve-smoke:
@@ -79,6 +62,10 @@ serve-smoke:
 	grep -q "^isolevel_server_commits_total [1-9]" /tmp/isolevel-serve-metrics.out && \
 	grep -q "^isolevel_server_stmt_latency_count [1-9]" /tmp/isolevel-serve-metrics.out && \
 	grep -q "^isolevel_server_sessions_accepted_total 4" /tmp/isolevel-serve-metrics.out && \
+	grep -q "^isolevel_op_latency" /tmp/isolevel-serve-metrics.out && \
+	grep -q "^isolevel_lock_grants_total" /tmp/isolevel-serve-metrics.out && \
+	curl -fsS -o /dev/null http://$(SERVE_SMOKE_HTTP)/debug/pprof/ && \
+	curl -fsS -o /dev/null http://$(SERVE_SMOKE_HTTP)/debug/vars && \
 	echo "serve-smoke: ok"'
 
 # Differential isolation fuzzing: 1000 seeded schedules against every

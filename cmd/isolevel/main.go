@@ -13,8 +13,6 @@
 //	                           execute one anomaly scenario on a live engine
 //	isolevel scenarios         list the scenario catalog
 //	isolevel paper             replay the paper's H1-H5 analyses
-//	isolevel bench -scenario transfer -level "SNAPSHOT ISOLATION" -shards 16
-//	                           run one workload scenario and print its metrics
 //	isolevel serve -family keyrange -addr 127.0.0.1:7401
 //	                           serve the wire protocol over one engine
 //	isolevel load -addr 127.0.0.1:7401 -clients 8 -levels SER,SI
@@ -30,7 +28,6 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 
 	"isolevel/internal/anomalies"
@@ -40,15 +37,10 @@ import (
 	"isolevel/internal/exerciser"
 	"isolevel/internal/history"
 	"isolevel/internal/lock"
-	"isolevel/internal/locking"
 	"isolevel/internal/matrix"
 	"isolevel/internal/mvcc"
-	"isolevel/internal/obs"
 	"isolevel/internal/obs/obshttp"
-	"isolevel/internal/obs/wallclock"
 	"isolevel/internal/phenomena"
-	"isolevel/internal/report"
-	"isolevel/internal/workload"
 )
 
 func main() {
@@ -74,8 +66,6 @@ func main() {
 		err = cmdPaper()
 	case "remarks":
 		err = cmdRemarks()
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "fuzz":
 		err = cmdFuzz(os.Args[2:])
 	case "serve":
@@ -113,23 +103,6 @@ commands:
   scenarios                   list the anomaly scenario catalog
   paper                       replay the paper's H1-H5 analyses
   remarks                     verify Remarks 1-10 on the live engines
-  bench -scenario S           run one workload scenario and print metrics
-        scenarios: transfer, skewed, batch, batch-disjoint, hotspot,
-                   hotspot-lockstep, scan, readers, longrunner,
-                   fanin, upgrade-storm, pred-mix, phantom-storm,
-                   range-fanin
-        knobs: -level L -shards N -workers W -iters I -accounts A
-               -batch B -hot-bias F -rounds R
-        -obs: attach the observability sink and print latency histograms
-        -flight N: keep the last N engine events; a deadlock victim dumps
-               the flight ring (who waited on whom, who was chosen)
-        -http ADDR: serve /metrics (Prometheus text), /debug/pprof/ and
-               /debug/vars during and after the run
-        -shards stripes every engine family: multiversion store stripes
-        and locking-engine lock-table stripes alike
-        -phantom predicate|keyrange selects the locking engine's phantom
-        protocol: the gated cross-stripe predicate table, or striped
-        key-range (next-key) locks that never take the gate
   fuzz -seed S -n N           differential isolation fuzzing: generated
         schedules replayed on every engine family x level, traces checked
         against the Table 4 oracle; findings are shrunk to minimal
@@ -503,243 +476,9 @@ func cmdRemarks() error {
 	return nil
 }
 
-func cmdBench(args []string) error { return runBench(os.Stdout, args) }
-
-// runBench is cmdBench behind an explicit writer, so tests can capture a
-// run's full text and assert the stats sections render byte-stably.
-func runBench(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	scenario := fs.String("scenario", "transfer", "workload scenario (transfer, skewed, batch, batch-disjoint, hotspot, hotspot-lockstep, scan, readers, longrunner, fanin, upgrade-storm, pred-mix, phantom-storm, range-fanin)")
-	levelName := fs.String("level", "SNAPSHOT ISOLATION", "isolation level")
-	phantom := fs.String("phantom", "predicate", "locking-engine phantom protocol: predicate (gated cross-stripe table) or keyrange (striped next-key locks)")
-	shards := fs.Int("shards", 0, "stripe count for every engine: multiversion store stripes and locking lock-table stripes (0 = default)")
-	workers := fs.Int("workers", 4, "concurrent workers / sessions")
-	iters := fs.Int("iters", 200, "transactions per worker (free-running scenarios)")
-	accounts := fs.Int("accounts", 64, "number of account rows")
-	batch := fs.Int("batch", 4, "keys written per transaction (batch scenarios)")
-	hotBias := fs.Float64("hot-bias", 0.8, "probability a skewed-transfer source is drawn from the hot set")
-	rounds := fs.Int("rounds", 50, "lockstep rounds (hotspot-lockstep, scan, fanin, upgrade-storm, pred-mix)")
-	obsOn := fs.Bool("obs", false, "attach the observability sink (wall-clock) and print latency histograms after the run")
-	flight := fs.Int("flight", 0, "flight-recorder depth: keep the last N engine events and print a dump when a deadlock victim is selected (implies -obs)")
-	httpAddr := fs.String("http", "", "serve /metrics, /debug/pprof/ and /debug/vars on this address during and after the run (implies -obs; blocks after printing — Ctrl-C to exit)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	level, err := parseLevel(*levelName)
-	if err != nil {
-		return err
-	}
-	var db engine.DB
-	switch *phantom {
-	case "", "predicate":
-		db = anomalies.NewDBForShards(level, *shards)
-	case "keyrange":
-		// The phantom protocol is a locking-engine knob; multiversion
-		// levels have no lock-based phantom prevention to swap.
-		if level == engine.SnapshotIsolation || level == engine.ReadConsistency {
-			return fmt.Errorf("-phantom keyrange applies to the locking levels, not %s", level)
-		}
-		opts := []locking.Option{locking.WithPhantomProtection(locking.PhantomKeyrange)}
-		if *shards > 0 {
-			opts = append(opts, locking.WithShards(*shards))
-		}
-		db = locking.NewDB(opts...)
-	default:
-		return fmt.Errorf("unknown phantom protocol %q (predicate, keyrange)", *phantom)
-	}
-	// Observability: a wall-clock sink, attached only on request so the
-	// default bench path keeps its nil-sink zero-cost hooks.
-	var sink *obs.Sink
-	var deadlockDump string
-	var dumpOnce sync.Once
-	if *obsOn || *flight > 0 || *httpAddr != "" {
-		sink = obs.NewSink(wallclock.New())
-		if *flight > 0 {
-			sink = sink.WithFlight(*flight)
-			// Keep the first victim's dump: later deadlocks in the same
-			// storm overwrite the ring but the first cycle is the story.
-			sink.OnDeadlock(func(dump string) {
-				dumpOnce.Do(func() { deadlockDump = dump })
-			})
-		}
-		if so, ok := db.(interface{ SetObs(*obs.Sink) }); ok {
-			so.SetObs(sink)
-		} else {
-			return fmt.Errorf("engine for %s does not support observability", level)
-		}
-	}
-	var ep *obshttp.Endpoint
-	if *httpAddr != "" {
-		var err error
-		ep, err = obshttp.Serve(*httpAddr, obshttp.Source{Sink: sink,
-			Counters: func() map[string]int64 { return engineCounters(db) },
-			Gauges:   func() map[string]int64 { return engineGauges(db) }})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = ep.Close() }()
-		fmt.Fprintf(w, "obs: serving /metrics, /debug/pprof/ and /debug/vars on http://%s\n", ep.Addr())
-	}
-	header := func() {
-		fmt.Fprintf(w, "scenario %s at %s (workers=%d", *scenario, level, *workers)
-		if s, ok := db.(interface{ ShardCount() int }); ok {
-			fmt.Fprintf(w, ", shards=%d", s.ShardCount())
-		}
-		if l, ok := db.(*locking.DB); ok {
-			fmt.Fprintf(w, ", phantom=%s", l.PhantomProtection())
-		}
-		fmt.Fprintln(w, ")")
-	}
-	switch *scenario {
-	case "transfer":
-		workload.LoadAccounts(db, *accounts, 100)
-		m := workload.Transfer(db, level, *accounts, *workers, *iters)
-		header()
-		fmt.Fprintf(w, "  %s  throughput=%.0f tx/s\n", m, m.Throughput())
-		fmt.Fprintf(w, "  total balance drift: %+d\n", workload.TotalBalance(db, *accounts)-int64(*accounts)*100)
-	case "skewed":
-		workload.LoadAccounts(db, *accounts, 100)
-		m := workload.SkewedTransfer(db, level, *accounts, max(1, *accounts/8), *workers, *iters, *hotBias)
-		header()
-		fmt.Fprintf(w, "  %s  throughput=%.0f tx/s\n", m, m.Throughput())
-		fmt.Fprintf(w, "  total balance drift: %+d\n", workload.TotalBalance(db, *accounts)-int64(*accounts)*100)
-	case "batch", "batch-disjoint":
-		disjoint := *scenario == "batch-disjoint"
-		n := *batch
-		if disjoint {
-			n = *batch * *workers
-		}
-		if n > *accounts {
-			return fmt.Errorf("need at least %d accounts for %s (-accounts)", n, *scenario)
-		}
-		workload.LoadAccounts(db, *accounts, 0)
-		m := workload.BatchIncrement(db, level, *workers, *iters, *batch, disjoint)
-		header()
-		fmt.Fprintf(w, "  %s  throughput=%.0f tx/s\n", m, m.Throughput())
-	case "hotspot":
-		m := workload.HotspotCounter(db, level, *workers, *iters)
-		header()
-		fmt.Fprintf(w, "  %s  throughput=%.0f tx/s\n", m, m.Throughput())
-		fmt.Fprintf(w, "  counter=%d (must equal commits)\n", db.ReadCommittedRow("hot").Val())
-	case "hotspot-lockstep":
-		m := workload.HotspotCounterLockstep(db, level, *workers, *rounds)
-		header()
-		fmt.Fprintf(w, "  %s\n", m)
-		if level == engine.SnapshotIsolation {
-			fmt.Fprintf(w, "  counter=%d over %d rounds (deterministic: one winner per round)\n",
-				db.ReadCommittedRow("hot").Val(), *rounds)
-		} else {
-			fmt.Fprintf(w, "  counter=%d over %d rounds (%d committed increments lost)\n",
-				db.ReadCommittedRow("hot").Val(), *rounds, m.Commits-db.ReadCommittedRow("hot").Val())
-		}
-	case "scan":
-		if level != engine.SnapshotIsolation && level != engine.ReadConsistency {
-			// The rendezvous would deadlock against long read locks: writers
-			// block on scanner-held locks while scanners wait at the barrier
-			// (see workload.SnapshotScanVsHotWriters).
-			return fmt.Errorf("scenario scan needs a multiversion level (SNAPSHOT ISOLATION or READ CONSISTENCY), got %s", level)
-		}
-		workload.LoadAccounts(db, *accounts, 100)
-		res := workload.SnapshotScanVsHotWriters(db, level, *accounts, max(1, *workers/2), max(1, *workers/2), *rounds)
-		header()
-		fmt.Fprintf(w, "  scanners: %s\n", res.Scanners)
-		fmt.Fprintf(w, "  writers:  %s\n", res.Writers)
-		fmt.Fprintf(w, "  unstable scans: %d/%d\n", res.UnstableScans, res.TotalScans)
-	case "readers":
-		workload.LoadAccounts(db, *accounts, 100)
-		rm, wm := workload.ReadersVsWriters(db, level, *accounts, *workers, *workers, *iters)
-		header()
-		fmt.Fprintf(w, "  readers: %s\n", rm)
-		fmt.Fprintf(w, "  writers: %s\n", wm)
-	case "longrunner":
-		workload.LoadAccounts(db, *accounts, 0)
-		committed, longErr, short := workload.LongRunningUpdater(db, level, *accounts, *workers, *iters)
-		header()
-		fmt.Fprintf(w, "  long txn committed: %v (err: %v)\n", committed, longErr)
-		fmt.Fprintf(w, "  short writers: %s\n", short)
-	case "fanin":
-		rds := max(1, *rounds) // the workloads clamp rounds the same way
-		res, err := workload.ReadLockFanIn(db, level, *workers, rds)
-		if err != nil {
-			return err
-		}
-		header()
-		fmt.Fprintf(w, "  readers: %s\n", res.Readers)
-		fmt.Fprintf(w, "  writer:  %s\n", res.Writer)
-		fmt.Fprintf(w, "  writer blocked in %d/%d rounds\n", res.WriterBlocked, rds)
-	case "upgrade-storm":
-		rds := max(1, *rounds)
-		m, err := workload.UpgradeDeadlockStorm(db, level, *workers, rds)
-		if err != nil {
-			return err
-		}
-		header()
-		fmt.Fprintf(w, "  %s\n", m)
-		fmt.Fprintf(w, "  one survivor per round: %d commits over %d rounds\n", m.Commits, rds)
-	case "pred-mix":
-		res, err := workload.PredicateVsItemMix(db, level, *workers, max(1, *rounds))
-		if err != nil {
-			return err
-		}
-		header()
-		fmt.Fprintf(w, "  scanner: %s\n", res.Scanner)
-		fmt.Fprintf(w, "  writers: %s\n", res.Writers)
-		fmt.Fprintf(w, "  phantom inserts blocked: %d/%d\n", res.BlockedInserts, res.MatchingInserts)
-	case "phantom-storm":
-		res, err := workload.PhantomInsertStorm(db, level, *workers, max(1, *rounds))
-		if err != nil {
-			return err
-		}
-		header()
-		fmt.Fprintf(w, "  scanner: %s\n", res.Scanner)
-		fmt.Fprintf(w, "  writers: %s\n", res.Writers)
-		fmt.Fprintf(w, "  phantoms seen: %d; inserts blocked: %d\n", res.PhantomsSeen, res.BlockedInserts)
-	case "range-fanin":
-		res, err := workload.RangeScanVsInsertFanIn(db, level, *workers, max(1, *rounds))
-		if err != nil {
-			return err
-		}
-		header()
-		fmt.Fprintf(w, "  scanner: %s\n", res.Scanner)
-		fmt.Fprintf(w, "  writers: %s\n", res.Writers)
-		fmt.Fprintf(w, "  in-range inserts blocked: %d/%d; out-of-range blocked: %d/%d\n",
-			res.InsideBlocked, res.InsideTotal, res.OutsideBlocked, res.OutsideTotal)
-	default:
-		return fmt.Errorf("unknown scenario %q", *scenario)
-	}
-	printLockStats(w, db)
-	if sink != nil {
-		printObs(w, sink, deadlockDump)
-	}
-	if ep != nil {
-		fmt.Fprintln(w, "obs: run finished; endpoint still serving (Ctrl-C to exit)")
-		waitForInterrupt()
-		return ep.Close()
-	}
-	return nil
-}
-
-// printObs prints the sink's latency histograms (nanoseconds, wall clock)
-// and, when a deadlock victim was selected under -flight, the captured
-// flight-recorder dump. Every histogram prints, empty ones at count=0:
-// whether a lock wait happened is the scheduler's choice on a multi-core
-// host, and which lines the report has must not be.
-func printObs(w io.Writer, sink *obs.Sink, deadlockDump string) {
-	fmt.Fprintln(w, "  latency histograms (ns):")
-	for _, nh := range sink.Histograms() {
-		fmt.Fprintf(w, "    %-14s %s\n", nh.Name, nh.H.Snapshot().Summary())
-	}
-	if deadlockDump != "" {
-		fmt.Fprintln(w, "  first deadlock flight dump:")
-		for _, line := range strings.Split(strings.TrimRight(deadlockDump, "\n"), "\n") {
-			fmt.Fprintf(w, "    %s\n", line)
-		}
-	}
-}
-
 // lockCounters flattens a lock-based engine's Stats into the counter map
 // behind /metrics (empty for engines without a lock manager). Keys are the
-// metric names; report.SortedCounters orders them everywhere they print.
+// metric names; the /metrics writer sorts them.
 func lockCounters(db engine.DB) map[string]int64 {
 	ls, ok := db.(interface{ LockStats() lock.Stats })
 	if !ok {
@@ -814,48 +553,6 @@ func mvGauges(db engine.DB) map[string]int64 {
 		"mv_watermark_lag":    st.WatermarkLag,
 		"mv_horizon_lag":      st.HorizonLag,
 		"mv_snapshots_active": st.SnapshotsActive,
-	}
-}
-
-// printLockStats prints the lock manager counters of lock-based engines —
-// the locking scheduler and Read Consistency's write-lock side — including
-// the per-stripe contention map. Both summary lines render through the
-// shared name-sorted counter renderer (report.CountersLine), so the text is
-// byte-stable for a given set of counter values.
-func printLockStats(w io.Writer, db engine.DB) {
-	ls, ok := db.(interface{ LockStats() lock.Stats })
-	if !ok {
-		return
-	}
-	st := ls.LockStats()
-	if st.Grants == 0 && st.Waits == 0 {
-		return
-	}
-	fmt.Fprintf(w, "  lock stats: %s\n", report.CountersLine(map[string]int64{
-		"grants": st.Grants, "waits": st.Waits, "deadlocks": st.Deadlocks,
-		"upgrades": st.Upgrades, "pred-grants": st.PredGrants, "pred-waits": st.PredWaits,
-	}))
-	fmt.Fprintf(w, "  range stats: %s\n", report.CountersLine(map[string]int64{
-		"range-grants": st.RangeGrants, "range-waits": st.RangeWaits,
-		"gap-grants": st.GapGrants, "gap-waits": st.GapWaits, "gate-acquires": st.GateAcquires,
-	}))
-	var parts []string
-	for i, ss := range st.PerStripe {
-		if ss.Grants == 0 && ss.Waits == 0 {
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("%d:%d/%d", i, ss.Grants, ss.Waits))
-	}
-	fmt.Fprintf(w, "  stripe contention (stripe:grants/waits): %s\n", strings.Join(parts, " "))
-	parts = parts[:0]
-	for i, ss := range st.PerStripe {
-		if ss.GapGrants == 0 && ss.GapWaits == 0 {
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("%d:%d/%d", i, ss.GapGrants, ss.GapWaits))
-	}
-	if len(parts) > 0 {
-		fmt.Fprintf(w, "  gap contention (stripe:grants/waits): %s\n", strings.Join(parts, " "))
 	}
 }
 

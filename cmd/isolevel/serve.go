@@ -73,7 +73,7 @@ func cmdServe(args []string) error {
 		loadAccts(db, *preload)
 	}
 	// The engine histograms (lock waits, commit path, txn latency) ride
-	// the same sink the bench uses, on the wall clock.
+	// one wall-clock sink beside the server's statement histogram.
 	sink := obs.NewSink(wallclock.New())
 	if so, ok := db.(interface{ SetObs(*obs.Sink) }); ok {
 		so.SetObs(sink)

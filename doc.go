@@ -20,11 +20,12 @@
 //     executes the paper's interleavings against the live engines.
 //   - Regenerators for every evaluation artifact: Tables 1–4 and the
 //     Figure 2 isolation hierarchy, diffed against the published values.
-//   - Concurrent workload generators plus a deterministic lockstep driver
-//     (barrier-synchronized sessions) that forces read–write overlap on
-//     any GOMAXPROCS, so first-committer-wins aborts and statement-level
-//     read skew are exact, reproducible outcomes rather than scheduler
-//     luck.
+//   - Lockstep workload scenarios (internal/workload, barrier-synchronized
+//     sessions) that force read–write overlap on any GOMAXPROCS, so §4.2's
+//     claims — first-committer-wins aborts, blocked long read locks,
+//     statement-level read skew — are exact test outcomes rather than
+//     scheduler luck. Throughput and latency are measured by one driver,
+//     `go run ./benchmark`.
 //
 // All three engine families share one stripe-count knob. The
 // multiversion engines commit through a striped path: the store shards
@@ -108,9 +109,9 @@
 // replay wires a per-run virtual-clock flight recorder into the engine
 // under test, so a finding carries a deterministic event timeline
 // (begin/wait/grant/upgrade/commit/abort/deadlock) next to its
-// minimized history, and the bench CLI wires the same hooks to wall-clock
-// latency histograms, a deadlock flight dump, and a /metrics + pprof
-// endpoint (-http). Hooks are nil-safe: with no sink attached the hot
+// minimized history, and `isolevel serve` wires the same hooks to
+// wall-clock latency histograms and a /metrics + pprof endpoint (-http).
+// Hooks are nil-safe: with no sink attached the hot
 // paths pay one pointer check and zero allocations.
 //
 // Isolation level is a per-transaction property throughout that pipeline,

@@ -42,8 +42,9 @@ import (
 	"isolevel/internal/obs"
 )
 
-// Config parameterizes a load run. Addr or Dial is required; zero
-// values take defaults.
+// Config parameterizes a load run. Addr or Dial is required. Counts and
+// sizes of 0 take defaults; the fractions and Retries mean what they say,
+// 0 included (`isolevel load` carries their defaults in its flags).
 type Config struct {
 	Addr      string                   // server address (tcp)
 	Dial      func() (net.Conn, error) // optional custom dialer (tests)
@@ -52,14 +53,36 @@ type Config struct {
 	Rate      float64                  // open-loop arrivals/sec; 0 = closed loop
 	Keys      int                      // key-space size (default 64)
 	HotKeys   int                      // hot-set size (default max(1, Keys/16))
-	HotBias   float64                  // probability an op hits the hot set (default 0.5)
+	HotBias   float64                  // probability an op hits the hot set
 	OpsPerTxn int                      // data statements per transaction (default 4)
-	ReadFrac  float64                  // fraction of ops that GET (default 0.5)
-	ScanFrac  float64                  // fraction of ops that SCAN (default 0)
-	DelFrac   float64                  // fraction of ops that DEL (default 0)
+	ReadFrac  float64                  // fraction of ops that GET
+	ScanFrac  float64                  // fraction of ops that SCAN
+	DelFrac   float64                  // fraction of ops that DEL; the rest SET
 	Levels    []engine.Level           // per-txn level mix; empty = server default
-	Retries   int                      // max retries per transaction (default 10)
+	Retries   int                      // max retries per transaction
 	Seed      int64                    // rng seed (default 1)
+}
+
+// check rejects fractions outside [0,1], an op mix over 1 and a negative
+// retry budget: each would silently run some other load than the one asked
+// for.
+func (c *Config) check() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"HotBias", c.HotBias}, {"ReadFrac", c.ReadFrac}, {"ScanFrac", c.ScanFrac}, {"DelFrac", c.DelFrac}} {
+		if f.v < 0 || f.v > 1 {
+			return fmt.Errorf("loadgen: %s = %v, want a fraction in [0,1]", f.name, f.v)
+		}
+	}
+	// The slack forgives float rounding: 0.56+0.34+0.1 sums to 1.0000000000000002.
+	if sum := c.ReadFrac + c.ScanFrac + c.DelFrac; sum > 1+1e-9 {
+		return fmt.Errorf("loadgen: ReadFrac+ScanFrac+DelFrac = %v, want at most 1", sum)
+	}
+	if c.Retries < 0 {
+		return fmt.Errorf("loadgen: Retries = %d, want >= 0", c.Retries)
+	}
+	return nil
 }
 
 func (c *Config) fill() {
@@ -75,17 +98,8 @@ func (c *Config) fill() {
 	if c.HotKeys <= 0 {
 		c.HotKeys = max(1, c.Keys/16)
 	}
-	if c.HotBias == 0 {
-		c.HotBias = 0.5
-	}
 	if c.OpsPerTxn <= 0 {
 		c.OpsPerTxn = 4
-	}
-	if c.ReadFrac == 0 {
-		c.ReadFrac = 0.5
-	}
-	if c.Retries == 0 {
-		c.Retries = 10
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -139,6 +153,9 @@ func (r Result) String() string {
 
 // Run executes one load run and blocks until every client finishes.
 func Run(cfg Config) (Result, error) {
+	if err := cfg.check(); err != nil {
+		return Result{}, err
+	}
 	cfg.fill()
 	res := Result{Clients: cfg.Clients}
 	var (

@@ -277,10 +277,10 @@ func TestServerLoadgenAdmissionExact(t *testing.T) {
 	const txns = 120
 	res, err := loadgen.Run(loadgen.Config{
 		Addr:    ln.Addr().String(),
-		Clients: 6, Txns: txns, Keys: 32, OpsPerTxn: 3,
+		Clients: 6, Txns: txns, Keys: 32, HotBias: 0.5, OpsPerTxn: 3,
 		ReadFrac: 0.5, ScanFrac: 0.2,
-		Levels: []engine.Level{engine.SnapshotIsolation, engine.ReadConsistency},
-		Seed:   1,
+		Levels:  []engine.Level{engine.SnapshotIsolation, engine.ReadConsistency},
+		Retries: 10, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,8 +365,8 @@ func TestServerLoadgenDMLKeyrange(t *testing.T) {
 			Addr:    ln.Addr().String(),
 			Clients: 4, Txns: txns, Keys: 32, HotKeys: 8, HotBias: 0.6, OpsPerTxn: 4,
 			ReadFrac: 0.2, ScanFrac: 0.3, DelFrac: 0.25,
-			Levels: []engine.Level{engine.Serializable, engine.RepeatableRead, engine.ReadCommitted},
-			Seed:   1,
+			Levels:  []engine.Level{engine.Serializable, engine.RepeatableRead, engine.ReadCommitted},
+			Retries: 10, Seed: 1,
 		})
 		done <- outcome{res, err}
 	}()

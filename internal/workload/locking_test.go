@@ -2,11 +2,15 @@ package workload
 
 import (
 	"fmt"
+	"regexp"
+	"strings"
+	"sync"
 	"testing"
 
 	"isolevel/internal/engine"
 	"isolevel/internal/locking"
 	"isolevel/internal/mvcc"
+	"isolevel/internal/obs"
 )
 
 // The lockstep locking scenarios must be exact at every stripe count —
@@ -100,6 +104,46 @@ func TestUpgradeDeadlockStormExactVictimCount(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestUpgradeStormFlightDump runs the upgrade storm with the flight
+// recorder attached: a real deadlock, not a synthetic event sequence, must
+// reach the dump, naming the victim, a closed waits-for cycle and the
+// participants' recent upgrade and wait events.
+func TestUpgradeStormFlightDump(t *testing.T) {
+	db := locking.NewDB()
+	sink := obs.NewSink(obs.NewVirtualClock()).WithFlight(128)
+	var (
+		once sync.Once
+		dump string
+	)
+	// The first victim's dump is the story: later deadlocks in the same
+	// storm overwrite the ring.
+	sink.OnDeadlock(func(d string) { once.Do(func() { dump = d }) })
+	db.SetObs(sink)
+	if _, err := UpgradeDeadlockStorm(db, engine.RepeatableRead, 4, 10); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"deadlock: victim T",
+		"waits-for cycle: T",
+		"last 8 events per participant:",
+		" upgrade key=storm:",
+		" wait item key=storm:",
+	} {
+		if !strings.Contains(dump, want) {
+			t.Errorf("flight dump missing %q in:\n%s", want, dump)
+		}
+	}
+	// The cycle line must close: "T_a -> ... -> T_a".
+	cyc := regexp.MustCompile(`waits-for cycle: (T[0-9]+) -> (?:T[0-9]+ -> )*(T[0-9]+)`)
+	m := cyc.FindStringSubmatch(dump)
+	if m == nil {
+		t.Fatalf("no waits-for cycle line in:\n%s", dump)
+	}
+	if m[1] != m[2] {
+		t.Errorf("cycle does not close: starts %s, ends %s", m[1], m[2])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"isolevel/internal/engine"
+	"isolevel/internal/locking"
 	"isolevel/internal/mvcc"
 )
 
@@ -62,23 +63,39 @@ func TestSkewedTransferPreservesTotalSnapshot(t *testing.T) {
 	}
 }
 
+// Disjoint write sets never conflict: not under first-committer-wins, and
+// not under SERIALIZABLE locks at any lock-table stripe count (one stripe
+// puts every worker's keys behind one latch, which may serialize them but
+// must not make them abort).
 func TestBatchIncrementDisjointAllCommit(t *testing.T) {
 	const workers, iters, batch = 4, 25, 4
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
-	LoadAccounts(db, workers*batch, 0)
-	m := BatchIncrement(db, engine.SnapshotIsolation, workers, iters, batch, true)
-	if m.Aborts != 0 || m.Errors != 0 {
-		t.Fatalf("disjoint write sets must never conflict: %+v", m)
+	cases := []struct {
+		name  string
+		db    engine.DB
+		level engine.Level
+	}{
+		{"SNAPSHOT ISOLATION", mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation)), engine.SnapshotIsolation},
+		{"SERIALIZABLE/shards=1", locking.NewDB(locking.WithShards(1)), engine.Serializable},
+		{"SERIALIZABLE/shards=64", locking.NewDB(locking.WithShards(64)), engine.Serializable},
 	}
-	if m.Commits != workers*iters {
-		t.Fatalf("commits = %d, want %d", m.Commits, workers*iters)
-	}
-	for w := 0; w < workers; w++ {
-		for k := 0; k < batch; k++ {
-			if got := db.ReadCommittedRow(AccountKey(w*batch + k)).Val(); got != iters {
-				t.Fatalf("acct %d = %d, want %d", w*batch+k, got, iters)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			LoadAccounts(c.db, workers*batch, 0)
+			m := BatchIncrement(c.db, c.level, workers, iters, batch, true)
+			if m.Aborts != 0 || m.Errors != 0 {
+				t.Fatalf("disjoint write sets must never conflict: %+v", m)
 			}
-		}
+			if m.Commits != workers*iters {
+				t.Fatalf("commits = %d, want %d", m.Commits, workers*iters)
+			}
+			for w := 0; w < workers; w++ {
+				for k := 0; k < batch; k++ {
+					if got := c.db.ReadCommittedRow(AccountKey(w*batch + k)).Val(); got != iters {
+						t.Fatalf("acct %d = %d, want %d", w*batch+k, got, iters)
+					}
+				}
+			}
+		})
 	}
 }
 

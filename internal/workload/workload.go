@@ -1,17 +1,21 @@
-// Package workload provides the concurrent workload generators behind the
-// benchmark harness — the operational counterpart of §4.2's qualitative
-// performance claims:
+// Package workload holds the concurrent scenarios behind §4.2's
+// qualitative performance claims, each pinned by a test in this package:
 //
 //   - SI's "optimistic approach has a clear concurrency advantage for
 //     read-only transactions" (readers never block and never block
-//     writers), measured by ReadersVsWriters;
+//     writers): ReadersVsWriters and ReadLockFanIn;
 //   - first-committer-wins converts write-write contention into aborts
-//     where locking converts it into blocking, measured by HotspotCounter
-//     abort/block rates across a contention sweep;
+//     where locking converts it into blocking: HotspotCounterLockstep and
+//     UpgradeDeadlockStorm;
 //   - "it probably isn't good for long-running update transactions
 //     competing with high-contention short transactions, since the
 //     long-running transactions are unlikely to be the first writer of
-//     everything they write", measured by LongRunningUpdater.
+//     everything they write": LongRunningUpdater.
+//
+// The lockstep scenarios force their interleavings (driver.go, and the
+// schedule runner in locking.go), so their outcomes are exact on any
+// GOMAXPROCS. Throughput and latency are not measured here: that is
+// `go run ./benchmark`.
 package workload
 
 import (
@@ -24,7 +28,6 @@ import (
 
 	"isolevel/internal/data"
 	"isolevel/internal/engine"
-	"isolevel/internal/obs"
 )
 
 // Metrics aggregates the outcome of a workload run.
@@ -35,14 +38,6 @@ type Metrics struct {
 	Reads     int64
 	Writes    int64
 	WallClock time.Duration
-}
-
-// Throughput returns committed transactions per second.
-func (m Metrics) Throughput() float64 {
-	if m.WallClock <= 0 {
-		return 0
-	}
-	return float64(m.Commits) / m.WallClock.Seconds()
 }
 
 // AbortRate returns aborts / (commits + aborts).
@@ -102,21 +97,7 @@ func LoadAccounts(db engine.DB, n int, balance int64) {
 }
 
 // runTxn executes one transaction attempt with automatic rollback on error.
-// Engines that expose an observability sink (Obs() *obs.Sink) get the whole
-// attempt's latency recorded into the sink's txn_latency histogram; the
-// interface assertion keeps workload decoupled from the concrete engines.
 func runTxn(db engine.DB, level engine.Level, body func(tx engine.Tx) error) error {
-	var sink *obs.Sink
-	if o, ok := db.(interface{ Obs() *obs.Sink }); ok {
-		sink = o.Obs()
-	}
-	start := sink.Now()
-	err := runTxnBody(db, level, body)
-	sink.RecordTxn(start)
-	return err
-}
-
-func runTxnBody(db engine.DB, level engine.Level, body func(tx engine.Tx) error) error {
 	tx, err := db.Begin(level)
 	if err != nil {
 		return err

@@ -197,14 +197,11 @@ func TestMetricsHelpers(t *testing.T) {
 	if m.AbortRate() != 0.25 {
 		t.Fatalf("abort rate = %f", m.AbortRate())
 	}
-	if m.Throughput() != 75 {
-		t.Fatalf("throughput = %f", m.Throughput())
-	}
 	if m.String() == "" {
 		t.Fatal("empty string")
 	}
 	var zero Metrics
-	if zero.AbortRate() != 0 || zero.Throughput() != 0 {
+	if zero.AbortRate() != 0 {
 		t.Fatal("zero metrics division")
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"isolevel/internal/predicate"
 	"isolevel/internal/report"
 	"isolevel/internal/schedule"
-	"isolevel/internal/workload"
 )
 
 // --- Isolation levels ---
@@ -366,50 +365,7 @@ func JudgeHistory(h History, assign LevelAssign) []LevelCharge {
 	return exerciser.NewOracle().Charges(phenomena.StreamAttribution(h), assign.Level)
 }
 
-// --- Workloads (benchmarks) ---
-
-// Metrics aggregates a workload run.
-type Metrics = workload.Metrics
-
-// ScanResult reports the snapshot-scan-vs-hot-writers scenario.
-type ScanResult = workload.ScanResult
-
-// Workload generators (see internal/workload).
-var (
-	LoadAccounts      = workload.LoadAccounts
-	TransferWorkload  = workload.Transfer
-	ReadersVsWriters  = workload.ReadersVsWriters
-	HotspotCounter    = workload.HotspotCounter
-	LongRunningUpdate = workload.LongRunningUpdater
-	TotalBalance      = workload.TotalBalance
-)
-
-// Deterministic-interleaving workloads (see internal/workload/driver.go):
-// barrier-synchronized sessions whose read–write overlap is guaranteed on
-// any GOMAXPROCS, making contention outcomes exact instead of
-// scheduler-dependent.
-var (
-	HotspotLockstep          = workload.HotspotCounterLockstep
-	SnapshotScanVsHotWriters = workload.SnapshotScanVsHotWriters
-	SkewedTransferWorkload   = workload.SkewedTransfer
-	BatchIncrementWorkload   = workload.BatchIncrement
-)
-
-// Lockstep locking-engine scenarios (see internal/workload/locking.go):
-// schedule-runner-driven workloads whose blocking, deadlock-victim and
-// phantom-prevention outcomes are exact at every lock-table stripe count,
-// on any GOMAXPROCS.
-var (
-	ReadLockFanInWorkload   = workload.ReadLockFanIn
-	UpgradeStormWorkload    = workload.UpgradeDeadlockStorm
-	PredicateVsItemWorkload = workload.PredicateVsItemMix
-)
-
-// FanInResult reports the contended read-lock fan-in scenario.
-type FanInResult = workload.FanInResult
-
-// PredItemResult reports the predicate-vs-item writer mix scenario.
-type PredItemResult = workload.PredItemResult
+// --- Engine internals ---
 
 // LockStats is the lock manager's counter snapshot (grants, waits,
 // deadlocks, upgrades, per-stripe contention).

@@ -151,18 +151,6 @@ func TestFacadeErrors(t *testing.T) {
 	_ = tx.Commit()
 }
 
-func TestFacadeWorkload(t *testing.T) {
-	db := isolevel.NewSnapshotDB()
-	isolevel.LoadAccounts(db, 4, 100)
-	m := isolevel.TransferWorkload(db, isolevel.SnapshotIsolation, 4, 2, 10)
-	if m.Commits == 0 {
-		t.Fatal("no commits")
-	}
-	if got := isolevel.TotalBalance(db, 4); got != 400 {
-		t.Fatalf("total = %d", got)
-	}
-}
-
 func TestFacadePredicate(t *testing.T) {
 	p := isolevel.MustPredicate("active == 1")
 	db := isolevel.NewLockingDB()

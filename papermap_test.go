@@ -1,10 +1,12 @@
 package isolevel_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -14,6 +16,15 @@ import (
 // papermapAnchor matches a PAPERMAP.md link of the form
 // [`path.go:N`](…) `Symbol`: a line anchor that names what it points at.
 var papermapAnchor = regexp.MustCompile("\\[`([^`]+\\.go):(\\d+)`\\]\\([^)]*\\)\\s+`([A-Za-z_][A-Za-z0-9_.]*)`")
+
+// papermapFileLink matches an unanchored file link that names a symbol:
+// [`path.go`](…) `Symbol`.
+var papermapFileLink = regexp.MustCompile("\\[`([^`:]+\\.go)`\\]\\([^)]*\\)\\s+`([A-Za-z_][A-Za-z0-9_.]*)`")
+
+// papermapQualified matches a backticked package-qualified name such as
+// `mv.Oracle.WaitSafe` or `engine.IsRetryable`: a lower-case package, then
+// an exported symbol, optionally a method or field after it.
+var papermapQualified = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)?)`")
 
 // Every PAPERMAP.md line anchor that names a symbol must land on that
 // symbol: line N of path.go is the line Symbol is declared on, or the
@@ -47,10 +58,78 @@ func TestPapermapAnchorsPointAtTheirSymbols(t *testing.T) {
 	}
 }
 
+// PAPERMAP.md names code without a line anchor in two more forms, and both
+// must still name something that exists: a file link followed by a symbol
+// must be a declaration in that file, and a backticked `pkg.Symbol` must be
+// declared (in a test file, for test names) in the package under internal/
+// whose directory is pkg. Deleting or renaming an exported name then fails
+// here instead of leaving the paper map pointing at nothing.
+func TestPapermapNamesResolve(t *testing.T) {
+	src, err := os.ReadFile("PAPERMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := papermapFileLink.FindAllStringSubmatch(string(src), -1)
+	qualified := papermapQualified.FindAllStringSubmatch(string(src), -1)
+	if len(links) == 0 || len(qualified) == 0 {
+		t.Fatalf("found %d [`path.go`](…) `Symbol` links and %d `pkg.Symbol` names in PAPERMAP.md: a form or this test's patterns changed", len(links), len(qualified))
+	}
+	for _, l := range links {
+		path, symbol := l[1], l[2]
+		decls, err := declLines(path)
+		if err != nil {
+			t.Errorf("[`%s`] `%s`: %v", path, symbol, err)
+			continue
+		}
+		if _, ok := decls[symbol]; !ok {
+			t.Errorf("[`%s`] `%s`: %s declares no %s", path, symbol, path, symbol)
+		}
+	}
+	pkgs := map[string]map[string][]int{}
+	for _, q := range qualified {
+		pkg, symbol := q[1], q[2]
+		if pkgs[pkg] == nil {
+			d, err := pkgDecls(filepath.Join("internal", pkg))
+			if err != nil {
+				t.Errorf("`%s.%s`: %v", pkg, symbol, err)
+				continue
+			}
+			pkgs[pkg] = d
+		}
+		if _, ok := pkgs[pkg][symbol]; !ok {
+			t.Errorf("`%s.%s`: internal/%s declares no %s", pkg, symbol, pkg, symbol)
+		}
+	}
+}
+
+// pkgDecls merges declLines over every Go file in dir, test files
+// included.
+func pkgDecls(dir string) (map[string][]int, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
+	}
+	out := map[string][]int{}
+	for _, f := range files {
+		d, err := declLines(f)
+		if err != nil {
+			return nil, err
+		}
+		for name, lines := range d {
+			out[name] = append(out[name], lines...)
+		}
+	}
+	return out, nil
+}
+
 // declLines parses one Go file and returns, for every top-level function,
 // method, type, variable and constant, the lines an anchor to it may use:
 // the declaration line and the first line of its doc comment. Methods are
-// listed both bare ("Horizon") and receiver-qualified ("Oracle.Horizon").
+// listed both bare ("Horizon") and receiver-qualified ("Oracle.Horizon");
+// struct fields are listed type-qualified ("Finding.Timeline").
 func declLines(path string) (map[string][]int, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
@@ -84,6 +163,13 @@ func declLines(path string) (map[string][]int, error) {
 						doc = s.Doc
 					}
 					add(s.Name.Name, pos, doc)
+					if st, ok := s.Type.(*ast.StructType); ok {
+						for _, fld := range st.Fields.List {
+							for _, n := range fld.Names {
+								add(s.Name.Name+"."+n.Name, n.Pos(), fld.Doc)
+							}
+						}
+					}
 				case *ast.ValueSpec:
 					if s.Doc != nil {
 						doc = s.Doc
