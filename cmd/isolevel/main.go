@@ -231,10 +231,10 @@ func cmdCheck(args []string) error {
 			}
 			assign = &a
 		}
-		checkOne(h, assign)
+		checkOne(os.Stdout, h, assign)
 		return nil
 	case *file != "":
-		return checkFile(*file)
+		return checkFile(os.Stdout, *file)
 	default:
 		return fmt.Errorf("check needs -history or -f")
 	}
@@ -246,7 +246,7 @@ func cmdCheck(args []string) error {
 // per-transaction level assignment; annotated histories are additionally
 // judged by the per-transaction oracle, plain ones keep the uniform
 // classification only.
-func checkFile(path string) error {
+func checkFile(w io.Writer, path string) error {
 	var r io.Reader
 	if path == "-" {
 		r = os.Stdin
@@ -282,13 +282,13 @@ func checkFile(path string) error {
 		h, err := history.Parse(line)
 		if err != nil {
 			bad++
-			fmt.Printf("== history %d: PARSE ERROR: %v\n\n", n+1, err)
+			fmt.Fprintf(w, "== history %d: PARSE ERROR: %v\n\n", n+1, err)
 			n++
 			continue
 		}
-		fmt.Printf("== history %d ==\n", n+1)
-		checkOne(h, assign)
-		fmt.Println()
+		fmt.Fprintf(w, "== history %d ==\n", n+1)
+		checkOne(w, h, assign)
+		fmt.Fprintln(w)
 		n++
 	}
 	if err := sc.Err(); err != nil {
@@ -309,12 +309,12 @@ func checkFile(path string) error {
 // assignment it additionally runs the per-transaction oracle: every
 // witnessed phenomenon is charged to its victim, and only the charges a
 // victim's own level forbids are violations.
-func checkOne(h history.History, assign *exerciser.Assign) {
-	fmt.Println("history:", h)
+func checkOne(w io.Writer, h history.History, assign *exerciser.Assign) {
+	fmt.Fprintln(w, "history:", h)
 	if assign != nil {
-		fmt.Println("levels: ", assign.Annotation())
+		fmt.Fprintln(w, "levels: ", assign.Annotation())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	prof := phenomena.Profile(h)
 	var ids []string
 	for id := range prof {
@@ -322,47 +322,47 @@ func checkOne(h history.History, assign *exerciser.Assign) {
 	}
 	sort.Strings(ids)
 	if len(ids) == 0 {
-		fmt.Println("phenomena: none")
+		fmt.Fprintln(w, "phenomena: none")
 	} else {
-		fmt.Println("phenomena:")
+		fmt.Fprintln(w, "phenomena:")
 		for _, id := range ids {
 			for _, m := range prof[phenomena.ID(id)] {
-				fmt.Printf("  %-4s %-18s %s\n", id, phenomena.Name(phenomena.ID(id)), m.Comment)
+				fmt.Fprintf(w, "  %-4s %-18s %s\n", id, phenomena.Name(phenomena.ID(id)), m.Comment)
 			}
 		}
 	}
 	if assign != nil {
-		fmt.Println()
-		fmt.Println("per-transaction oracle:")
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "per-transaction oracle:")
 		charges := exerciser.NewOracle().Charges(phenomena.Attribution(h), assign.Level)
 		if len(charges) == 0 {
 			if len(ids) == 0 {
-				fmt.Println("  no phenomena witnessed")
+				fmt.Fprintln(w, "  no phenomena witnessed")
 			} else {
-				fmt.Println("  no violation: every witnessed phenomenon is charged to a transaction whose level allows it (or excused by a below-degree-1 writer)")
+				fmt.Fprintln(w, "  no violation: every witnessed phenomenon is charged to a transaction whose level allows it (or excused by a below-degree-1 writer)")
 			}
 		} else {
 			for _, c := range charges {
-				fmt.Printf("  VIOLATION: %s charged to T%d (%s), against T%d (%s)\n",
+				fmt.Fprintf(w, "  VIOLATION: %s charged to T%d (%s), against T%d (%s)\n",
 					c.ID, c.Victim, assign.Level(c.Victim), c.Other, assign.Level(c.Other))
 			}
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if deps.Serializable(h) {
-		fmt.Println("conflict-serializable: yes; equivalent serial order:", fmtOrder(deps.EquivalentSerialOrder(h)))
+		fmt.Fprintln(w, "conflict-serializable: yes; equivalent serial order:", fmtOrder(deps.EquivalentSerialOrder(h)))
 	} else {
 		g := deps.BuildGraph(h)
-		fmt.Println("conflict-serializable: NO; dependency cycle:", fmtOrder(g.Cycle()))
+		fmt.Fprintln(w, "conflict-serializable: NO; dependency cycle:", fmtOrder(g.Cycle()))
 	}
-	fmt.Println()
-	fmt.Println("admitted by (phenomenon-based levels, Table 3):")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "admitted by (phenomenon-based levels, Table 3):")
 	for _, lvl := range ansi.Table3 {
 		verdict := "admitted"
 		if v := lvl.FirstViolation(h); v != "" {
 			verdict = "rejected (" + string(v) + ")"
 		}
-		fmt.Printf("  %-18s %s\n", lvl.Name, verdict)
+		fmt.Fprintf(w, "  %-18s %s\n", lvl.Name, verdict)
 	}
 }
 

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"isolevel/internal/engine"
@@ -37,5 +42,37 @@ func TestEngineGaugesCountLiveFragments(t *testing.T) {
 	g := engineGauges(mvcc.NewDB())
 	if _, ok := g["mv_horizon_lag"]; !ok {
 		t.Errorf("multiversion engine gauges %v lack mv_horizon_lag", g)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/check.golden from the current output")
+
+// `isolevel check -f` over every corpus file, byte for byte. Regenerate
+// with `go test ./cmd/isolevel -run TestCheckGolden -update` and review
+// the diff: it is the change in what check prints.
+func TestCheckGolden(t *testing.T) {
+	files, err := filepath.Glob("../../internal/exerciser/testdata/corpus/*.hist")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("corpus: %v (%d files)", err, len(files))
+	}
+	var buf bytes.Buffer
+	for _, path := range files {
+		fmt.Fprintf(&buf, "### %s\n", filepath.Base(path))
+		if err := checkFile(&buf, path); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	golden := filepath.Join("testdata", "check.golden")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("check output differs from %s; rerun with -update and review the diff", golden)
 	}
 }
