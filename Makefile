@@ -114,9 +114,11 @@ fuzz-determinism:
 
 # Byte-for-byte check against another revision: `make fuzz-diff BASE=<rev>`
 # builds cmd/isolevel at BASE in a throwaway git worktree, runs four fuzz
-# campaigns (uniform, mixed, keyrange, DML) with it and with the working
-# tree, and cmps each pair. A change that moves no grant decision leaves
-# all four identical; a difference prints its first lines and fails.
+# campaigns (uniform, mixed, keyrange, DML) and the paper artifacts
+# (paper, tables, remarks, figure2) with it and with the working tree, and
+# cmps each pair. A change that moves no grant decision and no phenomenon
+# verdict leaves all eight identical; a difference prints its first lines
+# and fails.
 BASE ?=
 FUZZ_DIFF_DIR ?= /tmp/isolevel-fuzz-diff
 FUZZ_DIFF_CAMPAIGNS = "-seed 1 -n 1000" "-mixed -seed 1 -n 500" "-engines keyrange -seed 1 -n 1000" "-seed 1 -n 500 -mix r:4,w:4,p:1,rc:1,wc:1,i:2,d:2,s:2"
@@ -129,13 +131,16 @@ fuzz-diff:
 	git worktree add --quiet --detach $$dir/base $(BASE) || exit 1; \
 	(cd $$dir/base && $(GO) build -o $$dir/isolevel-base ./cmd/isolevel) || exit 1; \
 	status=0; i=0; \
-	for args in $(FUZZ_DIFF_CAMPAIGNS); do \
+	same() { \
 	  i=$$((i+1)); \
-	  $$dir/isolevel-base fuzz $$args > $$dir/base-$$i.out 2>&1; \
-	  $$dir/isolevel-head fuzz $$args > $$dir/head-$$i.out 2>&1; \
+	  $$dir/isolevel-base "$$@" > $$dir/base-$$i.out 2>&1; \
+	  $$dir/isolevel-head "$$@" > $$dir/head-$$i.out 2>&1; \
 	  if cmp -s $$dir/base-$$i.out $$dir/head-$$i.out; then \
-	    echo "fuzz-diff: identical: fuzz $$args"; \
+	    echo "fuzz-diff: identical: $$*"; \
 	  else \
-	    echo "fuzz-diff: DIFFERS: fuzz $$args"; diff $$dir/base-$$i.out $$dir/head-$$i.out | head -20; status=1; \
+	    echo "fuzz-diff: DIFFERS: $$*"; diff $$dir/base-$$i.out $$dir/head-$$i.out | head -20; status=1; \
 	  fi; \
-	done; exit $$status'
+	}; \
+	for args in $(FUZZ_DIFF_CAMPAIGNS); do same fuzz $$args; done; \
+	for cmd in paper tables remarks figure2; do same $$cmd; done; \
+	exit $$status'

@@ -303,21 +303,25 @@ func checkFile(w io.Writer, path string) error {
 	return nil
 }
 
-// checkOne classifies a single history: phenomena (batch matchers, whose
-// matches are reused from Profile rather than re-detected per id),
-// serializability, and Table 3 admission. With a per-transaction level
-// assignment it additionally runs the per-transaction oracle: every
-// witnessed phenomenon is charged to its victim, and only the charges a
-// victim's own level forbids are violations.
+// checkOne classifies a single history: phenomena with their
+// participating pairs (one Stream pass), serializability, and Table 3
+// admission. With a per-transaction level assignment it additionally runs
+// the per-transaction oracle: every witnessed phenomenon is charged to its
+// victim, and only the charges a victim's own level forbids are
+// violations.
 func checkOne(w io.Writer, h history.History, assign *exerciser.Assign) {
 	fmt.Fprintln(w, "history:", h)
 	if assign != nil {
 		fmt.Fprintln(w, "levels: ", assign.Annotation())
 	}
 	fmt.Fprintln(w)
-	prof := phenomena.Profile(h)
+	s := phenomena.NewStream()
+	for _, op := range h {
+		s.Feed(op)
+	}
+	attr := s.Pairs()
 	var ids []string
-	for id := range prof {
+	for id := range attr {
 		ids = append(ids, string(id))
 	}
 	sort.Strings(ids)
@@ -326,15 +330,15 @@ func checkOne(w io.Writer, h history.History, assign *exerciser.Assign) {
 	} else {
 		fmt.Fprintln(w, "phenomena:")
 		for _, id := range ids {
-			for _, m := range prof[phenomena.ID(id)] {
-				fmt.Fprintf(w, "  %-4s %-18s %s\n", id, phenomena.Name(phenomena.ID(id)), m.Comment)
+			for _, p := range s.PairsOf(phenomena.ID(id)) {
+				fmt.Fprintf(w, "  %-4s %-18s %s\n", id, phenomena.Name(phenomena.ID(id)), p)
 			}
 		}
 	}
 	if assign != nil {
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "per-transaction oracle:")
-		charges := exerciser.NewOracle().Charges(phenomena.Attribution(h), assign.Level)
+		charges := exerciser.NewOracle().Charges(attr, assign.Level)
 		if len(charges) == 0 {
 			if len(ids) == 0 {
 				fmt.Fprintln(w, "  no phenomena witnessed")
@@ -349,10 +353,9 @@ func checkOne(w io.Writer, h history.History, assign *exerciser.Assign) {
 		}
 	}
 	fmt.Fprintln(w)
-	if deps.Serializable(h) {
-		fmt.Fprintln(w, "conflict-serializable: yes; equivalent serial order:", fmtOrder(deps.EquivalentSerialOrder(h)))
+	if g := deps.BuildGraph(h); g.Cycle() == nil {
+		fmt.Fprintln(w, "conflict-serializable: yes; equivalent serial order:", fmtOrder(g.TopoOrder()))
 	} else {
-		g := deps.BuildGraph(h)
 		fmt.Fprintln(w, "conflict-serializable: NO; dependency cycle:", fmtOrder(g.Cycle()))
 	}
 	fmt.Fprintln(w)

@@ -94,7 +94,7 @@
 //	     │       every transaction's event blocks into one
 //	     │       single-valued history (locking traces pass through)
 //	     ▼
-//	    check ─▶ phenomena.StreamAttribution (P0–A5B with participant
+//	    check ─▶ phenomena.Attribution (P0–A5B with participant
 //	     │       pairs), deps.Builder (serializability), FCW interval,
 //	     │       provenance, snapshot-read value certification
 //	     ▼

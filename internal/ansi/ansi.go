@@ -34,19 +34,19 @@ func (l Level) Admits(h history.History) bool {
 // FirstViolation returns the first forbidden phenomenon the history
 // exhibits, or "" if the history is admitted.
 func (l Level) FirstViolation(h history.History) phenomena.ID {
-	for _, id := range l.Forbidden {
-		if phenomena.Exhibits(id, h) {
-			return id
-		}
+	if v := l.Violations(h); len(v) > 0 {
+		return v[0]
 	}
 	return ""
 }
 
-// Violations returns every forbidden phenomenon the history exhibits.
+// Violations returns every forbidden phenomenon the history exhibits, in
+// the order of Forbidden.
 func (l Level) Violations(h history.History) []phenomena.ID {
+	prof := phenomena.Profile(h)
 	var out []phenomena.ID
 	for _, id := range l.Forbidden {
-		if phenomena.Exhibits(id, h) {
+		if prof[id] {
 			out = append(out, id)
 		}
 	}

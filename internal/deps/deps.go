@@ -19,10 +19,9 @@ import (
 // transactions on the same data item (or a predicate and a write into it)
 // where at least one is a write (§2.1).
 type Conflict struct {
-	FromIdx, ToIdx int // history indices, FromIdx < ToIdx
-	FromTx, ToTx   int
-	Kind           ConflictKind
-	Item           string // item key or predicate name
+	FromTx, ToTx int
+	Kind         ConflictKind
+	Item         string // item key or predicate name
 }
 
 // ConflictKind classifies the conflict by the modes of the two actions.
@@ -56,80 +55,7 @@ func (k ConflictKind) String() string {
 }
 
 func (c Conflict) String() string {
-	return fmt.Sprintf("T%d %s T%d on %s (ops %d,%d)", c.FromTx, c.Kind, c.ToTx, c.Item, c.FromIdx, c.ToIdx)
-}
-
-// Conflicts enumerates all conflicting action pairs in h, in (FromIdx,
-// ToIdx) order. Only actions of distinct transactions conflict. Cursor
-// reads/writes conflict exactly like plain reads/writes.
-func Conflicts(h history.History) []Conflict {
-	var out []Conflict
-	for i := 0; i < len(h); i++ {
-		a := h[i]
-		for j := i + 1; j < len(h); j++ {
-			b := h[j]
-			if a.Tx == b.Tx {
-				continue
-			}
-			if c, ok := conflictBetween(a, b, i, j); ok {
-				out = append(out, c)
-			}
-		}
-	}
-	return out
-}
-
-func conflictBetween(a, b history.Op, i, j int) (Conflict, bool) {
-	aR, aW := a.Kind.IsRead(), a.Kind.IsWrite()
-	bR, bW := b.Kind.IsRead(), b.Kind.IsWrite()
-	if (!aR && !aW) || (!bR && !bW) {
-		return Conflict{}, false
-	}
-	// Item-item conflicts.
-	if a.Item != "" && b.Item != "" && a.Item == b.Item {
-		switch {
-		case aW && bW:
-			return Conflict{i, j, a.Tx, b.Tx, WW, string(a.Item)}, true
-		case aW && bR:
-			return Conflict{i, j, a.Tx, b.Tx, WR, string(a.Item)}, true
-		case aR && bW:
-			return Conflict{i, j, a.Tx, b.Tx, RW, string(a.Item)}, true
-		}
-		return Conflict{}, false
-	}
-	// Predicate conflicts: r[P] vs a later write annotated as in P (or a
-	// predicate write on P), and the converse.
-	if a.Kind == history.PredRead && bW && writeInAnyPred(b, a.Preds) {
-		return Conflict{i, j, a.Tx, b.Tx, PredRW, a.Preds[0]}, true
-	}
-	if aW && b.Kind == history.PredRead && writeInAnyPred(a, b.Preds) {
-		return Conflict{i, j, a.Tx, b.Tx, PredWR, b.Preds[0]}, true
-	}
-	// Two predicate writes on the same predicate conflict (ww).
-	if a.Kind == history.PredWrite && b.Kind == history.PredWrite && sharePred(a.Preds, b.Preds) {
-		return Conflict{i, j, a.Tx, b.Tx, WW, a.Preds[0]}, true
-	}
-	return Conflict{}, false
-}
-
-func writeInAnyPred(w history.Op, preds []string) bool {
-	for _, p := range preds {
-		if w.InPred(p) {
-			return true
-		}
-	}
-	return false
-}
-
-func sharePred(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
+	return fmt.Sprintf("T%d %s T%d on %s", c.FromTx, c.Kind, c.ToTx, c.Item)
 }
 
 // Graph is a dependency graph: nodes are committed transactions, edges the
@@ -142,25 +68,13 @@ type Graph struct {
 }
 
 // BuildGraph constructs the dependency graph of h over its committed
-// transactions.
+// transactions, in one pass through a Builder.
 func BuildGraph(h history.History) *Graph {
-	committed := h.Committed()
-	g := &Graph{Edges: map[int]map[int][]Conflict{}}
-	for _, tx := range h.Txns() {
-		if committed[tx] {
-			g.Nodes = append(g.Nodes, tx)
-		}
+	b := NewBuilder()
+	for _, op := range h {
+		b.Feed(op)
 	}
-	for _, c := range Conflicts(h) {
-		if !committed[c.FromTx] || !committed[c.ToTx] {
-			continue
-		}
-		if g.Edges[c.FromTx] == nil {
-			g.Edges[c.FromTx] = map[int][]Conflict{}
-		}
-		g.Edges[c.FromTx][c.ToTx] = append(g.Edges[c.FromTx][c.ToTx], c)
-	}
-	return g
+	return b.Graph()
 }
 
 // HasEdge reports whether the graph has an edge from tx a to tx b.

@@ -331,7 +331,7 @@ func TestSwapNonConflictingPreservesEquivalence(t *testing.T) {
 			if a.Tx == b.Tx || a.Kind.IsTerminal() || b.Kind.IsTerminal() {
 				continue
 			}
-			if _, conflicting := conflictBetween(a, b, j, j+1); conflicting {
+			if _, conflicting := conflictBetween(a, b); conflicting {
 				continue
 			}
 			swapped := append(history.History{}, h...)

@@ -8,7 +8,7 @@ import (
 )
 
 // Builder constructs the dependency graph of a history incrementally, one
-// op at a time, without the batch Conflicts() pass over all op pairs.
+// op at a time, without testing every pair of ops for a conflict.
 //
 // Per item (and per predicate name) it keeps only the *set* of
 // transactions that have read or written it so far — an edge a -> b
@@ -17,14 +17,15 @@ import (
 // information needed. Per-op work is bounded by the number of
 // transactions that touched the op's item, and total edge state by the
 // square of the transaction count, never by the history length. The
-// streaming-vs-batch equivalence tests assert that Graph() agrees with
-// BuildGraph on edges, cycles, and topological order.
+// spec-vs-stream tests assert that Graph() agrees with the pairwise
+// definition (SpecGraph in spec_test.go) on nodes, edges, cycles, and
+// topological order.
 type Builder struct {
 	itemReaders map[data.Key]map[int]bool
 	itemWriters map[data.Key]map[int]bool
 	// predReaders indexes predicate reads under every name in their Preds
 	// list; predWriters indexes item writes annotated "in P" (and
-	// predicate writes) the same way. predWWriters holds predicate-write
+	// predicate writes) the same way. predWWrites holds predicate-write
 	// ops only, for the pred-write/pred-write ww rule.
 	predReaders map[string]map[int]bool
 	predWriters map[string]map[int]bool
@@ -35,7 +36,6 @@ type Builder struct {
 	seen      map[int]bool
 
 	edges map[int]map[int][]Conflict
-	idx   int
 }
 
 // NewBuilder returns an empty incremental graph builder.
@@ -52,16 +52,6 @@ func NewBuilder() *Builder {
 	}
 }
 
-// StreamGraph builds the dependency graph of h through a Builder — the
-// incremental equivalent of BuildGraph.
-func StreamGraph(h history.History) *Graph {
-	b := NewBuilder()
-	for _, op := range h {
-		b.Feed(op)
-	}
-	return b.Graph()
-}
-
 // Feed consumes the next op of the history.
 func (b *Builder) Feed(op history.Op) {
 	t := op.Tx
@@ -69,8 +59,6 @@ func (b *Builder) Feed(op history.Op) {
 		b.seen[t] = true
 		b.txs = append(b.txs, t)
 	}
-	i := b.idx
-	b.idx++
 	switch {
 	case op.Kind == history.Commit:
 		b.committed[t] = true
@@ -79,10 +67,10 @@ func (b *Builder) Feed(op history.Op) {
 		return
 	case op.Kind == history.PredRead:
 		// Conflicts with every earlier write into any of the read's
-		// predicates (the batch PredWR rule), then register the reader.
+		// predicates (the PredWR rule), then register the reader.
 		for _, name := range op.Preds {
 			for w := range b.predWriters[name] {
-				b.edge(w, t, PredWR, name, i)
+				b.edge(w, t, PredWR, name)
 			}
 		}
 		for _, name := range op.Preds {
@@ -91,30 +79,30 @@ func (b *Builder) Feed(op history.Op) {
 	case op.Kind.IsRead():
 		if op.Item != "" {
 			for w := range b.itemWriters[op.Item] {
-				b.edge(w, t, WR, string(op.Item), i)
+				b.edge(w, t, WR, string(op.Item))
 			}
 			put(b.itemReaders, op.Item, t)
 		}
 	case op.Kind.IsWrite():
 		if op.Item != "" {
 			for w := range b.itemWriters[op.Item] {
-				b.edge(w, t, WW, string(op.Item), i)
+				b.edge(w, t, WW, string(op.Item))
 			}
 			for r := range b.itemReaders[op.Item] {
-				b.edge(r, t, RW, string(op.Item), i)
+				b.edge(r, t, RW, string(op.Item))
 			}
 			put(b.itemWriters, op.Item, t)
 		}
 		// A write annotated as falling in P conflicts with earlier reads
-		// of P (the batch PredRW rule); two predicate writes sharing a
+		// of P (the PredRW rule); two predicate writes sharing a
 		// name conflict ww.
 		for _, name := range op.Preds {
 			for r := range b.predReaders[name] {
-				b.edge(r, t, PredRW, name, i)
+				b.edge(r, t, PredRW, name)
 			}
 			if op.Kind == history.PredWrite {
 				for w := range b.predWWrites[name] {
-					b.edge(w, t, WW, name, i)
+					b.edge(w, t, WW, name)
 				}
 			}
 			put(b.predWriters, name, t)
@@ -127,7 +115,7 @@ func (b *Builder) Feed(op history.Op) {
 
 // edge records a conflict edge from -> to (one representative Conflict
 // per (from, to, kind) — enough for HasEdge, Cycle and TopoOrder).
-func (b *Builder) edge(from, to int, kind ConflictKind, item string, toIdx int) {
+func (b *Builder) edge(from, to int, kind ConflictKind, item string) {
 	if from == to {
 		return
 	}
@@ -141,11 +129,11 @@ func (b *Builder) edge(from, to int, kind ConflictKind, item string, toIdx int) 
 			return
 		}
 	}
-	tos[to] = append(tos[to], Conflict{FromTx: from, ToTx: to, Kind: kind, Item: item, ToIdx: toIdx})
+	tos[to] = append(tos[to], Conflict{FromTx: from, ToTx: to, Kind: kind, Item: item})
 }
 
 // Graph returns the dependency graph over the transactions committed so
-// far, in the same shape BuildGraph produces.
+// far.
 func (b *Builder) Graph() *Graph {
 	g := &Graph{Edges: map[int]map[int][]Conflict{}}
 	nodes := append([]int{}, b.txs...)

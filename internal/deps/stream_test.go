@@ -22,12 +22,12 @@ func TestStreamGraphMatchesBatch(t *testing.T) {
 		"cursor":    history.MustParse("rc1[x] w2[x] wc1[x] c1 c2"),
 	}
 	for name, h := range cases {
-		b, s := BuildGraph(h), StreamGraph(h)
+		b, s := SpecGraph(h), BuildGraph(h)
 		if !reflect.DeepEqual(b.Nodes, s.Nodes) {
 			t.Errorf("%s: nodes %v != %v", name, b.Nodes, s.Nodes)
 		}
 		if b.String() != s.String() {
-			t.Errorf("%s: edges differ\nbatch:\n%s\nstream:\n%s", name, b, s)
+			t.Errorf("%s: edges differ\nspec:\n%s\nstream:\n%s", name, b, s)
 		}
 		if (b.Cycle() == nil) != (s.Cycle() == nil) {
 			t.Errorf("%s: cycle verdicts differ", name)

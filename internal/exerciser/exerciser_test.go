@@ -146,7 +146,7 @@ func TestCrossLevelOracle(t *testing.T) {
 			t.Errorf("finding %d: shrinker did not shrink (%d ops -> %d)", f.Index, len(orig.Ops), len(f.Minimized))
 		}
 		// The minimized history replays: it parses, and it still exhibits
-		// the violated phenomenon under both checkers.
+		// the violated phenomenon.
 		h, err := history.Parse(f.Minimized.String())
 		if err != nil {
 			t.Errorf("finding %d: minimized history does not parse: %v", f.Index, err)
@@ -154,7 +154,7 @@ func TestCrossLevelOracle(t *testing.T) {
 		}
 		if len(f.IDs) > 0 {
 			id := f.IDs[0]
-			if len(phenomena.Detect(id, h)) == 0 || !phenomena.StreamProfile(h)[id] {
+			if !phenomena.Exhibits(id, h) {
 				t.Errorf("finding %d: minimized history %s does not exhibit %s", f.Index, h, id)
 			}
 		}
@@ -244,38 +244,7 @@ func TestSnapshotReadCertification(t *testing.T) {
 	}
 }
 
-// --- Streaming-vs-batch equivalence over generated histories. ---
-
-func TestStreamingMatchesBatchOnGenerated(t *testing.T) {
-	paramSets := []Params{
-		DefaultParams(),
-		{Txs: 6, Items: 2, OpsPerTx: 6, Mix: Mix{Read: 3, Write: 3, PredRead: 2, CurRead: 2, CurWrite: 2}, AbortFrac: 0.3},
-		{Txs: 3, Items: 4, OpsPerTx: 8, Mix: Mix{Read: 5, Write: 5}, AbortFrac: 0},
-	}
-	for pi, p := range paramSets {
-		for seed := int64(1); seed <= 120; seed++ {
-			h := Generate(seed, p).History()
-			batch := map[phenomena.ID]bool{}
-			for id := range phenomena.Profile(h) {
-				batch[id] = true
-			}
-			stream := phenomena.StreamProfile(h)
-			if !reflect.DeepEqual(batch, stream) {
-				t.Fatalf("params %d seed %d: batch %v != stream %v\n%s", pi, seed, batch, stream, h)
-			}
-			bg := deps.BuildGraph(h)
-			sg := deps.StreamGraph(h)
-			if !reflect.DeepEqual(bg.Nodes, sg.Nodes) || bg.String() != sg.String() {
-				t.Fatalf("params %d seed %d: graphs differ\nbatch:\n%s\nstream:\n%s\n%s", pi, seed, bg, sg, h)
-			}
-			if (bg.Cycle() == nil) != (sg.Cycle() == nil) {
-				t.Fatalf("params %d seed %d: cycle verdicts differ", pi, seed)
-			}
-		}
-	}
-}
-
-// --- Corpus replay: batch checker, streaming checker, and expectations. ---
+// --- Corpus replay against each file's expectations. ---
 
 func TestCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.hist"))
@@ -328,15 +297,8 @@ func TestCorpus(t *testing.T) {
 			for _, id := range expect {
 				want[phenomena.ID(id)] = true
 			}
-			batch := map[phenomena.ID]bool{}
-			for id := range phenomena.Profile(h) {
-				batch[id] = true
-			}
-			if !reflect.DeepEqual(batch, want) {
-				t.Errorf("batch profile %v, want %v", sortedIDs(batch), expect)
-			}
-			if stream := phenomena.StreamProfile(h); !reflect.DeepEqual(stream, want) {
-				t.Errorf("streaming profile %v, want %v", sortedIDs(stream), expect)
+			if got := phenomena.Profile(h); !reflect.DeepEqual(got, want) {
+				t.Errorf("profile %v, want %v", sortedIDs(got), expect)
 			}
 			if wantSer != "" {
 				got := "no"
@@ -346,18 +308,6 @@ func TestCorpus(t *testing.T) {
 				if got != wantSer {
 					t.Errorf("serializable = %s, want %s", got, wantSer)
 				}
-				sg := deps.StreamGraph(h)
-				if (sg.Cycle() == nil) != (wantSer == "yes") {
-					t.Errorf("streaming serializability disagrees with expectation %s", wantSer)
-				}
-			}
-			// Attribution: the batch matchers and the streaming checker must
-			// report identical participating-transaction sets on every
-			// corpus history, annotated or not.
-			battr := phenomena.Attribution(h)
-			sattr := phenomena.StreamAttribution(h)
-			if !reflect.DeepEqual(battr, sattr) {
-				t.Errorf("attribution differs:\n  batch  %v\n  stream %v", battr, sattr)
 			}
 			// Annotated files carry a per-transaction level assignment and
 			// the exact charges the per-transaction oracle must produce
@@ -371,16 +321,12 @@ func TestCorpus(t *testing.T) {
 				if wantCharged == nil {
 					t.Fatal("annotated corpus file lacks a # charged: line")
 				}
-				for name, attr := range map[string]map[phenomena.ID]map[phenomena.Pair]bool{
-					"batch": battr, "stream": sattr,
-				} {
-					got := []string{}
-					for _, ch := range NewOracle().Charges(attr, assign.Level) {
-						got = append(got, fmt.Sprintf("T%d:%s", ch.Victim, ch.ID))
-					}
-					if !reflect.DeepEqual(got, wantCharged) {
-						t.Errorf("%s charges = %v, want %v", name, got, wantCharged)
-					}
+				got := []string{}
+				for _, ch := range NewOracle().Charges(phenomena.Attribution(h), assign.Level) {
+					got = append(got, fmt.Sprintf("T%d:%s", ch.Victim, ch.ID))
+				}
+				if !reflect.DeepEqual(got, wantCharged) {
+					t.Errorf("charges = %v, want %v", got, wantCharged)
 				}
 			}
 		})

@@ -240,7 +240,7 @@ func RunOne(s *Schedule, fam Family, assign Assign, shards int) (*RunResult, err
 	} else {
 		rr.Normalized = res.History
 	}
-	rr.Attr = phenomena.StreamAttribution(rr.Normalized)
+	rr.Attr = phenomena.Attribution(rr.Normalized)
 	rr.Profile = make(map[phenomena.ID]bool, len(rr.Attr))
 	for id := range rr.Attr {
 		rr.Profile[id] = true

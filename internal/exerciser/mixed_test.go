@@ -126,16 +126,8 @@ func TestPerTxOracleCharges(t *testing.T) {
 			for _, ch := range o.Charges(phenomena.Attribution(h), assign.Level) {
 				got = append(got, "T"+strconv.Itoa(ch.Victim)+":"+string(ch.ID))
 			}
-			// Streaming attribution must judge identically.
-			var gotStream []string
-			for _, ch := range o.Charges(phenomena.StreamAttribution(h), assign.Level) {
-				gotStream = append(gotStream, "T"+strconv.Itoa(ch.Victim)+":"+string(ch.ID))
-			}
 			if !reflect.DeepEqual(got, c.want) {
-				t.Errorf("batch charges = %v, want %v", got, c.want)
-			}
-			if !reflect.DeepEqual(gotStream, c.want) {
-				t.Errorf("stream charges = %v, want %v", gotStream, c.want)
+				t.Errorf("charges = %v, want %v", got, c.want)
 			}
 		})
 	}
@@ -152,7 +144,7 @@ func TestUniformChargesMatchOldOracle(t *testing.T) {
 		forbidden := o.Forbidden(lvl)
 		for seed := int64(1); seed <= 60; seed++ {
 			h := Generate(seed, p).History()
-			attr := phenomena.StreamAttribution(h)
+			attr := phenomena.Attribution(h)
 			want := map[phenomena.ID]bool{}
 			for id := range attr {
 				if forbidden[id] {

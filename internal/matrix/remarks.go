@@ -77,9 +77,8 @@ func VerifyRemarks() ([]RemarkResult, error) {
 
 	// Remark 4: the broad interpretations are the correct ones — H1, H2, H3
 	// slip through the strict readings but not the broad ones.
-	r4 := !phenomena.Exhibits(phenomena.A1, history.H1()) && phenomena.Exhibits(phenomena.P1, history.H1()) &&
-		!phenomena.Exhibits(phenomena.A2, history.H2()) && phenomena.Exhibits(phenomena.P2, history.H2()) &&
-		!phenomena.Exhibits(phenomena.A3, history.H3()) && phenomena.Exhibits(phenomena.P3, history.H3()) &&
+	h1, h2, h3 := phenomena.Profile(history.H1()), phenomena.Profile(history.H2()), phenomena.Profile(history.H3())
+	r4 := !h1[phenomena.A1] && h1[phenomena.P1] && !h2[phenomena.A2] && h2[phenomena.P2] && !h3[phenomena.A3] && h3[phenomena.P3] &&
 		!deps.Serializable(history.H1()) && !deps.Serializable(history.H2()) && !deps.Serializable(history.H3())
 	out = append(out, RemarkResult{4,
 		"Strict interpretations A1, A2, A3 have unintended weaknesses; the broad ones are correct",

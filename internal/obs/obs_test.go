@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -187,7 +188,6 @@ func TestNilSinkIsNoOp(t *testing.T) {
 	s.Commit(1)
 	s.Abort(1)
 	s.Deadlock(1, []int{1, 2, 1})
-	s.RecordTxn(start)
 	s.RecordOp(start)
 	s.RecordCommitLatency(start)
 	s.RecordGateHold(start)
@@ -267,6 +267,23 @@ func TestWriteMetrics(t *testing.T) {
 	// Counters must render in sorted order for byte-stable pages.
 	if strings.Index(out, "lock_deadlocks_total") > strings.Index(out, "lock_grants_total") {
 		t.Error("counters not sorted")
+	}
+}
+
+// The summaries a metrics page exports are exactly the sink's histograms,
+// in display order: a histogram no engine records has no place here.
+func TestWriteMetricsHistogramNames(t *testing.T) {
+	var b strings.Builder
+	WriteMetrics(&b, NewSink(NewVirtualClock()), nil)
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if name, ok := strings.CutSuffix(strings.TrimPrefix(line, "# TYPE isolevel_"), " summary"); ok {
+			got = append(got, name)
+		}
+	}
+	want := []string{"op_latency", "commit_latency", "lock_wait", "range_wait", "gate_hold", "rangemu_hold", "store_scan"}
+	if !slices.Equal(got, want) {
+		t.Errorf("exported histograms %v, want %v", got, want)
 	}
 }
 

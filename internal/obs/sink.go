@@ -28,7 +28,6 @@ type Sink struct {
 	Flight *FlightRecorder
 
 	// Latency histograms, in the Clock's unit (ns or virtual ticks).
-	Txn         *Histogram // whole transaction, begin to commit/abort (workload driver)
 	Op          *Histogram // single engine op (get/put/select)
 	CommitPath  *Histogram // commit path
 	LockWait    *Histogram // item + predicate lock waits
@@ -45,7 +44,6 @@ type Sink struct {
 func NewSink(c Clock) *Sink {
 	return &Sink{
 		clock:       c,
-		Txn:         &Histogram{},
 		Op:          &Histogram{},
 		CommitPath:  &Histogram{},
 		LockWait:    &Histogram{},
@@ -218,16 +216,9 @@ func (s *Sink) DeadlockDump(victim int, cycle []int, n int) string {
 	return b.String()
 }
 
-// RecordTxn, RecordOp, RecordCommitLatency, RecordGateHold,
-// RecordRangeMuHold, and RecordScan measure from start (a prior Now())
-// into the corresponding histogram. Nil-safe.
-
-func (s *Sink) RecordTxn(start int64) {
-	if s == nil {
-		return
-	}
-	s.Txn.Record(s.clock.Now() - start)
-}
+// RecordOp, RecordCommitLatency, RecordGateHold, RecordRangeMuHold, and
+// RecordScan measure from start (a prior Now()) into the corresponding
+// histogram. Nil-safe.
 
 func (s *Sink) RecordOp(start int64) {
 	if s == nil {
@@ -277,7 +268,6 @@ func (s *Sink) Histograms() []NamedHist {
 		return nil
 	}
 	return []NamedHist{
-		{"txn_latency", s.Txn},
 		{"op_latency", s.Op},
 		{"commit_latency", s.CommitPath},
 		{"lock_wait", s.LockWait},

@@ -2,6 +2,7 @@ package phenomena
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"isolevel/internal/data"
@@ -292,7 +293,7 @@ func TestA5BNotMatchedWhenReadFollowsWrite(t *testing.T) {
 
 func TestProfileOfH1(t *testing.T) {
 	p := Profile(history.H1())
-	if len(p[P1]) == 0 || len(p[A1]) > 0 || len(p[A2]) > 0 || len(p[A3]) > 0 || len(p[P0]) > 0 {
+	if !p[P1] || p[A1] || p[A2] || p[A3] || p[P0] {
 		t.Errorf("H1 profile = %v", p)
 	}
 }
@@ -325,11 +326,15 @@ func TestMatchString(t *testing.T) {
 
 // Strict anomalies imply the corresponding broad phenomena on arbitrary
 // histories (the paper: broad interpretations prohibit strictly more).
+// The same histories hold the Stream to the spec's attribution.
 func TestStrictImpliesBroadProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	pairs := []struct{ strict, broad ID }{{A1, P1}, {A2, P2}, {A3, P3}}
 	for i := 0; i < 400; i++ {
 		h := randomHistory(r)
+		if spec, got := SpecAttribution(h), Attribution(h); !reflect.DeepEqual(spec, got) {
+			t.Fatalf("%s:\n  spec   %v\n  stream %v", h, spec, got)
+		}
 		for _, pr := range pairs {
 			if Exhibits(pr.strict, h) && !Exhibits(pr.broad, h) {
 				t.Fatalf("%s without %s in %s", pr.strict, pr.broad, h)

@@ -7,17 +7,16 @@ import (
 	"isolevel/internal/history"
 )
 
-// Stream is the incremental phenomenon checker: it consumes a history one
-// op at a time and maintains, per identifier, just enough state to decide
-// whether the phenomenon has been exhibited so far — and by which
-// transaction pairs. For every well-formed history, feeding all ops yields
-// exactly the identifier set of the batch Profile AND exactly the batch
-// Attribution's pair sets — the streaming-vs-batch equivalence tests in
-// this package and in internal/exerciser enforce both — but without the
-// batch matchers' full-history rescans: per-op work is bounded by the
-// number of live transactions touching the op's item, never by the history
-// length, so fuzz campaigns can check long generated histories at bench
-// speed.
+// Stream is the phenomenon checker: it consumes a history one op at a
+// time and maintains, per identifier, just enough state to decide whether
+// the phenomenon has been exhibited so far — and by which transaction
+// pairs. For every well-formed history, feeding all ops yields exactly the
+// identifier set and the pair sets of the declarative matchers in
+// spec_test.go (the spec-vs-stream tests in this package enforce both),
+// but without their full-history rescans: per-op work is bounded by the
+// number of live transactions touching the op's item, never by the
+// history length, so fuzz campaigns can check long generated histories at
+// bench speed.
 //
 // The pair attribution is what the per-transaction oracle of mixed
 // isolation-level runs consumes: a phenomenon is only a violation when
@@ -43,7 +42,7 @@ type Stream struct {
 	touchedR      map[int]map[data.Key]bool
 
 	// Predicate reads: registered under the read's first predicate name,
-	// exactly like the batch P3/A3 matchers.
+	// exactly like the spec's P3/A3 matchers.
 	activePredReaders map[string]map[int]bool
 	touchedP          map[int]map[string]bool
 
@@ -129,34 +128,23 @@ type luState struct {
 	by, byCur     map[int]bool
 }
 
-// StreamProfile runs h through a fresh Stream and returns the exhibited
-// identifier set — the streaming equivalent of the batch Profile's key set.
-func StreamProfile(h history.History) map[ID]bool {
+// Profile returns the identifiers h exhibits.
+func Profile(h history.History) map[ID]bool { return feed(h).seen }
+
+// Attribution returns, per exhibited identifier, the participating
+// transaction pairs — the shape the per-transaction oracle consumes.
+func Attribution(h history.History) map[ID]map[Pair]bool { return feed(h).pairs }
+
+// Exhibits reports whether h contains at least one occurrence of id.
+func Exhibits(id ID, h history.History) bool { return feed(h).seen[id] }
+
+// feed runs h through a fresh Stream; its maps are the caller's to keep.
+func feed(h history.History) *Stream {
 	s := NewStream()
 	for _, op := range h {
 		s.Feed(op)
 	}
-	return s.Seen()
-}
-
-// StreamAttribution runs h through a fresh Stream and returns the
-// exhibited identifiers with their participating transaction pairs — the
-// streaming equivalent of the batch Attribution.
-func StreamAttribution(h history.History) map[ID]map[Pair]bool {
-	s := NewStream()
-	for _, op := range h {
-		s.Feed(op)
-	}
-	return s.Pairs()
-}
-
-// Seen returns a copy of the identifiers exhibited so far.
-func (s *Stream) Seen() map[ID]bool {
-	out := make(map[ID]bool, len(s.seen))
-	for id := range s.seen {
-		out[id] = true
-	}
-	return out
+	return s
 }
 
 // Pairs returns a copy of the participating transaction pairs per
@@ -205,8 +193,8 @@ func (s *Stream) hit(id ID, a, b int) {
 }
 
 // Feed consumes the next op of the history. Ops of a transaction that
-// already terminated are ignored (the batch matchers only see such ops in
-// ill-formed histories, which Validate rejects).
+// already terminated are ignored (only ill-formed histories, which
+// Validate rejects, have such ops).
 func (s *Stream) Feed(op history.Op) {
 	if _, done := s.term[op.Tx]; done {
 		return
@@ -342,14 +330,14 @@ func (s *Stream) write(op history.Op) {
 func (s *Stream) predRead(op history.Op) {
 	t := op.Tx
 	// A3: re-evaluation of a predicate a committed transaction wrote into
-	// under us. The batch matcher accepts the predicate in any position of
-	// the reread's list, so check them all.
+	// under us. The spec's matcher accepts the predicate in any position
+	// of the reread's list, so check them all.
 	for _, name := range op.Preds {
 		for w := range s.a3Committed[t][name] {
 			putPair(s.a3Candidate, t, w)
 		}
 	}
-	// Registration mirrors the batch P3/A3 matchers: the read is indexed
+	// Registration mirrors the spec's P3/A3 matchers: the read is indexed
 	// under its first predicate name only.
 	if len(op.Preds) > 0 {
 		name := op.Preds[0]
@@ -464,7 +452,7 @@ func (s *Stream) terminal(t int, kind history.Kind) {
 // b read y and wrote x (x != y), each read preceding the other side's
 // first subsequent write of that item. The pattern is symmetric in its
 // two roles, so one orientation per pair suffices; pairs are normalized
-// (min, max) like the batch matcher's t1 < t2 emission rule.
+// (min, max) like the spec matcher's t1 < t2 emission rule.
 func (s *Stream) checkA5B(b int) {
 	for _, a := range s.committed {
 		if s.a5bPair(a, b) {
@@ -493,7 +481,7 @@ func (s *Stream) a5bPair(a, b int) bool {
 			}
 			// ∃ reads i of x by a, j of y by b such that a's first write of
 			// y after i comes after j, and b's first write of x after j
-			// comes after i — the batch matcher's "reads precede the
+			// comes after i — the spec matcher's "reads precede the
 			// opposing writes" condition.
 			for _, i := range rax {
 				k1, ok := firstAfter(way, i)

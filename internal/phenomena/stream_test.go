@@ -7,15 +7,6 @@ import (
 	"isolevel/internal/history"
 )
 
-// batchSet is Profile's key set, for comparison with the stream.
-func batchSet(h history.History) map[ID]bool {
-	out := map[ID]bool{}
-	for id := range Profile(h) {
-		out[id] = true
-	}
-	return out
-}
-
 func TestStreamMatchesBatchOnPaperHistories(t *testing.T) {
 	cases := map[string]history.History{
 		"H1":     history.H1(),
@@ -28,8 +19,8 @@ func TestStreamMatchesBatchOnPaperHistories(t *testing.T) {
 		"H1SISV": history.H1SISV(),
 	}
 	for name, h := range cases {
-		if b, s := batchSet(h), StreamProfile(h); !reflect.DeepEqual(b, s) {
-			t.Errorf("%s: batch %v != stream %v", name, b, s)
+		if b, s := SpecAttribution(h), Attribution(h); !reflect.DeepEqual(b, s) {
+			t.Errorf("%s: spec %v != stream %v", name, b, s)
 		}
 	}
 }
@@ -53,11 +44,11 @@ func TestStreamPerPhenomenon(t *testing.T) {
 	}
 	for _, c := range cases {
 		h := history.MustParse(c.src)
-		if !StreamProfile(h)[c.want] {
+		if !Exhibits(c.want, h) {
 			t.Errorf("%q: stream misses %s", c.src, c.want)
 		}
-		if !Exhibits(c.want, h) {
-			t.Errorf("%q: batch misses %s (test case wrong)", c.src, c.want)
+		if !SpecProfile(h)[c.want] {
+			t.Errorf("%q: spec misses %s (test case wrong)", c.src, c.want)
 		}
 	}
 }
@@ -87,11 +78,11 @@ func TestStreamNegatives(t *testing.T) {
 	}
 	for _, c := range cases {
 		h := history.MustParse(c.src)
-		if StreamProfile(h)[c.not] {
+		if Exhibits(c.not, h) {
 			t.Errorf("%q: stream wrongly reports %s", c.src, c.not)
 		}
-		if Exhibits(c.not, h) {
-			t.Errorf("%q: batch wrongly reports %s (test case wrong)", c.src, c.not)
+		if SpecProfile(h)[c.not] {
+			t.Errorf("%q: spec wrongly reports %s (test case wrong)", c.src, c.not)
 		}
 	}
 }
@@ -116,9 +107,9 @@ func TestStreamIncremental(t *testing.T) {
 	}
 }
 
-// TestStreamAttributionMatchesBatch checks that the streaming checker
-// attributes every phenomenon to exactly the transaction pairs the batch
-// matchers report, over the paper histories plus shapes chosen to stress
+// TestStreamAttributionMatchesBatch checks that the Stream attributes
+// every phenomenon to exactly the transaction pairs the spec's matchers
+// report, over the paper histories plus shapes chosen to stress
 // the identity-carrying state machines (multiple interveners, multiple
 // victims, pairs that outlive their transactions).
 func TestStreamAttributionMatchesBatch(t *testing.T) {
@@ -148,13 +139,19 @@ func TestStreamAttributionMatchesBatch(t *testing.T) {
 		"w1[x] r2[x] w3[y] r2[y] a3 c2 a1",
 		// P0 chain: three stacked uncommitted writers.
 		"w1[x] w2[x] w3[x] c1 c2 c3",
+		// The per-transaction oracle's charge cases (internal/exerciser).
+		"w1[x] r2[x] c2 c1",
+		"w1[x] w2[x] c1 c2",
+		"r1[x] w2[x] c2 c1",
+		"r1[x] w2[x] w1[x] c1 c2",
+		"r1[x] r2[y] w1[y] c1 w2[x] c2",
+		"r1[P] w2[y in P] c2 c1",
 	}
 	for _, src := range cases {
 		h := history.MustParse(src)
-		batch := Attribution(h)
-		stream := StreamAttribution(h)
-		if !reflect.DeepEqual(batch, stream) {
-			t.Errorf("%q:\n  batch  %v\n  stream %v", src, batch, stream)
+		spec, stream := SpecAttribution(h), Attribution(h)
+		if !reflect.DeepEqual(spec, stream) {
+			t.Errorf("%q:\n  spec   %v\n  stream %v", src, spec, stream)
 		}
 	}
 }
@@ -182,7 +179,7 @@ func TestAttributionRoles(t *testing.T) {
 	for _, c := range cases {
 		h := history.MustParse(c.src)
 		for name, attr := range map[string]map[ID]map[Pair]bool{
-			"batch": Attribution(h), "stream": StreamAttribution(h),
+			"spec": SpecAttribution(h), "stream": Attribution(h),
 		} {
 			if !attr[c.id][c.want] {
 				t.Errorf("%q: %s attribution of %s lacks %v (got %v)", c.src, name, c.id, c.want, attr[c.id])

@@ -7,7 +7,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -70,38 +69,6 @@ func (t *Table) String() string {
 	for _, n := range t.Notes {
 		b.WriteString(n)
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// KV is one named counter of a stats line.
-type KV struct {
-	Name  string
-	Value int64
-}
-
-// SortedCounters flattens a counter map into name-sorted pairs — the one
-// deterministic order for map-keyed stats, shared by the bench output and
-// the /metrics page so the same run renders byte-identically everywhere.
-func SortedCounters(m map[string]int64) []KV {
-	out := make([]KV, 0, len(m))
-	for name, v := range m {
-		out = append(out, KV{Name: name, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// CountersLine renders a counter map as one "name=value" line, name-sorted.
-// Zero-valued counters are kept: a stats line whose fields appear and
-// disappear between runs cannot be diffed.
-func CountersLine(m map[string]int64) string {
-	var b strings.Builder
-	for i, kv := range SortedCounters(m) {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", kv.Name, kv.Value)
 	}
 	return b.String()
 }

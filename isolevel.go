@@ -173,25 +173,14 @@ func MustHistory(src string) History { return history.MustParse(src) }
 // PhenomenonID names a phenomenon or anomaly (P0, P1, A1, ..., A5B).
 type PhenomenonID = phenomena.ID
 
-// Phenomena lists every matcher-backed identifier.
+// Phenomena lists every identifier the checker decides.
 var Phenomena = phenomena.All
 
 // Exhibits reports whether h contains phenomenon id.
 func Exhibits(id PhenomenonID, h History) bool { return phenomena.Exhibits(id, h) }
 
 // PhenomenaProfile returns all phenomena h exhibits.
-func PhenomenaProfile(h History) map[PhenomenonID]bool {
-	out := map[PhenomenonID]bool{}
-	for id := range phenomena.Profile(h) {
-		out[id] = true
-	}
-	return out
-}
-
-// StreamingProfile is PhenomenaProfile computed by the incremental
-// checker: one pass, per-op work bounded by live transactions rather than
-// history length. Equivalent to PhenomenaProfile on well-formed histories.
-func StreamingProfile(h History) map[PhenomenonID]bool { return phenomena.StreamProfile(h) }
+func PhenomenaProfile(h History) map[PhenomenonID]bool { return phenomena.Profile(h) }
 
 // ConflictSerializable reports whether h's committed projection is
 // conflict-serializable (acyclic dependency graph, §2.1).
@@ -348,9 +337,9 @@ func ParseLevels(src string) (LevelAssign, error) { return exerciser.ParseAssign
 type PhenomenonPair = phenomena.Pair
 
 // PhenomenaAttribution returns every phenomenon h exhibits together with
-// the participating transaction pairs (streaming checker).
+// the participating transaction pairs.
 func PhenomenaAttribution(h History) map[PhenomenonID]map[PhenomenonPair]bool {
-	return phenomena.StreamAttribution(h)
+	return phenomena.Attribution(h)
 }
 
 // LevelCharge is one per-transaction oracle violation: a phenomenon
@@ -362,7 +351,7 @@ type LevelCharge = exerciser.Charge
 // and only charges the victim's own level forbids are returned. An empty
 // result means the history is legal for the assignment.
 func JudgeHistory(h History, assign LevelAssign) []LevelCharge {
-	return exerciser.NewOracle().Charges(phenomena.StreamAttribution(h), assign.Level)
+	return exerciser.NewOracle().Charges(phenomena.Attribution(h), assign.Level)
 }
 
 // --- Engine internals ---

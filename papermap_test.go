@@ -13,9 +13,9 @@ import (
 	"testing"
 )
 
-// papermapAnchor matches a PAPERMAP.md link of the form
-// [`path.go:N`](…) `Symbol`: a line anchor that names what it points at.
-var papermapAnchor = regexp.MustCompile("\\[`([^`]+\\.go):(\\d+)`\\]\\([^)]*\\)\\s+`([A-Za-z_][A-Za-z0-9_.]*)`")
+// papermapAnchor matches a PAPERMAP.md line anchor [`path.go:N`](…) and
+// the `Symbol` that must follow it to name what it points at.
+var papermapAnchor = regexp.MustCompile("\\[`([^`]+\\.go):(\\d+)`\\]\\([^)]*\\)(?:\\s+`([A-Za-z_][A-Za-z0-9_.]*)`)?")
 
 // papermapFileLink matches an unanchored file link that names a symbol:
 // [`path.go`](…) `Symbol`.
@@ -26,11 +26,12 @@ var papermapFileLink = regexp.MustCompile("\\[`([^`:]+\\.go)`\\]\\([^)]*\\)\\s+`
 // an exported symbol, optionally a method or field after it.
 var papermapQualified = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)?)`")
 
-// Every PAPERMAP.md line anchor that names a symbol must land on that
-// symbol: line N of path.go is the line Symbol is declared on, or the
-// opening line of the doc comment directly above the declaration. An
-// anchor that drifted onto a neighbouring declaration fails here instead
-// of sending a reader to the wrong code.
+// Every PAPERMAP.md line anchor must name a symbol and land on it: line N
+// of path.go is the line Symbol is declared on, or the opening line of the
+// doc comment directly above the declaration. An anchor that drifted onto
+// a neighbouring declaration fails here instead of sending a reader to the
+// wrong code, and an anchor without a symbol fails because nothing could
+// tell that it drifted.
 func TestPapermapAnchorsPointAtTheirSymbols(t *testing.T) {
 	src, err := os.ReadFile("PAPERMAP.md")
 	if err != nil {
@@ -38,12 +39,16 @@ func TestPapermapAnchorsPointAtTheirSymbols(t *testing.T) {
 	}
 	links := papermapAnchor.FindAllStringSubmatch(string(src), -1)
 	if len(links) == 0 {
-		t.Fatal("no [`path.go:N`](…) `Symbol` link found in PAPERMAP.md: the link form or this test's pattern changed")
+		t.Fatal("no [`path.go:N`](…) link found in PAPERMAP.md: the link form or this test's pattern changed")
 	}
 	decls := map[string]map[string][]int{} // path -> symbol -> acceptable lines
 	for _, l := range links {
 		path, symbol := l[1], l[3]
 		line, _ := strconv.Atoi(l[2])
+		if symbol == "" {
+			t.Errorf("%s:%d names no symbol: follow the link with `Symbol`", path, line)
+			continue
+		}
 		if decls[path] == nil {
 			d, err := declLines(path)
 			if err != nil {
