@@ -936,9 +936,13 @@ func (m *Manager) spliceInheritedLocked(key data.Key, copies []fragment) {
 // the holders of conflicting-mode predicate locks whose predicates its
 // images satisfy. Sorted and deduplicated. Called with the key's stripe
 // latched under the shared gate (or the gate exclusive), which fixes all
-// three.
+// three. An exclusive request's before-image is read here first
+// (exactBeforeLocked): every grant decision, immediate or in a drain,
+// passes through this read.
 func (m *Manager) itemConflictHoldersLocked(sp *stripe, req *request) []TxID {
-	out := itemConflictHolders(sp.items[req.key], req)
+	st := sp.items[req.key]
+	m.exactBeforeLocked(st, req)
+	out := itemConflictHolders(st, req)
 	n := len(out)
 	if req.mode == X && len(sp.frags) != 0 {
 		i, j := fragWindow(sp.frags, req.key)
@@ -1235,10 +1239,6 @@ func (m *Manager) grantRangeAwareLocked(r *request, touched stripeSet) bool {
 		removeRequest(&m.rangeQ, r)
 		m.rangeQLen.Store(int64(len(m.rangeQ)))
 	case r.isGap:
-		gc := m.gapCoverLocked(r.key)
-		if len(gapConflicts(r.tx, r.key, r.im, gc)) != 0 {
-			return false
-		}
 		// The gap grant is this protocol's atomic acquisition point: the
 		// predicate twin's insert takes a single item lock, so no other
 		// writer can slip an item lock in between a granted gap and the
@@ -1247,10 +1247,13 @@ func (m *Manager) grantRangeAwareLocked(r *request, touched stripeSet) bool {
 		// stripe latch, marked reserved; the insert's follow-up
 		// AcquireItem consumes the reservation refs-neutrally. A recheck
 		// request (RecheckGap) already holds the item exclusively, so the
-		// install collapses to a no-op for it.
+		// install collapses to a no-op for it. The before-image is read
+		// under the same latch, as the twin's item grant reads it, and the
+		// reserved hold keeps it.
 		sp := m.stripeOf(r.key)
 		sp.mu.Lock()
 		st := sp.items[r.key]
+		m.exactBeforeLocked(st, r)
 		if st != nil {
 			for _, h := range st.holders {
 				if h.tx != r.tx {
@@ -1258,6 +1261,11 @@ func (m *Manager) grantRangeAwareLocked(r *request, touched stripeSet) bool {
 					return false
 				}
 			}
+		}
+		gc := m.gapCoverLocked(r.key)
+		if len(gapConflicts(r.tx, r.key, r.im, gc)) != 0 {
+			sp.mu.Unlock()
+			return false
 		}
 		if st == nil || st.holder(r.tx) == nil {
 			m.installItemLocked(sp, r).reserved = true
@@ -1311,10 +1319,11 @@ func (m *Manager) grantRangeAwareLocked(r *request, touched stripeSet) bool {
 func (m *Manager) rangeWaiterConflictsLocked(r *request) []TxID {
 	var out []TxID
 	if r.isGap {
-		out = gapConflicts(r.tx, r.key, r.im, m.gapCoverLocked(r.key))
 		sp := m.stripeOf(r.key)
 		sp.mu.Lock()
-		if st := sp.items[r.key]; st != nil {
+		st := sp.items[r.key]
+		m.exactBeforeLocked(st, r)
+		if st != nil {
 			for _, h := range st.holders {
 				if h.tx != r.tx {
 					out = append(out, h.tx)
@@ -1324,6 +1333,7 @@ func (m *Manager) rangeWaiterConflictsLocked(r *request) []TxID {
 			}
 		}
 		sp.mu.Unlock()
+		out = append(out, gapConflicts(r.tx, r.key, r.im, m.gapCoverLocked(r.key))...)
 	} else {
 		for _, sp := range m.stripes {
 			sp.mu.Lock()

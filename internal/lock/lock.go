@@ -48,8 +48,10 @@
 // stripe held still, because its conflict set spans them all; so item
 // acquires and releases take the exclusive side only while one is queued,
 // and ReleaseAll (which may release predicates, unblocking waiters in any
-// stripe) only while a predicate lock is held or wanted. Held predicates
-// alone leave disjoint-key item traffic scaling with the stripe count.
+// stripe) only while the releasing transaction holds a predicate lock or
+// one is wanted. Held predicates alone leave disjoint-key item traffic,
+// and the commits of transactions that hold none, scaling with the stripe
+// count.
 //
 // # Phantom prevention: two protocols
 //
@@ -67,6 +69,15 @@
 // the keyrange protocol ever takes the gate's exclusive side
 // (Stats.GateAcquires stays zero) and disjoint-key writers keep scaling
 // with the stripe count while a scan is live.
+//
+// Row locks under a scan differ between the two. A SERIALIZABLE scan on
+// the predicate table takes none: every exclusive request, at any key,
+// checks the held predicates with its exact images (Images), so a long
+// Shared predicate lock already excludes every writer of a row it
+// returns, and a Shared row lock on that row could add no conflict and
+// no waits-for edge. Keyrange scans keep their row locks: their coverage
+// is per-anchor fragments over an install-time key snapshot, kept up by
+// inheritance and GC, and the argument is not made for it.
 //
 // Deadlock detection lives in a standalone waits-for graph (waitsfor.go)
 // that collects wait edges from all stripes under its own lock, preserving
@@ -195,6 +206,16 @@ type Observer interface {
 // Images carries the row images a lock request exposes for predicate
 // conflict checks: Before/After for writes (nil Before = insert, nil After
 // = delete), Before = current row for reads.
+//
+// With a row source (SetRowImage), an exclusive request's Before is not
+// the caller's: it is the row at the moment the request's grant is
+// decided, read under the key's stripe latch, and a hold keeps the one its
+// first exclusive grant saw. No other transaction can hold the key
+// exclusively then, and an aborting holder restores its undo log before
+// it releases, so that row is committed state (or the requester's own
+// earlier write, covered by its hold's first image). A before-image taken
+// before a wait would instead be whatever the previous holder left, its
+// dirty value if it went on to abort.
 type Images struct {
 	Before, After data.Row
 }
@@ -594,7 +615,7 @@ type Manager struct {
 	// exclusion); predicate operations — whose conflicts span every
 	// stripe — hold it exclusively, quiescing the stripes, and so do item
 	// operations while a predicate request waits, and ReleaseAll while
-	// any predicate lock is held or wanted.
+	// the releasing transaction holds a predicate lock or one is wanted.
 	gate sync.RWMutex
 
 	// preds and predQ are the cross-stripe predicate-lock table (granted
@@ -636,8 +657,11 @@ type Manager struct {
 	// fragments. All under rangeMu.
 	rowPresent      func(data.Key) bool
 	inheritsSinceGC int
-	fragGCs         int64
-	fragsReclaimed  int64
+	// rowImage, when set (SetRowImage), is the row source exclusive
+	// requests read their before-image from (exactBeforeLocked).
+	rowImage       func(data.Key) data.Row
+	fragGCs        int64
+	fragsReclaimed int64
 
 	// Install/release scratch, reused across range operations so a
 	// steady-state scan install allocates nothing: per-stripe anchor
@@ -806,6 +830,34 @@ func (m *Manager) obsDeadlock(tx TxID, on []TxID) {
 // under a long scan don't accumulate until ReleaseAll. Nil (the default)
 // disables the sweep. Must be called before concurrent use.
 func (m *Manager) SetRowPresent(f func(data.Key) bool) { m.rowPresent = f }
+
+// SetRowImage gives exclusive requests their row source: f returns the
+// row currently at a key (nil when absent). With it set, an exclusive
+// request's before-image is f's answer at the moment its grant is decided
+// (see Images), whatever Before the caller passed. f is called under a
+// stripe latch, so it must not call back into the manager. Nil (the
+// default) keeps the caller's images. Must be called before concurrent
+// use.
+func (m *Manager) SetRowImage(f func(data.Key) data.Row) { m.rowImage = f }
+
+// exactBeforeLocked sets an exclusive request's before-image from the row
+// source: the row at its key now, or — when the requester already holds
+// the key exclusively — its hold's first before-image, which the install
+// keeps anyway (mergeImages). A no-op for shared requests and without a
+// row source. Called with key's stripe latched; st is key's entry, nil
+// when absent.
+func (m *Manager) exactBeforeLocked(st *itemState, req *request) {
+	if req.mode != X || m.rowImage == nil {
+		return
+	}
+	if st != nil {
+		if h := st.holder(req.tx); h != nil && h.mode == X {
+			req.im.Before = h.im.Before
+			return
+		}
+	}
+	req.im.Before = m.rowImage(req.key)
+}
 
 // Stats returns a snapshot of manager counters.
 func (m *Manager) Stats() Stats {
@@ -1129,6 +1181,11 @@ func (m *Manager) installItemLocked(sp *stripe, req *request) *holder {
 	st := sp.item(req.key)
 	if h := st.holder(req.tx); h != nil {
 		// Upgrade or re-acquire.
+		if req.mode == X && h.mode == S {
+			// The first exclusive grant: the hold's before-image is the
+			// write's, not the one its read was requested with.
+			h.im.Before = req.im.Before
+		}
 		if req.mode == X {
 			h.mode = X
 		}
@@ -1172,7 +1229,8 @@ func enqueue(q *[]*request, req *request) {
 
 // mergeImages keeps the earliest before-image and the latest after-image,
 // widening predicate conflict coverage across multiple writes of the same
-// item by one transaction.
+// item by one transaction. (An upgrade from Shared first takes the
+// exclusive request's before-image: installItemLocked.)
 func mergeImages(old, new Images) Images {
 	out := old
 	if out.Before == nil {
@@ -1278,16 +1336,19 @@ func (m *Manager) ReleasePred(tx TxID, handle PredHandle) {
 // all long-duration locks) and cancels any of tx's queued requests.
 func (m *Manager) ReleaseAll(tx TxID) {
 	m.gate.RLock()
-	if len(m.preds) == 0 && len(m.predQ) == 0 {
+	if len(m.predQ) == 0 && !m.holdsPredLocked(tx) {
 		if m.rangeActivity.Load() != 0 {
 			m.releaseAllRangeAware(tx)
 			return
 		}
-		// Striped path: no predicate state exists, so each touched stripe
-		// can be released and drained independently. An item waiter only
-		// ever waits on same-key holders, so per-stripe drains see every
-		// consequence of this stripe's releases, and untouched stripes
-		// (the footprint tracks them) need no visit at all.
+		// Striped path: tx holds no predicate and none is wanted, so its
+		// release can unblock only item waiters on its own keys. Those
+		// wait on same-key holders and on held predicates, which the
+		// shared gate keeps fixed (predQ cannot grow under it either), so
+		// each touched stripe can be released and drained independently:
+		// per-stripe drains see every consequence of this stripe's
+		// releases, and untouched stripes (the footprint tracks them) need
+		// no visit at all.
 		m.wf.Remove(tx)
 		var granted, cancelled []*request
 		var buf [DefaultShards]int
@@ -1299,6 +1360,15 @@ func (m *Manager) ReleaseAll(tx TxID) {
 			granted = append(granted, m.drainStripeLocked(sp)...)
 			sp.mu.Unlock()
 		}
+		if len(m.preds) != 0 {
+			// Beside held predicates, wake the grantees in global arrival
+			// order, as the gated drain did and as keyrange's twin (whose
+			// live fragments route it through drainRangeLocked) does.
+			// Stripes share no waiter, so the per-stripe drains decided
+			// the same grants; only the wake-up order, which grant parking
+			// replays, is left to fix.
+			slices.SortFunc(granted, grantOrder)
+		}
 		// As in ReleaseItem: a range request may have been published since.
 		granted = append(granted, m.drainRangeIfWaiters()...)
 		m.gate.RUnlock()
@@ -1308,9 +1378,10 @@ func (m *Manager) ReleaseAll(tx TxID) {
 	}
 	m.gate.RUnlock()
 
-	// Predicate activity: tx's predicates and its keys in every stripe go
-	// in one step, then one drain over every stripe in global arrival
-	// order, the order keyrange's drainRangeLocked keeps too.
+	// tx holds a predicate, or one is wanted: tx's predicates and its keys
+	// in every stripe go in one step, then one drain over every stripe in
+	// global arrival order, the order keyrange's drainRangeLocked keeps
+	// too.
 	m.gate.Lock()
 	m.gateAcquires.Add(1)
 	gs := m.obs.Now()
@@ -1596,6 +1667,12 @@ func (m *Manager) Holding(tx TxID, key data.Key) (Mode, bool) {
 func (m *Manager) HoldingPred(tx TxID) bool {
 	m.gate.RLock()
 	defer m.gate.RUnlock()
+	return m.holdsPredLocked(tx)
+}
+
+// holdsPredLocked reports whether tx holds any predicate lock. Called
+// with the gate held, either side.
+func (m *Manager) holdsPredLocked(tx TxID) bool {
 	return slices.ContainsFunc(m.preds, func(ps predState) bool { return ps.tx == tx })
 }
 

@@ -187,6 +187,57 @@ func TestHeldPredicateLeavesItemPathStriped(t *testing.T) {
 	}
 }
 
+// A transaction that holds no predicate releases on the striped path even
+// while another transaction holds one: T2's item-only ReleaseAll beside
+// T1's held predicate takes no exclusive gate and still grants T3's item
+// waiter. T3's Exclusive request waits on T2's key, not on T1's predicate,
+// which its images do not satisfy; the predicate holder's own ReleaseAll
+// still takes the gate.
+func TestItemOnlyReleaseAllBesideHeldPredicateStaysStriped(t *testing.T) {
+	m := NewManagerShards(8)
+	o := &recordingObserver{}
+	m.SetObserver(o)
+	keys := keysOnDistinctStripes(t, m, 2)
+	if _, err := m.AcquirePred(1, predicate.MustParse("val < 10"), S); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := m.AcquireItem(2, k, X, Images{Before: row(50), After: row(60)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e3 := make(chan error, 1)
+	go func() { e3 <- m.AcquireItem(3, keys[0], X, Images{Before: row(60), After: row(70)}) }()
+	waitForQueue(t, m, 1)
+	o.mu.Lock()
+	on := slices.Clone(o.waitOn)
+	o.mu.Unlock()
+	if len(on) != 1 || !slices.Equal(on[0], []TxID{2}) {
+		t.Fatalf("TxWaiting on = %v, want T3 on [2]", on)
+	}
+	gate := m.Stats().GateAcquires
+	m.ReleaseAll(2)
+	select {
+	case err := <-e3:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("T2's striped ReleaseAll never woke T3's item waiter")
+	}
+	if got := m.Stats().GateAcquires; got != gate {
+		t.Fatalf("an item-only ReleaseAll beside a held predicate took the gate %d times, want 0", got-gate)
+	}
+	if mode, ok := m.Holding(3, keys[0]); !ok || mode != X {
+		t.Fatalf("T3 holds %v, %v after the grant", mode, ok)
+	}
+	m.ReleaseAll(3)
+	m.ReleaseAll(1)
+	if got := m.Stats().GateAcquires; got != gate+1 {
+		t.Fatalf("the predicate holder's ReleaseAll took the gate %d times, want 1", got-gate)
+	}
+}
+
 // A deadlock whose cycle spans stripes must still be detected, with the
 // requester that closes the cycle as the victim.
 func TestMultiStripeDeadlockRequesterVictim(t *testing.T) {

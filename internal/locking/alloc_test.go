@@ -13,8 +13,9 @@ import (
 // Get/Get/Put/Put/Commit on a warmed DB: the Tx (1) and the undo log's two
 // appends (2). Nothing else allocates: rows are immutable values, so Get
 // hands out the stored row and Put stores the row it is given; lock
-// images, the pre-lock read and the undo log share them too; and the lock
-// manager's immediate grants are allocation-free.
+// images (the before-image read at the grant included) and the undo log
+// share them too; and the lock manager's immediate grants are
+// allocation-free.
 const serializableTxnAllocs = 3
 
 func TestSerializableTxnAllocs(t *testing.T) {
@@ -77,9 +78,10 @@ var serializableSelectAllocs = map[Phantom]float64{PhantomPredicate: 2, PhantomK
 // A SERIALIZABLE scan costs the same number of allocations over 32 rows as
 // over 256, apart from growing its result slice, and no more than
 // serializableSelectAllocs: the rows it returns are the stored ones, its
-// per-row Shared locks are granted without allocating, and its phantom
-// lock — predicate or key-range — installs in a number of allocations
-// independent of the range.
+// per-row Shared locks (keyrange only: a long predicate lock takes none)
+// are granted without allocating, and its phantom lock — predicate or
+// key-range — installs in a number of allocations independent of the
+// range.
 func TestSerializableSelectAllocsIndependentOfRows(t *testing.T) {
 	for _, ph := range phantomProtocols {
 		db := NewDB(WithPhantomProtection(ph))

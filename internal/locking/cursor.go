@@ -109,11 +109,10 @@ func (c *Cursor) UpdateCurrent(row data.Row) error {
 		return engine.ErrNoCursor
 	}
 	t := c.tx
-	peek := t.db.store.Get(c.curKey)
 	// lockForWrite, not a bare item lock: if another transaction deleted
 	// the row under the cursor, this write re-creates it — an insert that
 	// the keyrange protocol must route through the covering gap lock.
-	if err := t.lockForWrite(c.curKey, peek, lock.Images{Before: peek, After: row}); err != nil {
+	if err := t.lockForWrite(c.curKey, row); err != nil {
 		return t.lockErr(err)
 	}
 	before := t.db.store.Put(c.curKey, row)

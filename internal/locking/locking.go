@@ -18,7 +18,10 @@
 // key-range (next-key) locking, which decomposes each scan's protection
 // into striped next-key fragments and gives inserts a covering-gap lock.
 // The Table 2 durations apply identically to both, and the differential
-// fuzzer holds them behaviorally equivalent at every level.
+// fuzzer holds them behaviorally equivalent at every level. One lock is
+// left out on purpose: under the predicate protocol's long predicate
+// lock (SERIALIZABLE), Select takes no per-row Shared locks, because the
+// predicate lock already covers every row it returns (see Tx.Select).
 //
 //isolint:deterministic
 package locking
@@ -105,8 +108,11 @@ func NewDB(opts ...Option) *DB {
 	db.lm = lock.NewManagerShards(db.shards)
 	// Row presence feeds the lock manager's fragment GC (dead-anchor
 	// sweeps); harmless on the predicate protocol, which never installs
-	// fragments.
+	// fragments. The row source gives every write lock the before-image
+	// of the row it actually overwrites: the row at its grant, not a peek
+	// taken before it waited.
 	db.lm.SetRowPresent(db.store.Exists)
+	db.lm.SetRowImage(db.store.Get)
 	return db
 }
 
@@ -262,9 +268,7 @@ func (t *Tx) Put(key data.Key, after data.Row) error {
 		return err
 	}
 	start := t.db.obs.Now()
-	peek := t.db.store.Get(key) // image for predicate-lock conflicts
-	im := lock.Images{Before: peek, After: after}
-	if err := t.lockForWrite(key, peek, im); err != nil {
+	if err := t.lockForWrite(key, after); err != nil {
 		t.db.obs.RecordOp(start)
 		return t.lockErr(err)
 	}
@@ -345,22 +349,24 @@ func (g scanGuard) releaseShort() {
 	}
 }
 
-// lockForWrite acquires the locks that guard installing im.After at key —
-// shared by Tx.write and Cursor.UpdateCurrent (which can also re-create a
-// row another transaction deleted under the cursor). Under the keyrange
-// protocol a write that creates a row must hold the covering gap's
-// exclusive lock: when the pre-lock peek saw no row, the gap lock is
-// taken before the item lock; and whenever the row is absent *under* the
-// item lock — the pre-lock peek may have raced a concurrent delete, or a
-// scan may have started between the gap check and the item install — the
-// gap is (re)verified with the item lock already visible, so either the
-// scan's conflict sweep sees this writer or this recheck sees the scan's
-// fragments. Both extra steps are no-ops on the predicate protocol and,
-// for existing rows, on scripted runs.
-func (t *Tx) lockForWrite(key data.Key, peek data.Row, im lock.Images) error {
+// lockForWrite acquires the locks that guard installing after at key —
+// shared by Tx.Put and Cursor.UpdateCurrent (which can also re-create a
+// row another transaction deleted under the cursor). The lock manager
+// reads the write's before-image itself, at the grant (SetRowImage), so
+// the predicate protocol reads nothing here. Under the keyrange protocol
+// a write that creates a row must hold the covering gap's exclusive lock:
+// when a pre-lock peek sees no row, the gap lock is taken before the item
+// lock; and whenever the row is absent *under* the item lock — the peek
+// may have raced a concurrent delete, or a scan may have started between
+// the gap check and the item install — the gap is (re)verified with the
+// item lock already visible, so either the scan's conflict sweep sees
+// this writer or this recheck sees the scan's fragments. The recheck is a
+// no-op for existing rows on scripted runs.
+func (t *Tx) lockForWrite(key data.Key, after data.Row) error {
 	tid := lock.TxID(t.id)
+	im := lock.Images{After: after}
 	keyrange := t.db.phantom == PhantomKeyrange
-	if keyrange && peek == nil && im.After != nil {
+	if keyrange && after != nil && !t.db.store.Exists(key) {
 		if err := t.db.lm.AcquireGap(tid, key, im); err != nil {
 			return err
 		}
@@ -368,7 +374,7 @@ func (t *Tx) lockForWrite(key data.Key, peek data.Row, im lock.Images) error {
 	if err := t.db.lm.AcquireItem(tid, key, lock.X, im); err != nil {
 		return err
 	}
-	if keyrange && im.After != nil && !t.db.store.Exists(key) {
+	if keyrange && after != nil && !t.db.store.Exists(key) {
 		if err := t.db.lm.RecheckGap(tid, key, im); err != nil {
 			return err
 		}
@@ -378,7 +384,20 @@ func (t *Tx) lockForWrite(key data.Key, peek data.Row, im lock.Images) error {
 
 // Select implements engine.Tx: a phantom-protection lock (predicate or
 // key-range, per the engine's protocol) for the scan, then per-row item
-// locks on the matching rows.
+// locks on the matching rows — except under a long predicate lock
+// (PhantomPredicate at SERIALIZABLE), which already covers them.
+//
+// §2.3 makes a predicate lock "effectively a lock on all data items
+// satisfying the <search condition>". A granted Shared predicate lock
+// excludes every Exclusive holder whose before- or after-image satisfies
+// the predicate, and with exact before-images (lock.Images) that holds
+// from the grant until the lock is released. So every returned row is
+// committed (or this transaction's own), and a Shared row lock on it
+// could add no conflict and no waits-for edge: any other writer of the
+// row already waits on the predicate lock. The keyrange protocol keeps
+// its row locks, as do REPEATABLE READ and weaker levels (their predicate
+// locks are short), cursors and Get: the argument is the predicate
+// table's, whose held locks every exclusive request checks at any key.
 func (t *Tx) Select(p predicate.P) ([]data.Tuple, error) {
 	if err := t.live(); err != nil {
 		return nil, err
@@ -390,6 +409,11 @@ func (t *Tx) Select(p predicate.P) ([]data.Tuple, error) {
 		return nil, err
 	}
 	matches := t.db.store.Select(p)
+	if t.proto.ReadPred == DurLong && t.db.phantom == PhantomPredicate {
+		t.db.rec.RecordPredRead(t.id, p)
+		t.db.obs.RecordOp(start)
+		return matches, nil
+	}
 	out := matches[:0] // the store's result is ours: filter it in place
 	for _, m := range matches {
 		if t.proto.ReadItem != DurNone {

@@ -40,7 +40,9 @@ func (d Duration) String() string {
 type Protocol struct {
 	Level engine.Level
 	// ReadItem is the duration of Shared locks on individual data items
-	// read by Get and by Select's row accesses.
+	// read by Get and by Select's row accesses — except a Select under a
+	// long predicate lock on the predicate protocol, whose predicate lock
+	// covers its rows (Tx.Select).
 	ReadItem Duration
 	// ReadPred is the duration of Shared predicate locks taken by Select
 	// (and by OpenCursor's predicate evaluation).

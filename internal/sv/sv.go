@@ -131,9 +131,13 @@ func (s *Store) Exists(key data.Key) bool {
 func (s *Store) Put(key data.Key, row data.Row) (before data.Row) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	before = sh.rows[key]
+	before, present := sh.rows[key]
 	sh.rows[key] = row
-	sh.index.Insert(key)
+	if !present {
+		// An update leaves the key set as it was: only an insert touches
+		// the index.
+		sh.index.Insert(key)
+	}
 	sh.mu.Unlock()
 	return before
 }
@@ -158,8 +162,10 @@ func (s *Store) Restore(key data.Key, before data.Row) {
 		delete(sh.rows, key)
 		sh.index.Delete(key)
 	} else {
+		if _, present := sh.rows[key]; !present {
+			sh.index.Insert(key)
+		}
 		sh.rows[key] = before
-		sh.index.Insert(key)
 	}
 	sh.mu.Unlock()
 }

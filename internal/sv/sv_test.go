@@ -248,3 +248,45 @@ func sameTuples(a, b []data.Tuple) bool {
 	}
 	return true
 }
+
+// TestIndexHoldsExactlyTheMapKeys: each stripe's ordered index holds
+// exactly its map's keys after every write, now that a Put or Restore
+// over a present key leaves the index alone. The sequence mixes
+// overwrites, deletes of present and absent keys and Restores over
+// present and absent keys on a small key space, so every case repeats
+// many times.
+func TestIndexHoldsExactlyTheMapKeys(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(int64(31 + shards)))
+		s := NewStoreShards(shards)
+		for step := 0; step < 2000; step++ {
+			k, row := data.Key(fmt.Sprintf("k%d", rng.Intn(8))), data.Scalar(int64(step))
+			switch rng.Intn(5) {
+			case 0, 1:
+				s.Put(k, row)
+			case 2:
+				s.Delete(k)
+			case 3:
+				s.Restore(k, row)
+			case 4:
+				s.Restore(k, nil)
+			}
+			var want []data.Key
+			for i, sh := range s.shards {
+				var mapKeys []data.Key
+				for mk := range sh.rows {
+					mapKeys = append(mapKeys, mk)
+				}
+				slices.Sort(mapKeys)
+				if got := sh.index.Range("", "", false); !slices.Equal(got, mapKeys) {
+					t.Fatalf("shards=%d step %d: stripe %d index %v, map keys %v", shards, step, i, got, mapKeys)
+				}
+				want = append(want, mapKeys...)
+			}
+			slices.Sort(want)
+			if got := s.Keys(); !slices.Equal(got, want) {
+				t.Fatalf("shards=%d step %d: Keys = %v, map keys %v", shards, step, got, want)
+			}
+		}
+	}
+}
