@@ -75,7 +75,7 @@ fuzz:
 
 # Mixed isolation levels: every transaction of a schedule at its own
 # sampled level (all six locking degrees in one lock manager, SI + RC on
-# the unified mv engine), judged by the per-transaction oracle.
+# the mv engine), judged by the per-transaction oracle.
 fuzz-mixed:
 	$(GO) run ./cmd/isolevel fuzz -mixed -seed 1 -n 500
 

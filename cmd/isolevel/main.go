@@ -109,12 +109,11 @@ commands:
         histories in the paper's notation
         -mixed: per-transaction level assignments — every transaction at
         its own sampled level (all six locking degrees in one lock
-        manager; SI + RC interleaved on the unified mv engine), judged by
+        manager; SI + RC interleaved on the mv engine), judged by
         the per-transaction oracle (a phenomenon is a violation only when
         charged to a transaction whose own level forbids it)
         knobs: -txs -items -ops -abort -mix r:W,w:W,p:W,rc:W,wc:W,i:W,d:W,s:W
-               -engines locking,keyrange,snapshot,oraclerc
-                        (mixed: locking,keyrange,mv)
+               -engines locking,keyrange,mv (an unknown name is an error)
                -levels L1,L2 -workers W -shards N -start I -oracle LEVEL -v
                -http ADDR (live pprof/expvar/metrics while the campaign runs)
         findings carry a flight-recorder timeline: the engine-level event
@@ -569,7 +568,7 @@ func cmdFuzz(args []string) error {
 	ops := fs.Int("ops", 0, "transaction size: each draws 1..2*ops non-terminal ops (0 = default)")
 	abortFrac := fs.Float64("abort", -1, "scripted abort probability (negative = default)")
 	mix := fs.String("mix", "", "op-kind weights, e.g. r:4,w:4,p:1,rc:1,wc:1,i:2,d:2,s:2 (i=insert, d=delete, s=range scan)")
-	engines := fs.String("engines", "", "comma list of engine families (default all: locking,snapshot,oraclerc)")
+	engines := fs.String("engines", "", "comma list of engine families (default all: locking,keyrange,mv)")
 	levels := fs.String("levels", "", "comma list of isolation levels (default: every level each family implements)")
 	workers := fs.Int("workers", 1, "campaign worker goroutines (report is identical at any count)")
 	shards := fs.Int("shards", 0, "engine stripe count (0 = default)")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"isolevel/internal/engine"
@@ -74,5 +75,23 @@ func TestCheckGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("check output differs from %s; rerun with -update and review the diff", golden)
+	}
+}
+
+// An -engines name that no family has is an error naming the families,
+// uniform and mixed: a typo or a retired family name must not run a
+// narrower campaign and print "ok".
+func TestFuzzUnknownEngineIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-engines", "locking,snapshot", "-n", "1"},
+		{"-engines", "mv,oraclerc", "-mixed", "-n", "1"},
+	} {
+		err := cmdFuzz(args)
+		if err == nil {
+			t.Fatalf("fuzz %v: accepted an unknown engine family", args)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "unknown engine family") || !strings.Contains(msg, "locking, keyrange, mv") {
+			t.Errorf("fuzz %v: error %q does not name the unknown family and the valid ones", args, msg)
+		}
 	}
 }

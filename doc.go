@@ -9,9 +9,9 @@
 //
 //   - Live engines for every isolation type the paper characterizes: the
 //     Table 2 locking scheduler (Degree 0 through SERIALIZABLE, including
-//     Cursor Stability), the §4.2 Snapshot Isolation engine with
-//     First-Committer-Wins, and the §4.3 Oracle-style Read Consistency
-//     engine.
+//     Cursor Stability) and one multiversion engine that serves §4.2
+//     Snapshot Isolation with First-Committer-Wins and §4.3 Oracle-style
+//     Read Consistency side by side, the level chosen per transaction.
 //   - The paper's history formalism: parse "w1[x] r2[x] c1 a2", detect
 //     every phenomenon (P0–P4C, A1–A5B), build dependency graphs, test
 //     conflict-serializability, and map Snapshot Isolation executions to
@@ -27,8 +27,8 @@
 //     scheduler luck. Throughput and latency are measured by one driver,
 //     `go run ./benchmark`.
 //
-// All three engine families share one stripe-count knob. The
-// multiversion engines commit through a striped path: the store shards
+// Both engine families share one stripe-count knob. The
+// multiversion engine commits through a striped path: the store shards
 // version chains and commit latches across stripes, so transactions with
 // disjoint write sets validate and install in parallel instead of
 // queueing on a global commit mutex, and snapshots start at the
@@ -37,13 +37,12 @@
 // way: per-key-stripe lock tables with their own latches and wait
 // queues, a cross-stripe predicate-lock table behind a shared-exclusive
 // gate, and a standalone waits-for deadlock detector spanning all
-// stripes. NewSnapshotDBShards / NewOracleRCDBShards / NewLockingDBShards
-// / NewDBForShards set the count explicitly (default 16; 1 reproduces
-// the old single-latch behavior everywhere).
+// stripes. NewMVDBShards / NewLockingDBShards set the count explicitly
+// (default 16; 1 reproduces the old single-latch behavior everywhere).
 //
 // Quick start:
 //
-//	db := isolevel.NewSnapshotDB()
+//	db := isolevel.NewMVDB()
 //	db.Load(isolevel.Scalar("x", 50), isolevel.Scalar("y", 50))
 //	tx, _ := db.Begin(isolevel.SnapshotIsolation)
 //	v, _ := isolevel.GetVal(tx, "x")
@@ -124,7 +123,7 @@
 // REPEATABLE READ reader must never be the dirty-read victim of a
 // degree >= 1 writer). `isolevel fuzz -mixed` samples a level per
 // transaction (all six locking degrees in one lock manager; SNAPSHOT
-// ISOLATION and READ CONSISTENCY interleaved on the unified mv engine of
+// ISOLATION and READ CONSISTENCY interleaved on the one mv engine of
 // internal/mvcc), and `isolevel check -f` accepts "# levels: T1=RR T2=RC"
 // annotations to replay mixed findings.
 //

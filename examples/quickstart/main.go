@@ -44,7 +44,7 @@ func lockingDemo() {
 }
 
 func snapshotDemo() {
-	db := isolevel.NewSnapshotDB()
+	db := isolevel.NewMVDB()
 	db.Load(isolevel.Scalar("x", 100))
 
 	t1, _ := db.Begin(isolevel.SnapshotIsolation)
@@ -69,7 +69,7 @@ func snapshotDemo() {
 }
 
 func readConsistencyDemo() {
-	db := isolevel.NewOracleRCDB()
+	db := isolevel.NewMVDB()
 	db.Load(isolevel.Scalar("x", 1))
 
 	t1, _ := db.Begin(isolevel.ReadConsistency)

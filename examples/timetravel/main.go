@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	db := isolevel.NewSnapshotDB()
+	db := isolevel.NewMVDB()
 	db.Load(isolevel.Scalar("price", 100))
 
 	// Bookmark "yesterday": a snapshot held open there, then let history

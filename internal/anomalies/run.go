@@ -8,35 +8,15 @@ import (
 )
 
 // NewDBFor instantiates the engine implementing the given isolation level:
-// the Table 2 locking scheduler for the locking levels, the §4.2
-// multiversion engine for SNAPSHOT ISOLATION, and the §4.3 statement-
-// snapshot engine for READ CONSISTENCY.
+// the Table 2 locking scheduler for the locking levels, and the one
+// multiversion engine, which serves §4.2 SNAPSHOT ISOLATION and §4.3
+// READ CONSISTENCY side by side, for the other two.
 func NewDBFor(level engine.Level) engine.DB {
 	switch level {
-	case engine.SnapshotIsolation:
-		return mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
-	case engine.ReadConsistency:
-		return mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency))
+	case engine.SnapshotIsolation, engine.ReadConsistency:
+		return mvcc.NewDB()
 	default:
 		return locking.NewDB()
-	}
-}
-
-// NewDBForShards is NewDBFor with an explicit stripe count, honored by
-// every engine family: the multiversion engines stripe their store (and,
-// for Read Consistency, the write-lock manager), the locking engine its
-// lock tables. shards <= 0 means each engine's default.
-func NewDBForShards(level engine.Level, shards int) engine.DB {
-	if shards <= 0 {
-		return NewDBFor(level)
-	}
-	switch level {
-	case engine.SnapshotIsolation:
-		return mvcc.NewDB(mvcc.WithShards(shards), mvcc.WithLevels(engine.SnapshotIsolation))
-	case engine.ReadConsistency:
-		return mvcc.NewDB(mvcc.WithShards(shards), mvcc.WithLevels(engine.ReadConsistency))
-	default:
-		return locking.NewDB(locking.WithShards(shards))
 	}
 }
 

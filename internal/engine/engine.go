@@ -158,8 +158,6 @@ type DB interface {
 	// ReadCommitted returns the current committed value of key as seen by a
 	// fresh observer (final-state checks in detectors), or nil if absent.
 	ReadCommittedRow(key data.Key) data.Row
-	// Levels lists the isolation levels this engine implements.
-	Levels() []Level
 }
 
 // Tx is one transaction. Methods must be called from a single goroutine.

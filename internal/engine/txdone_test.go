@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"isolevel/internal/anomalies"
 	"isolevel/internal/data"
 	"isolevel/internal/engine"
 	"isolevel/internal/locking"
@@ -19,7 +20,9 @@ import (
 )
 
 // families lists one constructor per engine configuration with the level
-// its transactions run at.
+// its transactions run at. "snapshot" and "oraclerc" are the engines
+// anomalies.NewDBFor builds for those levels: the one multiversion
+// engine, reached through the level dispatcher.
 func families() map[string]struct {
 	db    engine.DB
 	level engine.Level
@@ -32,8 +35,8 @@ func families() map[string]struct {
 		"locking-keyrange":  {locking.NewDB(locking.WithPhantomProtection(locking.PhantomKeyrange)), engine.Serializable},
 		"mvcc-si":           {mvcc.NewDB(), engine.SnapshotIsolation},
 		"mvcc-rc":           {mvcc.NewDB(), engine.ReadConsistency},
-		"snapshot":          {mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation)), engine.SnapshotIsolation},
-		"oraclerc":          {mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency)), engine.ReadConsistency},
+		"snapshot":          {anomalies.NewDBFor(engine.SnapshotIsolation), engine.SnapshotIsolation},
+		"oraclerc":          {anomalies.NewDBFor(engine.ReadConsistency), engine.ReadConsistency},
 	}
 }
 
@@ -96,12 +99,7 @@ func TestTerminatedTxUniform(t *testing.T) {
 func TestTxDoneAfterFailedFCWCommit(t *testing.T) {
 	for _, name := range []string{"mvcc-si", "snapshot"} {
 		t.Run(name, func(t *testing.T) {
-			var db engine.DB
-			if name == "mvcc-si" {
-				db = mvcc.NewDB()
-			} else {
-				db = mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
-			}
+			db := families()[name].db
 			db.Load(data.Tuple{Key: "x", Row: data.Scalar(0)})
 			t1, err := db.Begin(engine.SnapshotIsolation)
 			if err != nil {

@@ -30,14 +30,15 @@ type Options struct {
 	// with or without the race detector.
 	Workers int
 	// Mixed switches the campaign to per-transaction level assignments:
-	// each schedule runs once per MixedFamilies() family, every
+	// each schedule runs once per Families() family, every
 	// transaction at a level sampled (deterministically from the schedule
 	// seed and family name) from that family's supported set, and traces
 	// are judged by the per-transaction oracle — a phenomenon is a
 	// violation only when charged to a transaction whose own level
 	// forbids it.
 	Mixed bool
-	// Families restricts the engine families ran (nil/empty = all).
+	// Families restricts the engine families ran (nil/empty = all); a
+	// name Families() does not list is an error.
 	Families []string
 	// Levels restricts the isolation levels ran — for mixed campaigns,
 	// the set levels are sampled from (nil/empty = all).
@@ -124,9 +125,16 @@ func ScheduleSeed(campaignSeed int64, index int) int64 {
 	return int64(splitmix64(uint64(campaignSeed) ^ splitmix64(uint64(index))))
 }
 
-func (o Options) configs() []config {
+func (o Options) configs() ([]config, error) {
 	famFilter := map[string]bool{}
 	for _, f := range o.Families {
+		if _, ok := familyByName(f); !ok {
+			var names []string
+			for _, fam := range Families() {
+				names = append(names, fam.Name)
+			}
+			return nil, fmt.Errorf("exerciser: unknown engine family %q (have %s)", f, strings.Join(names, ", "))
+		}
 		famFilter[f] = true
 	}
 	lvlFilter := map[engine.Level]bool{}
@@ -134,39 +142,33 @@ func (o Options) configs() []config {
 		lvlFilter[l] = true
 	}
 	var out []config
-	if o.Mixed {
-		for _, fam := range MixedFamilies() {
-			if len(famFilter) > 0 && !famFilter[fam.Name] {
-				continue
-			}
-			if len(lvlFilter) > 0 {
-				var kept []engine.Level
-				for _, lvl := range fam.Levels {
-					if lvlFilter[lvl] {
-						kept = append(kept, lvl)
-					}
-				}
-				if len(kept) == 0 {
-					continue
-				}
-				fam.Levels = kept
-			}
-			out = append(out, config{fam: fam, mixed: true})
-		}
-		return out
-	}
 	for _, fam := range Families() {
 		if len(famFilter) > 0 && !famFilter[fam.Name] {
 			continue
 		}
-		for _, lvl := range fam.Levels {
-			if len(lvlFilter) > 0 && !lvlFilter[lvl] {
+		if !o.Mixed {
+			for _, lvl := range fam.Levels {
+				if len(lvlFilter) == 0 || lvlFilter[lvl] {
+					out = append(out, config{fam: fam, level: lvl})
+				}
+			}
+			continue
+		}
+		if len(lvlFilter) > 0 {
+			var kept []engine.Level
+			for _, lvl := range fam.Levels {
+				if lvlFilter[lvl] {
+					kept = append(kept, lvl)
+				}
+			}
+			if len(kept) == 0 {
 				continue
 			}
-			out = append(out, config{fam: fam, level: lvl})
+			fam.Levels = kept
 		}
+		out = append(out, config{fam: fam, mixed: true})
 	}
-	return out
+	return out, nil
 }
 
 // indexResult is everything one schedule produced, pending ordered
@@ -215,7 +217,10 @@ func Run(opts Options) (*Report, error) {
 	if opts.MaxShrink == 0 {
 		opts.MaxShrink = 5
 	}
-	configs := opts.configs()
+	configs, err := opts.configs()
+	if err != nil {
+		return nil, err
+	}
 	if len(configs) == 0 {
 		return nil, fmt.Errorf("exerciser: no engine/level selected")
 	}
@@ -384,7 +389,7 @@ func Run(opts Options) (*Report, error) {
 			if f.Kind == "divergence" {
 				continue
 			}
-			fam, ok := familyByName(f.Family, opts.Mixed)
+			fam, ok := familyByName(f.Family)
 			if !ok {
 				continue
 			}
@@ -398,14 +403,10 @@ func Run(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// familyByName resolves a finding's family for reproduction (the
-// shrinker).
-func familyByName(name string, mixed bool) (Family, bool) {
-	fams := Families()
-	if mixed {
-		fams = MixedFamilies()
-	}
-	for _, fam := range fams {
+// familyByName resolves a family name: a -engines filter entry, or a
+// finding's family for reproduction (the shrinker).
+func familyByName(name string) (Family, bool) {
+	for _, fam := range Families() {
 		if fam.Name == name {
 			return fam, true
 		}

@@ -180,13 +180,8 @@ func TestSnapshotNormalization(t *testing.T) {
 			{Txn: 2, Kind: OpCommit},
 		},
 	}
-	var snap Family
-	for _, fam := range Families() {
-		if fam.Name == "snapshot" {
-			snap = fam
-		}
-	}
-	rr, err := RunOne(s, snap, UniformAssign(engine.SnapshotIsolation), 0)
+	mv, _ := familyByName("mv")
+	rr, err := RunOne(s, mv, UniformAssign(engine.SnapshotIsolation), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +214,8 @@ func TestSnapshotReadCertification(t *testing.T) {
 			{Txn: 2, Kind: OpCommit},
 		},
 	}
-	var snap Family
-	for _, fam := range Families() {
-		if fam.Name == "snapshot" {
-			snap = fam
-		}
-	}
-	rr, err := RunOne(s, snap, UniformAssign(engine.SnapshotIsolation), 0)
+	mv, _ := familyByName("mv")
+	rr, err := RunOne(s, mv, UniformAssign(engine.SnapshotIsolation), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,45 +30,32 @@ type Family struct {
 	New          func(shards int) engine.DB
 }
 
-// Families lists the engine families of uniform campaigns. Together their
-// level lists cover all eight levels of the extended Table 4; locking and
+// Families lists the engine families of every campaign. Together their
+// level lists cover all eight levels of the extended Table 4. locking and
 // keyrange implement the same six Table 2 degrees with different phantom
-// protocols, so the campaign's cross-family divergence check doubles as a
-// continuous equivalence proof between the predicate table and key-range
-// locking.
+// protocols, so a uniform campaign's cross-family divergence check doubles
+// as a continuous equivalence proof between the predicate table and
+// key-range locking. mv is the one multiversion engine (internal/mvcc):
+// a uniform campaign runs it at each of its levels, a mixed one
+// interleaves SNAPSHOT ISOLATION and READ CONSISTENCY transactions in one
+// store, as the locking families interleave their degrees in one lock
+// manager.
 func Families() []Family {
 	return []Family{
 		lockingFamily(),
 		keyrangeFamily(),
-		mvFamily("snapshot", engine.SnapshotIsolation),
-		mvFamily("oraclerc", engine.ReadConsistency),
+		mvFamily(),
 	}
 }
 
-// MixedFamilies lists the engine families of mixed-level campaigns: the
-// locking scheduler (whose six Table 2 degrees interleave in one lock
-// manager, under either phantom protocol) and the unified multiversion
-// engine (whose SNAPSHOT ISOLATION and READ CONSISTENCY transactions
-// share one store — see internal/mvcc). The snapshot/oraclerc families
-// disappear here: they are single-level restrictions of the mv family.
-func MixedFamilies() []Family {
-	return []Family{
-		lockingFamily(),
-		keyrangeFamily(),
-		mvFamily("mv", engine.SnapshotIsolation, engine.ReadConsistency),
-	}
-}
-
-// mvFamily is the unified multiversion engine (internal/mvcc) restricted
-// to levels: one level is the dedicated §4.2 or §4.3 engine, both is the
-// mixed-mode engine.
-func mvFamily(name string, levels ...engine.Level) Family {
-	return Family{Name: name, Levels: levels, Multiversion: true, New: func(s int) engine.DB {
-		if s > 0 {
-			return mvcc.NewDB(mvcc.WithShards(s), mvcc.WithLevels(levels...))
-		}
-		return mvcc.NewDB(mvcc.WithLevels(levels...))
-	}}
+func mvFamily() Family {
+	return Family{Name: "mv", Levels: []engine.Level{engine.SnapshotIsolation, engine.ReadConsistency},
+		Multiversion: true, New: func(s int) engine.DB {
+			if s > 0 {
+				return mvcc.NewDB(mvcc.WithShards(s))
+			}
+			return mvcc.NewDB()
+		}}
 }
 
 func lockingFamily() Family {

@@ -44,7 +44,7 @@ func TestAssignRoundTrip(t *testing.T) {
 }
 
 func TestMixedAssignDeterministic(t *testing.T) {
-	fams := MixedFamilies()
+	fams := Families()
 	for _, fam := range fams {
 		a := MixedAssign(42, fam, 4)
 		b := MixedAssign(42, fam, 4)
@@ -220,12 +220,7 @@ func TestMixedMVWriteSkew(t *testing.T) {
 			{Txn: 2, Kind: OpCommit},
 		},
 	}
-	var mv Family
-	for _, fam := range MixedFamilies() {
-		if fam.Name == "mv" {
-			mv = fam
-		}
-	}
+	mv, _ := familyByName("mv")
 	assign := PerTxAssign(map[int]engine.Level{1: engine.SnapshotIsolation, 2: engine.ReadConsistency})
 	rr, err := RunOne(s, mv, assign, 0)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -56,6 +57,10 @@ func runFreeRunning(t *testing.T, m *Manager, txnsPerWorker int, op func(r *rand
 					var err error
 					for j := 0; j < 4 && err == nil; j++ {
 						err = op(r, tx)
+						// Yield so the workers overlap even at
+						// GOMAXPROCS=1, where they would otherwise run
+						// back to back and never conflict.
+						runtime.Gosched()
 					}
 					m.ReleaseAll(tx)
 					if err == nil {

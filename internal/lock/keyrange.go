@@ -349,8 +349,9 @@ func (m *Manager) acquireRangeAware(req *request) (RangeHandle, error) {
 			m.gapWaits++
 			m.gapStripe[stripe].waits++
 		}
-		m.notifyWaiting(q.tx, on)
 		m.obsWait(q, on, stripe)
+		m.obs.RecordRangeMuHold(rs)
+		m.notifyWaiting(q.tx, on)
 	} else {
 		m.deadlocks.Add(1)
 		m.obsDeadlock(q.tx, on)
@@ -360,7 +361,9 @@ func (m *Manager) acquireRangeAware(req *request) (RangeHandle, error) {
 		wait, err = false, ErrDeadlock
 	}
 	m.rangeMu.Unlock()
-	m.obs.RecordRangeMuHold(rs)
+	if !wait {
+		m.obs.RecordRangeMuHold(rs)
+	}
 	m.gate.RUnlock()
 	m.notifyGranted(granted)
 	if wait {

@@ -775,10 +775,13 @@ func obsClass(req *request) string {
 }
 
 // obsWait stamps req's wait start on the sink clock and records the wait
-// event. Called with the enqueue latch still held, right after
-// notifyWaiting, so flight-recorder order matches the observer's causal
-// order (the sink's internal lock is strictly innermost — it never calls
-// back into the manager).
+// event. Called with the enqueue latch still held, before notifyWaiting:
+// an observer may let another goroutine run the moment it hears of the
+// wait (the schedule runner dispatches its next op), so a waiting path
+// reads the sink clock — this event, and its latch-hold histogram — only
+// before it notifies, and flight-recorder order and ticks are the
+// observer's causal order (the sink's internal lock is strictly innermost
+// — it never calls back into the manager).
 func (m *Manager) obsWait(req *request, on []TxID, stripe int) {
 	if m.obs == nil {
 		return
@@ -979,8 +982,8 @@ func (m *Manager) acquireItemStriped(tx TxID, key data.Key, mode Mode, im Images
 	enqueue(&sp.queue, q)
 	m.noteFootprint(tx, sp.idx)
 	sp.waits++
-	m.notifyWaiting(tx, on)
 	m.obsWait(q, on, sp.idx)
+	m.notifyWaiting(tx, on)
 	sp.mu.Unlock()
 	m.gate.RUnlock()
 	return m.await(q)
@@ -1044,10 +1047,10 @@ func (m *Manager) acquireItemGated(tx TxID, key data.Key, mode Mode, im Images) 
 	enqueue(&sp.queue, q)
 	m.noteFootprint(tx, sp.idx)
 	sp.waits++
-	m.notifyWaiting(tx, on)
 	m.obsWait(q, on, sp.idx)
-	m.gate.Unlock()
 	m.obs.RecordGateHold(gs)
+	m.notifyWaiting(tx, on)
+	m.gate.Unlock()
 	return m.await(q)
 }
 
@@ -1077,10 +1080,10 @@ func (m *Manager) AcquirePred(tx TxID, p predicate.P, mode Mode) (PredHandle, er
 	q := req.queued()
 	m.predQ = append(m.predQ, q)
 	m.predWaits++
-	m.notifyWaiting(tx, on)
 	m.obsWait(q, on, -1)
-	m.gate.Unlock()
 	m.obs.RecordGateHold(gs)
+	m.notifyWaiting(tx, on)
+	m.gate.Unlock()
 	if err := m.await(q); err != nil {
 		return 0, err
 	}

@@ -162,9 +162,6 @@ func (db *DB) Load(tuples ...data.Tuple) { db.store.Load(tuples...) }
 // transactions have terminated.
 func (db *DB) ReadCommittedRow(key data.Key) data.Row { return db.store.Get(key) }
 
-// Levels implements engine.DB.
-func (db *DB) Levels() []engine.Level { return LockingLevels }
-
 // Begin implements engine.DB.
 func (db *DB) Begin(level engine.Level) (engine.Tx, error) {
 	proto, ok := Protocols[level]

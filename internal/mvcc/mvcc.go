@@ -67,10 +67,9 @@
 // timestamp later holds a snapshot open at or before it
 // (examples/timetravel).
 //
-// A dedicated single-level engine is this DB narrowed with WithLevels
-// (isolevel.NewSnapshotDB, isolevel.NewOracleRCDB, the fuzzer's
-// "snapshot" and "oraclerc" families). The differential fuzzer's mixed
-// mode (internal/exerciser) runs it unrestricted as the "mv" family.
+// There is one multiversion engine: every DB serves both levels, and the
+// isolation level belongs to the transaction (isolevel.NewMVDB, the
+// differential fuzzer's "mv" family in uniform and mixed campaigns alike).
 //
 //isolint:deterministic
 package mvcc
@@ -96,13 +95,6 @@ func WithShards(n int) Option {
 	return func(db *DB) { db.shards = n }
 }
 
-// WithLevels restricts which multiversion levels Begin accepts (default:
-// both SNAPSHOT ISOLATION and READ CONSISTENCY): the single-level §4.2
-// and §4.3 engines are this DB with one level allowed.
-func WithLevels(levels ...engine.Level) Option {
-	return func(db *DB) { db.allowed = levels }
-}
-
 // DB is a unified multiversion database serving Snapshot Isolation and
 // Read Consistency transactions over one store.
 type DB struct {
@@ -112,9 +104,7 @@ type DB struct {
 	seq    atomic.Int64
 	rec    *engine.Recorder
 	shards int
-
-	allowed []engine.Level
-	obs     *obs.Sink
+	obs    *obs.Sink
 }
 
 // SetObs attaches an observability sink to the engine and its write-lock
@@ -131,10 +121,9 @@ func (db *DB) Obs() *obs.Sink { return db.obs }
 // NewDB returns an empty multiversion database.
 func NewDB(opts ...Option) *DB {
 	db := &DB{
-		shards:  mv.DefaultShards,
-		oracle:  &mv.Oracle{},
-		rec:     engine.NewRecorder(),
-		allowed: []engine.Level{engine.SnapshotIsolation, engine.ReadConsistency},
+		shards: mv.DefaultShards,
+		oracle: &mv.Oracle{},
+		rec:    engine.NewRecorder(),
 	}
 	for _, o := range opts {
 		o(db)
@@ -247,24 +236,9 @@ func (db *DB) ReadCommittedRow(key data.Key) data.Row {
 	return v.Row
 }
 
-// Levels implements engine.DB.
-func (db *DB) Levels() []engine.Level {
-	return append([]engine.Level{}, db.allowed...)
-}
-
 // Begin implements engine.DB: either multiversion transaction kind, per
-// the requested level.
+// the requested level; a locking level is ErrUnsupported.
 func (db *DB) Begin(level engine.Level) (engine.Tx, error) {
-	ok := false
-	for _, l := range db.allowed {
-		if l == level {
-			ok = true
-		}
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: this multiversion engine implements %s, got %s",
-			engine.ErrUnsupported, levelList(db.allowed), level)
-	}
 	switch level {
 	case engine.SnapshotIsolation:
 		// Start at the installed watermark, not the allocation counter: a
@@ -345,15 +319,4 @@ func overlay(p predicate.P, base []data.Tuple, writes map[data.Key]data.Row, ord
 		out = append(out, b)
 	}
 	return append(out, own...)
-}
-
-func levelList(levels []engine.Level) string {
-	out := ""
-	for i, l := range levels {
-		if i > 0 {
-			out += " and "
-		}
-		out += l.String()
-	}
-	return out
 }

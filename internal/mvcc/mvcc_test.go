@@ -86,24 +86,6 @@ func TestRCCommitTriggersSIFirstCommitterWins(t *testing.T) {
 	}
 }
 
-// TestLevelRestriction: the WithLevels narrowing rejects the
-// other multiversion level with ErrUnsupported.
-func TestLevelRestriction(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
-	if _, err := db.Begin(engine.ReadConsistency); !errors.Is(err, engine.ErrUnsupported) {
-		t.Fatalf("restricted Begin: %v", err)
-	}
-	if _, err := db.Begin(engine.SnapshotIsolation); err != nil {
-		t.Fatalf("allowed Begin: %v", err)
-	}
-	if got := db.Levels(); len(got) != 1 || got[0] != engine.SnapshotIsolation {
-		t.Fatalf("Levels() = %v", got)
-	}
-	if _, err := NewDB().Begin(engine.Serializable); !errors.Is(err, engine.ErrUnsupported) {
-		t.Fatal("locking level accepted by the multiversion engine")
-	}
-}
-
 // TestSharedIDSequence: transaction ids stay unique across the two kinds.
 func TestSharedIDSequence(t *testing.T) {
 	db := NewDB()

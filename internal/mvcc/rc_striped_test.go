@@ -17,7 +17,7 @@ import (
 func TestStripedCommitDisjointWriters(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db := NewDB(WithShards(shards), WithLevels(engine.ReadConsistency))
+			db := NewDB(WithShards(shards))
 			if got := db.ShardCount(); got != shards {
 				t.Fatalf("ShardCount = %d, want %d", got, shards)
 			}
@@ -69,7 +69,7 @@ func TestStripedCommitDisjointWriters(t *testing.T) {
 // commits forget as they go and the chain ends short. Run with -race.
 func TestStripedCommitSameKeyChainMonotonic(t *testing.T) {
 	for _, pinned := range []bool{true, false} {
-		db := NewDB(WithShards(8), WithLevels(engine.ReadConsistency))
+		db := NewDB(WithShards(8))
 		db.Load(data.Tuple{Key: "hot", Row: data.Scalar(0)})
 		pin, _ := db.Begin(engine.ReadConsistency)
 		if pinned {

@@ -19,9 +19,11 @@ func beginRC(t *testing.T, db *DB) engine.Tx {
 	return tx
 }
 
+// READ CONSISTENCY is not the locking READ COMMITTED: the multiversion
+// engine serves no locking level.
 func TestBeginRejectsOtherLevelsRC(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
-	if _, err := db.Begin(engine.SnapshotIsolation); !errors.Is(err, engine.ErrUnsupported) {
+	db := NewDB()
+	if _, err := db.Begin(engine.ReadCommitted); !errors.Is(err, engine.ErrUnsupported) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -29,7 +31,7 @@ func TestBeginRejectsOtherLevelsRC(t *testing.T) {
 // Statement-level snapshots: each Get sees the latest committed value, so
 // reads are NOT repeatable (P2 possible) — unlike SI.
 func TestStatementSnapshotsAreFresh(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 50})
 	t1 := beginRC(t, db)
 	if v, _ := engine.GetVal(t1, "x"); v != 50 {
@@ -49,7 +51,7 @@ func TestStatementSnapshotsAreFresh(t *testing.T) {
 // No dirty reads: an uncommitted write is invisible (versions install at
 // commit only).
 func TestNoDirtyRead(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 1})
 	t1 := beginRC(t, db)
 	_ = engine.PutVal(t1, "x", 99)
@@ -64,7 +66,7 @@ func TestNoDirtyRead(t *testing.T) {
 // First-writer-wins: the second writer BLOCKS (rather than aborting) and
 // proceeds after the first commits.
 func TestFirstWriterWinsBlocks(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 100})
 	t1 := beginRC(t, db)
 	t2 := beginRC(t, db)
@@ -95,7 +97,7 @@ func TestFirstWriterWinsBlocks(t *testing.T) {
 // General lost update (P4) is possible: reads take no locks and writes are
 // first-writer-wins, so H4 executes to completion with T2's update lost.
 func TestH4LostUpdatePossible(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 100})
 	t1 := beginRC(t, db)
 	t2 := beginRC(t, db)
@@ -116,7 +118,7 @@ func TestH4LostUpdatePossible(t *testing.T) {
 
 // Read skew (A5A) is possible: two statements, two snapshots.
 func TestReadSkewPossible(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 50, "y": 50})
 	t1 := beginRC(t, db)
 	x, _ := engine.GetVal(t1, "x")
@@ -137,7 +139,7 @@ func TestReadSkewPossible(t *testing.T) {
 // then fails with ErrRowChanged — P4C not possible (§4.3: Read Consistency
 // "disallows cursor lost updates (P4C)").
 func TestCursorLostUpdatePrevented(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 100})
 	t1 := beginRC(t, db)
 	cur, err := t1.OpenCursor(predicate.KeyEq{Key: "x"})
@@ -163,7 +165,7 @@ func TestCursorLostUpdatePrevented(t *testing.T) {
 }
 
 func TestCursorUpdateCleanPath(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 100})
 	t1 := beginRC(t, db)
 	cur, _ := t1.OpenCursor(predicate.KeyEq{Key: "x"})
@@ -183,7 +185,7 @@ func TestCursorUpdateCleanPath(t *testing.T) {
 // Phantoms (P3) possible: two Selects in one transaction see different
 // committed sets.
 func TestPhantomsPossible(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	db.Load(data.Tuple{Key: "e1", Row: data.NewRow(map[string]int64{"active": 1})})
 	p := predicate.MustParse("active == 1")
 	t1 := beginRC(t, db)
@@ -201,7 +203,7 @@ func TestPhantomsPossible(t *testing.T) {
 }
 
 func TestOwnWritesOverlay(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 1})
 	t1 := beginRC(t, db)
 	_ = engine.PutVal(t1, "x", 5)
@@ -220,7 +222,7 @@ func TestOwnWritesOverlay(t *testing.T) {
 }
 
 func TestDeadlockBetweenWriters(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 1, "y": 1})
 	t1 := beginRC(t, db)
 	t2 := beginRC(t, db)
@@ -241,7 +243,7 @@ func TestDeadlockBetweenWriters(t *testing.T) {
 }
 
 func TestAbortDropsBufferedWrites(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 1})
 	t1 := beginRC(t, db)
 	_ = engine.PutVal(t1, "x", 9)
@@ -252,7 +254,7 @@ func TestAbortDropsBufferedWrites(t *testing.T) {
 }
 
 func TestTxDoneGuards(t *testing.T) {
-	db := NewDB(WithLevels(engine.ReadConsistency))
+	db := NewDB()
 	t1 := beginRC(t, db)
 	_ = t1.Commit()
 	if _, err := t1.Get("x"); !errors.Is(err, engine.ErrTxDone) {

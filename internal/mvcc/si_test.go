@@ -30,14 +30,14 @@ func beginSI(t *testing.T, db *DB) engine.Tx {
 }
 
 func TestBeginRejectsOtherLevelsSI(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	if _, err := db.Begin(engine.Serializable); !errors.Is(err, engine.ErrUnsupported) {
 		t.Fatalf("got %v", err)
 	}
 }
 
 func TestSnapshotReadsAreStable(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 50})
 	t1 := beginSI(t, db)
 	if v, _ := engine.GetVal(t1, "x"); v != 50 {
@@ -62,7 +62,7 @@ func TestSnapshotReadsAreStable(t *testing.T) {
 }
 
 func TestOwnWritesVisible(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 1})
 	t1 := beginSI(t, db)
 	_ = engine.PutVal(t1, "x", 2)
@@ -82,7 +82,7 @@ func TestOwnWritesVisible(t *testing.T) {
 // First-committer-wins: the paper's defining feature. T1 and T2 write the
 // same item from overlapping intervals; the second committer aborts.
 func TestFirstCommitterWins(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 100})
 	t1 := beginSI(t, db)
 	t2 := beginSI(t, db)
@@ -102,7 +102,7 @@ func TestFirstCommitterWins(t *testing.T) {
 
 // Lost update (P4) is therefore impossible: H4's interleaving aborts T1.
 func TestH4LostUpdatePrevented(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 100})
 	t1 := beginSI(t, db)
 	t2 := beginSI(t, db)
@@ -124,7 +124,7 @@ func TestH4LostUpdatePrevented(t *testing.T) {
 // Disjoint write sets both commit — which is exactly why write skew (A5B)
 // is possible under SI (H5).
 func TestWriteSkewAllowed(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 50, "y": 50})
 	t1 := beginSI(t, db)
 	t2 := beginSI(t, db)
@@ -154,7 +154,7 @@ func TestWriteSkewAllowed(t *testing.T) {
 // readers proceed (no lock manager in the engine at all). Structural: a
 // read completes while another txn has written the same key uncommitted.
 func TestReadsNeverBlock(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 1})
 	t1 := beginSI(t, db)
 	_ = engine.PutVal(t1, "x", 2) // uncommitted write
@@ -170,7 +170,7 @@ func TestReadsNeverBlock(t *testing.T) {
 // No A3 phantoms: a re-evaluated predicate returns the same set even after
 // a concurrent committed insert (Remark 10).
 func TestNoA3Phantom(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	db.Load(
 		data.Tuple{Key: "t1", Row: data.NewRow(map[string]int64{"hours": 4})},
 		data.Tuple{Key: "t2", Row: data.NewRow(map[string]int64{"hours": 3})},
@@ -193,7 +193,7 @@ func TestNoA3Phantom(t *testing.T) {
 // But P3 constraint phantoms remain possible: two transactions each check
 // sum(hours) <= 8 then insert disjoint tasks; both commit; constraint broken.
 func TestP3ConstraintPhantomPossible(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	db.Load(
 		data.Tuple{Key: "task:1", Row: data.NewRow(map[string]int64{"hours": 4})},
 		data.Tuple{Key: "task:2", Row: data.NewRow(map[string]int64{"hours": 3})},
@@ -237,7 +237,7 @@ func TestP3ConstraintPhantomPossible(t *testing.T) {
 // Read skew (A5A) impossible: T1 reads x and y around T2's committed
 // update of both; the snapshot keeps them consistent (Remark 8's proof).
 func TestNoReadSkew(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 50, "y": 50})
 	t1 := beginSI(t, db)
 	x, _ := engine.GetVal(t1, "x")
@@ -257,7 +257,7 @@ func TestNoReadSkew(t *testing.T) {
 // Time travel: a transaction begun AsOf an old timestamp sees history — as
 // far back as some snapshot has been holding it, and no further.
 func TestTimeTravelAsOf(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 1})
 	ts1 := db.CurrentTS()
 	// History is remembered from the oldest open snapshot on: hold one at
@@ -319,7 +319,7 @@ func TestTimeTravelAsOf(t *testing.T) {
 }
 
 func TestSnapshotCursor(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"a": 1, "b": 2})
 	t1 := beginSI(t, db)
 	cur, err := t1.OpenCursor(predicate.True{})
@@ -349,7 +349,7 @@ func TestSnapshotCursor(t *testing.T) {
 }
 
 func TestReadOnlyAlwaysCommits(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 1})
 	t1 := beginSI(t, db)
 	_, _ = engine.GetVal(t1, "x")
@@ -367,7 +367,7 @@ func TestReadOnlyAlwaysCommits(t *testing.T) {
 // serializable dataflows (H1.SI, §4.2), while the write-skew execution
 // does not.
 func TestLiveH1SIMappingSerializable(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 50, "y": 50})
 	t1 := beginSI(t, db).(*SITx)
 	v, _ := engine.GetVal(t1, "x") // r1[x=50]
@@ -394,7 +394,7 @@ func TestLiveH1SIMappingSerializable(t *testing.T) {
 }
 
 func TestLiveWriteSkewMappingNotSerializable(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	loadKV(db, map[string]int64{"x": 50, "y": 50})
 	t1 := beginSI(t, db).(*SITx)
 	t2 := beginSI(t, db).(*SITx)
@@ -425,7 +425,7 @@ func mvTxnOf(t *SITx) deps.MVTxn {
 // (each writes both accounts, so FCW serializes them); all aborts are
 // ErrWriteConflict.
 func TestConcurrentTransfersPreserveTotal(t *testing.T) {
-	db := NewDB(WithLevels(engine.SnapshotIsolation))
+	db := NewDB()
 	const accounts = 8
 	var tuples []data.Tuple
 	for i := 0; i < accounts; i++ {

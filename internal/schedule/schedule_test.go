@@ -151,7 +151,7 @@ func TestDeadlockAutoAbort(t *testing.T) {
 
 // First-committer-wins surfaces on the commit step under SI.
 func TestSICommitConflict(t *testing.T) {
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
+	db := mvcc.NewDB()
 	loadScalars(db, map[string]int64{"x": 100})
 	res, err := Run(db, Options{Level: engine.SnapshotIsolation}, []Step{
 		get(1, "x"),
@@ -282,7 +282,7 @@ func TestRecordedHistoryRemap(t *testing.T) {
 // Read Consistency engine also works under the runner (write locks +
 // observer).
 func TestOracleRCUnderRunner(t *testing.T) {
-	db := mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency))
+	db := mvcc.NewDB()
 	loadScalars(db, map[string]int64{"x": 100})
 	res, err := Run(db, Options{Level: engine.ReadConsistency}, []Step{
 		put(1, "x", 120),

@@ -44,22 +44,25 @@ func RunInterleaved(sessions int, fn func(sess int, bar *schedule.Barrier)) {
 }
 
 // HotspotCounterLockstep is the deterministic-interleaving variant of
-// HotspotCounter: sessions increment one hot row in lockstep rounds. In
+// HotspotCounter: one session per entry of levels, session s running
+// every round at levels[s], increments one hot row in lockstep rounds. In
 // each round every session reads the counter, the sessions rendezvous,
 // and only then do they all write and commit — so the write sets of a
-// round always overlap in time.
+// round always overlap in time, whatever the levels (uniform, or mixed
+// SI/RC traffic on the multiversion engine, or mixed locking degrees).
 //
-// Under Snapshot Isolation the outcome is exact on every run, even with
-// GOMAXPROCS=1: per round exactly one session commits and sessions-1
-// lose first-committer-wins, so Commits == rounds, Aborts ==
+// Under uniform Snapshot Isolation the outcome is exact on every run,
+// even with GOMAXPROCS=1: per round exactly one session commits and
+// sessions-1 lose first-committer-wins, so Commits == rounds, Aborts ==
 // rounds*(sessions-1), and the final counter equals Commits. The locking
 // engines resolve each round's read-to-write upgrade race via deadlock
 // detection instead (a mix of commits and deadlock aborts).
-func HotspotCounterLockstep(db engine.DB, level engine.Level, sessions, rounds int) Metrics {
+func HotspotCounterLockstep(db engine.DB, levels []engine.Level, rounds int) Metrics {
 	db.Load(data.Tuple{Key: "hot", Row: data.Scalar(0)})
 	var c counters
 	start := time.Now()
-	RunInterleaved(sessions, func(sess int, bar *schedule.Barrier) {
+	RunInterleaved(len(levels), func(sess int, bar *schedule.Barrier) {
+		level := levels[sess]
 		for r := 0; r < rounds; r++ {
 			var v int64
 			tx, err := db.Begin(level)

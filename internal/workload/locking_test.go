@@ -55,7 +55,7 @@ func TestReadLockFanInNeverBlocksShortOrSnapshotReads(t *testing.T) {
 		lvl  engine.Level
 	}{
 		{"READ COMMITTED", locking.NewDB(), engine.ReadCommitted},
-		{"SNAPSHOT ISOLATION", mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation)), engine.SnapshotIsolation},
+		{"SNAPSHOT ISOLATION", mvcc.NewDB(), engine.SnapshotIsolation},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -149,7 +149,7 @@ func TestUpgradeStormFlightDump(t *testing.T) {
 
 func TestUpgradeDeadlockStormSnapshotSameShape(t *testing.T) {
 	const sessions, rounds = 4, 6
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
+	db := mvcc.NewDB()
 	m, err := UpgradeDeadlockStorm(db, engine.SnapshotIsolation, sessions, rounds)
 	if err != nil {
 		t.Fatal(err)

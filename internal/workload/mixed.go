@@ -1,23 +1,17 @@
 // Mixed isolation-level scenarios: transactions at different Table 2
 // degrees interleaving in one scheduler, the per-transaction framing the
-// paper's histories assume. Two entry points:
-//
-//   - MixedDirtyReadFanOut drives the locking engine through the schedule
-//     runner with a per-transaction level assignment
-//     (schedule.Options.PerTx): a Degree 1 (READ UNCOMMITTED) hot writer
-//     against CURSOR STABILITY, REPEATABLE READ and SERIALIZABLE readers
-//     plus one unlocked READ UNCOMMITTED witness. The outcome is exact at
-//     any GOMAXPROCS and shard count — the CI determinism gate for mixed
-//     locking, like the stripe scenarios in locking.go.
-//   - HotspotCounterLockstepLevels is the per-client-level variant of the
-//     lockstep barrier driver: session s runs every round at levels[s],
-//     so free-running mixed workloads (SI vs RC on the unified mv engine
-//     above all) get guaranteed read-write overlap per round.
+// paper's histories assume. MixedDirtyReadFanOut drives the locking engine
+// through the schedule runner with a per-transaction level assignment
+// (schedule.Options.PerTx): a Degree 1 (READ UNCOMMITTED) hot writer
+// against CURSOR STABILITY, REPEATABLE READ and SERIALIZABLE readers plus
+// one unlocked READ UNCOMMITTED witness. The outcome is exact at any
+// GOMAXPROCS and shard count — the CI determinism gate for mixed locking,
+// like the stripe scenarios in locking.go. Mixed SI/RC traffic with
+// guaranteed overlap is HotspotCounterLockstep with per-session levels.
 package workload
 
 import (
 	"fmt"
-	"time"
 
 	"isolevel/internal/data"
 	"isolevel/internal/engine"
@@ -141,43 +135,4 @@ func MixedDirtyReadFanOut(db engine.DB, rounds int) (MixedFanOutResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// HotspotCounterLockstepLevels is HotspotCounterLockstep with a
-// per-client level assignment: session s runs all its rounds at
-// levels[s] (one session per entry). Sessions rendezvous at the barrier
-// between their reads and their writes exactly like the uniform variant,
-// so the write sets of every round overlap in time regardless of
-// GOMAXPROCS — the guaranteed-overlap harness for mixed SI/RC traffic on
-// the unified multiversion engine, and for mixed-degree locking traffic.
-func HotspotCounterLockstepLevels(db engine.DB, levels []engine.Level, rounds int) Metrics {
-	db.Load(data.Tuple{Key: "hot", Row: data.Scalar(0)})
-	var c counters
-	start := time.Now()
-	RunInterleaved(len(levels), func(sess int, bar *schedule.Barrier) {
-		level := levels[sess]
-		for r := 0; r < rounds; r++ {
-			var v int64
-			tx, err := db.Begin(level)
-			if err == nil {
-				v, err = engine.GetVal(tx, "hot")
-				c.reads.Add(1)
-			}
-			bar.Await() // every session has read; nobody has written
-			if err == nil {
-				if err = engine.PutVal(tx, "hot", v+1); err == nil {
-					c.writes.Add(1)
-					err = tx.Commit()
-				} else {
-					_ = tx.Abort()
-				}
-			} else if tx != nil {
-				_ = tx.Abort()
-			}
-			c.classify(err)
-			bar.Await() // round boundary: commits settled before the next reads
-		}
-		bar.Leave()
-	})
-	return c.metrics(time.Since(start))
 }

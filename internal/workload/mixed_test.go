@@ -36,7 +36,7 @@ func TestMixedDirtyReadFanOutExact(t *testing.T) {
 }
 
 // TestHotspotCounterLockstepLevels drives mixed SNAPSHOT ISOLATION and
-// READ CONSISTENCY sessions against one hot row of the unified mv engine.
+// READ CONSISTENCY sessions against one hot row of the mv engine.
 // The barrier guarantees read-write overlap every round; RC sessions
 // (first-writer-wins) always commit, SI sessions commit only when they
 // win first-committer-wins against the round's other committers.
@@ -47,7 +47,7 @@ func TestHotspotCounterLockstepLevels(t *testing.T) {
 		engine.ReadConsistency, engine.ReadConsistency,
 	}
 	db := mvcc.NewDB()
-	m := HotspotCounterLockstepLevels(db, levels, rounds)
+	m := HotspotCounterLockstep(db, levels, rounds)
 	attempts := int64(len(levels) * rounds)
 	if m.Commits+m.Aborts != attempts {
 		t.Fatalf("commits %d + aborts %d != attempts %d", m.Commits, m.Aborts, attempts)

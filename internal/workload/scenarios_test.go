@@ -9,7 +9,7 @@ import (
 )
 
 func TestSnapshotScanStableUnderSI(t *testing.T) {
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
+	db := mvcc.NewDB()
 	LoadAccounts(db, 8, 100)
 	res := SnapshotScanVsHotWriters(db, engine.SnapshotIsolation, 8, 2, 3, 15)
 	if res.TotalScans == 0 {
@@ -36,7 +36,7 @@ func TestSnapshotScanStableUnderSI(t *testing.T) {
 // includes the writer commit the rendezvous guaranteed in between. This
 // is §4.3's P2/A5A behavior made deterministic.
 func TestSnapshotScanUnstableUnderReadConsistency(t *testing.T) {
-	db := mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency))
+	db := mvcc.NewDB()
 	LoadAccounts(db, 8, 100)
 	res := SnapshotScanVsHotWriters(db, engine.ReadConsistency, 8, 2, 2, 10)
 	if res.TotalScans == 0 {
@@ -49,7 +49,7 @@ func TestSnapshotScanUnstableUnderReadConsistency(t *testing.T) {
 }
 
 func TestSkewedTransferPreservesTotalSnapshot(t *testing.T) {
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
+	db := mvcc.NewDB()
 	LoadAccounts(db, 16, 100)
 	m := SkewedTransfer(db, engine.SnapshotIsolation, 16, 2, 4, 50, 0.8)
 	if m.Commits == 0 {
@@ -74,7 +74,7 @@ func TestBatchIncrementDisjointAllCommit(t *testing.T) {
 		db    engine.DB
 		level engine.Level
 	}{
-		{"SNAPSHOT ISOLATION", mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation)), engine.SnapshotIsolation},
+		{"SNAPSHOT ISOLATION", mvcc.NewDB(), engine.SnapshotIsolation},
 		{"SERIALIZABLE/shards=1", locking.NewDB(locking.WithShards(1)), engine.Serializable},
 		{"SERIALIZABLE/shards=64", locking.NewDB(locking.WithShards(64)), engine.Serializable},
 	}
@@ -101,7 +101,7 @@ func TestBatchIncrementDisjointAllCommit(t *testing.T) {
 
 func TestBatchIncrementContendedStaysExact(t *testing.T) {
 	const workers, iters, batch = 4, 15, 3
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
+	db := mvcc.NewDB()
 	LoadAccounts(db, batch, 0)
 	m := BatchIncrement(db, engine.SnapshotIsolation, workers, iters, batch, false)
 	if m.Errors != 0 {

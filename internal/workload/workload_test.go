@@ -26,7 +26,7 @@ func TestTransferPreservesTotalSerializable(t *testing.T) {
 }
 
 func TestTransferPreservesTotalSnapshot(t *testing.T) {
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
+	db := mvcc.NewDB()
 	LoadAccounts(db, 8, 100)
 	m := Transfer(db, engine.SnapshotIsolation, 8, 4, 40)
 	if m.Commits == 0 {
@@ -49,7 +49,7 @@ func TestTransferRunsAtReadCommitted(t *testing.T) {
 }
 
 func TestReadersVsWritersSnapshotReadersNeverAbort(t *testing.T) {
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
+	db := mvcc.NewDB()
 	LoadAccounts(db, 16, 100)
 	readers, writers := ReadersVsWriters(db, engine.SnapshotIsolation, 16, 3, 3, 20)
 	if readers.Aborts != 0 || readers.Errors != 0 {
@@ -94,8 +94,8 @@ func TestHotspotSnapshotAbortsButNeverLoses(t *testing.T) {
 	// (the free-running HotspotCounter never overlaps transactions on a
 	// single-core host and the FCW path looks dead).
 	const sessions, rounds = 8, 50
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
-	m := HotspotCounterLockstep(db, engine.SnapshotIsolation, sessions, rounds)
+	db := mvcc.NewDB()
+	m := HotspotCounterLockstep(db, sameLevel(engine.SnapshotIsolation, sessions), rounds)
 	final := db.ReadCommittedRow("hot").Val()
 	if final != m.Commits {
 		t.Fatalf("hot = %d but commits = %d", final, m.Commits)
@@ -115,7 +115,7 @@ func TestHotspotSnapshotAbortsButNeverLoses(t *testing.T) {
 // invariant (committed increments never get lost) even though its abort
 // count is scheduler-dependent.
 func TestHotspotSnapshotFreeRunningNeverLoses(t *testing.T) {
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
+	db := mvcc.NewDB()
 	m := HotspotCounter(db, engine.SnapshotIsolation, 8, 50)
 	final := db.ReadCommittedRow("hot").Val()
 	if final != m.Commits {
@@ -129,8 +129,8 @@ func TestHotspotSnapshotFreeRunningNeverLoses(t *testing.T) {
 func TestHotspotLockstepSingleCore(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
-	m := HotspotCounterLockstep(db, engine.SnapshotIsolation, 4, 10)
+	db := mvcc.NewDB()
+	m := HotspotCounterLockstep(db, sameLevel(engine.SnapshotIsolation, 4), 10)
 	if m.Aborts < 1 {
 		t.Fatalf("GOMAXPROCS=1 hotspot saw no FCW aborts: %+v", m)
 	}
@@ -143,7 +143,7 @@ func TestHotspotLockstepSingleCore(t *testing.T) {
 }
 
 func TestHotspotOracleRCLosesUpdates(t *testing.T) {
-	db := mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency))
+	db := mvcc.NewDB()
 	m := HotspotCounter(db, engine.ReadConsistency, 4, 25)
 	final := db.ReadCommittedRow("hot").Val()
 	// First-writer-wins does not protect the read-modify-write cycle: the
@@ -158,7 +158,7 @@ func TestHotspotOracleRCLosesUpdates(t *testing.T) {
 }
 
 func TestLongRunningUpdaterAbortsUnderSI(t *testing.T) {
-	db := mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation))
+	db := mvcc.NewDB()
 	LoadAccounts(db, 8, 0)
 	committed, err, short := LongRunningUpdater(db, engine.SnapshotIsolation, 8, 3, 20)
 	if short.Commits == 0 {
@@ -204,4 +204,13 @@ func TestMetricsHelpers(t *testing.T) {
 	if zero.AbortRate() != 0 {
 		t.Fatal("zero metrics division")
 	}
+}
+
+// sameLevel is the level assignment of n sessions all at level.
+func sameLevel(level engine.Level, n int) []engine.Level {
+	levels := make([]engine.Level, n)
+	for i := range levels {
+		levels[i] = level
+	}
+	return levels
 }

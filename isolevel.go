@@ -92,35 +92,21 @@ func NewKeyrangeDBShards(shards int) *locking.DB {
 	return locking.NewDB(locking.WithPhantomProtection(locking.PhantomKeyrange), locking.WithShards(shards))
 }
 
-// NewSnapshotDB returns the §4.2 Snapshot Isolation engine
-// (first-committer-wins, snapshot reads, time travel via BeginAsOf — back
-// to the oldest snapshot still held open; older is ErrSnapshotTooOld).
-func NewSnapshotDB() *mvcc.DB { return mvcc.NewDB(mvcc.WithLevels(engine.SnapshotIsolation)) }
+// NewMVDB returns the multiversion engine, which serves §4.2 Snapshot
+// Isolation (first-committer-wins, snapshot reads, time travel via
+// BeginAsOf — back to the oldest snapshot still held open; older is
+// ErrSnapshotTooOld) and §4.3 Oracle-style Read Consistency
+// (statement-level snapshots, first-writer-wins write locks) side by
+// side: each transaction runs at the level its Begin names.
+func NewMVDB() *mvcc.DB { return mvcc.NewDB() }
 
-// NewSnapshotDBShards returns the Snapshot Isolation engine with an
-// explicit store stripe count (1 reproduces the old single-commit-mutex
-// behavior; higher counts let disjoint write sets commit in parallel).
-func NewSnapshotDBShards(shards int) *mvcc.DB {
-	return mvcc.NewDB(mvcc.WithShards(shards), mvcc.WithLevels(engine.SnapshotIsolation))
-}
-
-// NewOracleRCDB returns the §4.3 Oracle-style Read Consistency engine
-// (statement-level snapshots, first-writer-wins write locks).
-func NewOracleRCDB() *mvcc.DB { return mvcc.NewDB(mvcc.WithLevels(engine.ReadConsistency)) }
-
-// NewOracleRCDBShards returns the Read Consistency engine with an explicit
-// store stripe count.
-func NewOracleRCDBShards(shards int) *mvcc.DB {
-	return mvcc.NewDB(mvcc.WithShards(shards), mvcc.WithLevels(engine.ReadConsistency))
-}
+// NewMVDBShards returns the multiversion engine with an explicit store
+// stripe count (1 reproduces the old single-commit-mutex behavior;
+// higher counts let disjoint write sets commit in parallel).
+func NewMVDBShards(shards int) *mvcc.DB { return mvcc.NewDB(mvcc.WithShards(shards)) }
 
 // NewDBFor returns a fresh engine implementing the given level.
 func NewDBFor(level Level) DB { return anomalies.NewDBFor(level) }
-
-// NewDBForShards is NewDBFor with an explicit stripe count, honored by
-// every engine family (multiversion store stripes and locking-engine lock
-// table stripes alike; <= 0 means the default).
-func NewDBForShards(level Level, shards int) DB { return anomalies.NewDBForShards(level, shards) }
 
 // --- Rows ---
 

@@ -9,7 +9,7 @@ import (
 
 // The doc.go quick start, as a test.
 func TestQuickStart(t *testing.T) {
-	db := isolevel.NewSnapshotDB()
+	db := isolevel.NewMVDB()
 	db.Load(isolevel.Scalar("x", 50), isolevel.Scalar("y", 50))
 	tx, err := db.Begin(isolevel.SnapshotIsolation)
 	if err != nil {
