@@ -17,8 +17,8 @@
 //
 // Besides the row model the package holds the two structural primitives
 // every striped component shares: Striper (the fixed key-to-stripe hash)
-// and OrderedSet (the per-stripe ordered key index that the stores' range
-// scans and key-range locking range over).
+// and OrderedSet (the ordered key index that the stores' range scans and
+// key-range locking range over: one per sv store, one per mv stripe).
 //
 //isolint:deterministic
 package data

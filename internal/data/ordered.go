@@ -3,11 +3,12 @@ package data
 import "sort"
 
 // OrderedSet is an ordered index over keys: the sorted key space that the
-// stores' range scans and key-range (next-key) locking range over. Each
-// store stripe maintains one beside its hash map, under the stripe's
-// existing latch, so range scans and successor lookups need no global
-// ordered structure — a cross-stripe range is the merge of the per-stripe
-// runs (MergeKeys).
+// stores' range scans and key-range (next-key) locking range over. The
+// single-version store (sv) keeps one for the whole store, under its own
+// latch beside the striped hash maps, so a range is one run and needs no
+// merge. The multiversion store (mv) keeps one per stripe, under the
+// stripe's latch, and a cross-stripe range there is the merge of the
+// per-stripe runs (MergeKeys).
 //
 // The representation is a sorted slice with binary-search insert/delete:
 // stores here hold at most a few thousand rows per stripe, where a flat
@@ -45,12 +46,6 @@ func (s *OrderedSet) Delete(k Key) {
 	s.keys = append(s.keys[:i], s.keys[i+1:]...)
 }
 
-// Contains reports whether k is present.
-func (s *OrderedSet) Contains(k Key) bool {
-	_, ok := s.search(k)
-	return ok
-}
-
 // Len returns the number of keys.
 func (s *OrderedSet) Len() int { return len(s.keys) }
 
@@ -58,8 +53,8 @@ func (s *OrderedSet) Len() int { return len(s.keys) }
 // a window onto the set's own storage; with bounded == false it returns
 // every key (the whole key space, the range of an unbounded predicate).
 // Nothing is copied, so the window is valid only until the set is next
-// modified: a store stripe hands it out under its latch and the scan
-// finishes with it before the latch drops. This is what keeps a range
+// modified: a store hands it out under the latch over the set and the
+// scan finishes with it before the latch drops. This is what keeps a range
 // read's cost proportional to the range, not the table.
 func (s *OrderedSet) View(lo, hi Key, bounded bool) []Key {
 	if !bounded {
@@ -74,7 +69,7 @@ func (s *OrderedSet) View(lo, hi Key, bounded bool) []Key {
 }
 
 // Range returns a copy of View(lo, hi, bounded), safe to keep after the
-// stripe's latch is released.
+// latch over the set is released.
 func (s *OrderedSet) Range(lo, hi Key, bounded bool) []Key {
 	return s.AppendRange(nil, lo, hi, bounded)
 }
@@ -83,20 +78,10 @@ func (s *OrderedSet) Range(lo, hi Key, bounded bool) []Key {
 // extended slice. The allocation-free sibling of Range: a caller that
 // recycles dst pays nothing once its capacity has grown to the working
 // set, which is what keeps a steady-state key-range lock install O(1)
-// allocations (lock.Manager feeds per-stripe runs into a reused KeyRuns).
+// allocations (lock.Manager feeds the store's anchor run into a reused
+// KeyRuns).
 func (s *OrderedSet) AppendRange(dst []Key, lo, hi Key, bounded bool) []Key {
 	return append(dst, s.View(lo, hi, bounded)...)
-}
-
-// Higher returns the smallest key strictly greater than k, and whether one
-// exists — the successor lookup of next-key locking: the existing key that
-// owns the gap an absent key falls into.
-func (s *OrderedSet) Higher(k Key) (Key, bool) {
-	i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] > k })
-	if i == len(s.keys) {
-		return "", false
-	}
-	return s.keys[i], true
 }
 
 // Ceiling returns the smallest key greater than or equal to k, and whether
@@ -110,13 +95,13 @@ func (s *OrderedSet) Ceiling(k Key) (Key, bool) {
 	return s.keys[i], true
 }
 
-// KeyRuns collects per-stripe sorted key runs in one reusable buffer: all
-// runs share a single backing slice, with Ends recording where each run
-// stops. Resetting and refilling a KeyRuns reuses both backing arrays, so
-// a producer that snapshots the same store shape repeatedly (a key-range
-// scan re-installing its anchors) allocates nothing at steady state —
-// unlike a [][]Key of per-stripe copies, which costs one allocation per
-// stripe per snapshot.
+// KeyRuns collects sorted key runs in one reusable buffer: all runs share
+// a single backing slice, with Ends recording where each run stops. The
+// sv store appends one run (its one index); a caller with static anchors
+// appends one too. Resetting and refilling a KeyRuns reuses both backing
+// arrays, so a producer that snapshots the same store shape repeatedly (a
+// key-range scan re-installing its anchors) allocates nothing at steady
+// state — unlike a fresh []Key per snapshot.
 type KeyRuns struct {
 	// Keys holds every run back to back, in run order.
 	Keys []Key
@@ -148,8 +133,8 @@ func (r *KeyRuns) Run(i int) []Key {
 	return r.Keys[start:r.Ends[i]]
 }
 
-// MergeKeys merges ascending runs (one per stripe) into one ascending key
-// slice. Runs must each be sorted and duplicate-free across runs (stripes
+// MergeKeys merges ascending runs (one per mv stripe) into one ascending
+// key slice. Runs must each be sorted and duplicate-free across runs (stripes
 // partition the key space, so they are).
 func MergeKeys(runs ...[]Key) []Key {
 	switch len(runs) {

@@ -36,19 +36,19 @@ func TestOrderedSetBasics(t *testing.T) {
 	}
 	s.Delete("m")
 	s.Delete("nope")
-	if s.Contains("m") || !s.Contains("a") {
-		t.Fatal("Delete/Contains wrong")
+	if got := s.Range("", "", false); !reflect.DeepEqual(got, []Key{"a", "c", "z"}) {
+		t.Fatalf("Range after Delete = %v", got)
 	}
-	if k, ok := s.Higher("a"); !ok || k != "c" {
-		t.Fatalf("Higher(a) = %q,%v, want c", k, ok)
+	if k, ok := s.Ceiling("b"); !ok || k != "c" {
+		t.Fatalf("Ceiling(b) = %q,%v, want c", k, ok)
 	}
-	if k, ok := s.Higher("z"); ok {
-		t.Fatalf("Higher(z) = %q, want none", k)
+	if k, ok := s.Ceiling("zz"); ok {
+		t.Fatalf("Ceiling(zz) = %q, want none", k)
 	}
-	// Higher is strict: the successor of a present key is the next key.
+	// Ceiling is not strict: a present key is its own ceiling.
 	s.Insert("m")
-	if k, ok := s.Higher("c"); !ok || k != "m" {
-		t.Fatalf("Higher(c) = %q,%v, want m", k, ok)
+	if k, ok := s.Ceiling("m"); !ok || k != "m" {
+		t.Fatalf("Ceiling(m) = %q,%v, want m", k, ok)
 	}
 }
 

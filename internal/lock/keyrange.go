@@ -192,8 +192,8 @@ type gapStripeStats struct {
 const gcInheritThreshold = 16
 
 // RangeSpec describes the key range a scan locks: the predicate being
-// protected, the anchors (present keys in [Lo, Hi), ascending — from
-// sv.Store.RangeAnchors), and the ceiling (first present key at or above
+// protected, the anchors (present keys in [Lo, Hi), ascending — the
+// store's index run), and the ceiling (first present key at or above
 // Hi; "" anchors the above-range gap at the supremum instead). Bounded
 // false means the whole key space.
 //
@@ -204,8 +204,8 @@ const gcInheritThreshold = 16
 // committed between a caller-side snapshot and the acquisition would
 // otherwise be a permanent hole in the scan's coverage. Queued range
 // requests re-snapshot when finally granted, for the same reason. It
-// appends the anchor set as per-stripe sorted runs into the manager's
-// reusable buffer (see sv.Store.AppendRangeAnchors) and returns only the
+// appends the anchor set as sorted runs into the manager's reusable
+// buffer (see sv.Store.AppendRangeAnchors) and returns only the
 // ceiling, so the snapshot itself costs no allocations at steady state.
 type RangeSpec struct {
 	Pred         predicate.P
@@ -596,9 +596,9 @@ func (m *Manager) snapshotAnchorsLocked(spec RangeSpec) data.Key {
 
 // bucketAnchorsLocked distributes m.snapRuns (plus the ceiling) into the
 // per-stripe buckets, restoring per-bucket sort order where runs
-// interleaved — when the snapshot's striping matches the lock manager's
-// (every engine wires it that way), each run lands in exactly one bucket
-// already ascending and the sort never fires. Called with rangeMu held.
+// interleaved — one ascending run (the sv store's index, static anchors)
+// fills every bucket in order, the ceiling above it, so the sort never
+// fires. Called with rangeMu held.
 func (m *Manager) bucketAnchorsLocked(ceiling data.Key) {
 	for i := range m.runBuckets {
 		m.runBuckets[i] = m.runBuckets[i][:0]

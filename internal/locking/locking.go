@@ -310,7 +310,7 @@ func (t *Tx) acquireScanGuard(p predicate.P) (scanGuard, error) {
 		// The anchor set is snapshotted by the lock manager at install
 		// time, under its range mutex — not here — so a key inserted and
 		// committed on the way to the acquisition still gets a fragment.
-		// SnapshotInto appends the per-stripe runs into the manager's
+		// SnapshotInto appends the store's index run into the manager's
 		// reusable buffer: the snapshot allocates nothing at steady state.
 		h, err := t.db.lm.AcquireRange(lock.TxID(t.id), lock.RangeSpec{
 			Pred: p,

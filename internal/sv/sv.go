@@ -9,24 +9,28 @@
 // before-image is wrong. The store lets that corruption happen when an
 // engine fails to hold long write locks — there is a test demonstrating it.
 //
-// The store is striped: keys hash onto a fixed set of stripes (the same
-// scheme as the lock manager's and the multiversion store's), each with
-// its own RWMutex over its slice of the rows. Every stripe provides atomic
-// individual actions (the paper's Degree 0 "action atomicity") and nothing
-// more; every stronger guarantee comes from the lock manager above it.
-// Striping matters because the store sits under the striped lock manager:
-// one store latch would re-serialize the disjoint-key traffic the lock
-// stripes just freed.
+// The point path is striped: keys hash onto a fixed set of stripes (the
+// same scheme as the lock manager's and the multiversion store's), each
+// with its own RWMutex over its slice of the rows. Every stripe provides
+// atomic individual actions (the paper's Degree 0 "action atomicity") and
+// nothing more; every stronger guarantee comes from the lock manager above
+// it. Striping matters because the store sits under the striped lock
+// manager: one store latch would re-serialize the disjoint-key traffic the
+// lock stripes just freed. Get, Exists and a Put over a present key touch
+// only their stripe.
 //
-// Each stripe also maintains an ordered key index beside its hash map
-// (data.OrderedSet, under the same latch, holding exactly the present
-// keys). The index is the scan path: Select walks, per stripe, only the
-// index run inside the predicate's key bounds, so a range read costs what
-// the range holds, not what the table holds; a predicate that says nothing
-// about keys walks the whole index through the same loop. Keys and the
-// key-range (next-key) lock anchors (RangeAnchors) are merges of the same
-// per-stripe runs. The hash map stays the point path: Get, Put and Delete
-// never search the index for a row.
+// The scan path is one ordered key index (data.OrderedSet) on the Store,
+// under its own latch, holding exactly the present keys. Only a write that
+// changes the key set — an insert of an absent key, a Delete, a Restore
+// that creates or removes a row — takes it, before the stripe. Select
+// walks one index run, the keys inside predicate.KeyBounds(p) (the whole
+// index when p says nothing about keys), reading each row under its
+// stripe's read latch, so a range read costs what the range holds, not
+// what the table holds, and comes back in key order with no sort. Keys and
+// the key-range (next-key) lock anchors (AppendRangeAnchors) read the same
+// index. The index latch comes before any stripe latch (declared below
+// for the latchorder analyzer), and no path takes it while holding a
+// stripe: Put's insert drops its stripe latch first.
 //
 // # Rows
 //
@@ -38,12 +42,11 @@
 // row images as they are. A row is shared end to end, from the caller
 // that built it to every transaction that reads it.
 //
+//isolint:latch-order Store.idx < shard.mu
 //isolint:deterministic
 package sv
 
 import (
-	"cmp"
-	"slices"
 	"sync"
 
 	"isolevel/internal/data"
@@ -58,10 +61,6 @@ const DefaultShards = 16
 type shard struct {
 	mu   sync.RWMutex
 	rows map[data.Key]data.Row
-	// index is the stripe's ordered key set, maintained beside the hash
-	// map under the same latch: what Select, Keys and the key-range lock
-	// anchors (RangeAnchors) read. Point reads and writes go by the map.
-	index data.OrderedSet
 }
 
 // Store is an in-place single-version row store.
@@ -69,6 +68,13 @@ type Store struct {
 	striper data.Striper
 	shards  []*shard
 	obs     *obs.Sink
+
+	// idx guards index, the ordered set of every present key: what Select,
+	// Keys, Len and the key-range lock anchors read. A write holds it, then
+	// the key's stripe, whenever it adds a key to a stripe map or removes
+	// one, so the index always holds exactly the union of the map keys.
+	idx   sync.RWMutex
+	index data.OrderedSet
 }
 
 // SetObs attaches an observability sink; Select records its scan latency
@@ -79,8 +85,8 @@ func (s *Store) SetObs(sink *obs.Sink) { s.obs = sink }
 // NewStore returns an empty store with DefaultShards stripes.
 func NewStore() *Store { return NewStoreShards(DefaultShards) }
 
-// NewStoreShards returns an empty store striped across n latches (n < 1 is
-// treated as 1; n = 1 reproduces the old single-latch behavior).
+// NewStoreShards returns an empty store whose point path is striped across
+// n latches (n < 1 is treated as 1). The scan path is one index whatever n.
 func NewStoreShards(n int) *Store {
 	striper := data.NewStriper(n)
 	s := &Store{striper: striper, shards: make([]*shard, striper.Count())}
@@ -99,13 +105,15 @@ func (s *Store) shardOf(key data.Key) *shard {
 
 // Load bulk-inserts rows (setup helper; no locking protocol involved).
 func (s *Store) Load(tuples ...data.Tuple) {
+	s.idx.Lock()
 	for _, t := range tuples {
 		sh := s.shardOf(t.Key)
 		sh.mu.Lock()
 		sh.rows[t.Key] = t.Row
-		sh.index.Insert(t.Key)
 		sh.mu.Unlock()
+		s.index.Insert(t.Key)
 	}
+	s.idx.Unlock()
 }
 
 // Get returns the current row, or nil if absent.
@@ -127,18 +135,30 @@ func (s *Store) Exists(key data.Key) bool {
 }
 
 // Put installs row (insert or update) and returns the before-image (nil
-// for an insert).
+// for an insert). An update touches only the key's stripe. An insert
+// changes the key set, so it drops the stripe latch, takes the index latch
+// and the stripe again in that order, and looks again: a racing writer
+// may have inserted the key in between, and then the before-image is that
+// writer's row.
 func (s *Store) Put(key data.Key, row data.Row) (before data.Row) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	before, present := sh.rows[key]
-	sh.rows[key] = row
-	if !present {
-		// An update leaves the key set as it was: only an insert touches
-		// the index.
-		sh.index.Insert(key)
+	if present {
+		sh.rows[key] = row
+		sh.mu.Unlock()
+		return before
 	}
 	sh.mu.Unlock()
+	s.idx.Lock()
+	sh.mu.Lock()
+	before, present = sh.rows[key]
+	sh.rows[key] = row
+	sh.mu.Unlock()
+	if !present {
+		s.index.Insert(key)
+	}
+	s.idx.Unlock()
 	return before
 }
 
@@ -146,133 +166,106 @@ func (s *Store) Put(key data.Key, row data.Row) (before data.Row) {
 // already absent).
 func (s *Store) Delete(key data.Key) (before data.Row) {
 	sh := s.shardOf(key)
+	s.idx.Lock()
 	sh.mu.Lock()
 	before = sh.rows[key]
 	delete(sh.rows, key)
-	sh.index.Delete(key)
 	sh.mu.Unlock()
+	s.index.Delete(key)
+	s.idx.Unlock()
 	return before
 }
 
-// Restore writes a before-image back (undo): nil removes the row.
+// Restore writes a before-image back (undo): nil removes the row. Writing
+// over a present row touches only its stripe; creating or removing a row
+// takes the index latch first, as Put's insert does.
 func (s *Store) Restore(key data.Key, before data.Row) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	if before == nil {
-		delete(sh.rows, key)
-		sh.index.Delete(key)
-	} else {
-		if _, present := sh.rows[key]; !present {
-			sh.index.Insert(key)
-		}
+	if _, present := sh.rows[key]; present && before != nil {
 		sh.rows[key] = before
+		sh.mu.Unlock()
+		return
 	}
 	sh.mu.Unlock()
+	s.idx.Lock()
+	sh.mu.Lock()
+	if before == nil {
+		delete(sh.rows, key)
+		sh.mu.Unlock()
+		s.index.Delete(key)
+	} else {
+		sh.rows[key] = before
+		sh.mu.Unlock()
+		s.index.Insert(key)
+	}
+	s.idx.Unlock()
 }
 
-// Select returns all tuples satisfying p, sorted by key. It reads only
-// the part of the key space p can cover: per stripe, under the stripe's
-// read latch, the index run inside predicate.KeyBounds(p) — the whole
-// index when p says nothing about keys — matching each row in place. Each
-// stripe is read atomically, the stripes one after another; as everywhere
-// in this store, a scan that must not see a concurrent writer's half-done
-// work holds a lock above it.
+// Select returns all tuples satisfying p, sorted by key. Under the index's
+// read latch it walks the one index run inside predicate.KeyBounds(p) —
+// the whole index when p says nothing about keys — reading each row under
+// its stripe's read latch and matching it in place; the run is ascending,
+// so the result is too. The key set cannot change during the walk, but
+// each row is read on its own; as everywhere in this store, a scan that
+// must not see a concurrent writer's half-done work holds a lock above it.
 func (s *Store) Select(p predicate.P) []data.Tuple {
 	start := s.obs.Now()
 	lo, hi, bounded := predicate.KeyBounds(p)
+	s.idx.RLock()
+	run := s.index.View(lo, hi, bounded)
 	var out []data.Tuple
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, k := range sh.index.View(lo, hi, bounded) {
-			t := data.Tuple{Key: k, Row: sh.rows[k]}
-			if p.Match(t) {
-				out = append(out, t)
-			}
-		}
-		sh.mu.RUnlock()
+	if bounded && len(run) > 0 {
+		// A key-bounded run is what the predicate can cover: size the
+		// result once. An unbounded one is the whole table, which a value
+		// predicate may mostly reject.
+		out = make([]data.Tuple, 0, len(run))
 	}
-	slices.SortFunc(out, func(a, b data.Tuple) int { return cmp.Compare(a.Key, b.Key) })
+	for _, k := range run {
+		sh := s.shardOf(k)
+		sh.mu.RLock()
+		t := data.Tuple{Key: k, Row: sh.rows[k]}
+		sh.mu.RUnlock()
+		if p.Match(t) {
+			out = append(out, t)
+		}
+	}
+	s.idx.RUnlock()
 	s.obs.RecordScan(start)
 	return out
 }
 
-// Keys returns all present keys, sorted: the merge of the per-stripe
-// index runs.
+// Keys returns all present keys, sorted.
 func (s *Store) Keys() []data.Key {
-	runs := make([][]data.Key, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		runs[i] = sh.index.Range("", "", false)
-		sh.mu.RUnlock()
-	}
-	return data.MergeKeys(runs...)
+	s.idx.RLock()
+	defer s.idx.RUnlock()
+	return s.index.Range("", "", false)
 }
 
-// RangeAnchors returns the anchor set of a key-range scan over [lo, hi)
-// (the whole key space when bounded == false): every present key in the
-// range, ascending — merged from the per-stripe ordered indexes — plus the
-// smallest present key at or above hi ("" if none), the existing key that
-// will anchor the scan's above-range gap coverage. The per-stripe runs are
-// each read under that stripe's latch; the merge itself is latch-free, so
-// a concurrent writer can slip between stripes — the lock manager's
-// conflict check against live row images is what makes that race benign.
-func (s *Store) RangeAnchors(lo, hi data.Key, bounded bool) (anchors []data.Key, ceiling data.Key) {
-	runs := make([][]data.Key, len(s.shards))
-	haveCeil := false
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		runs[i] = sh.index.Range(lo, hi, bounded)
-		if bounded {
-			// Higher is strict; hi itself is a legal ceiling (hi is the
-			// first key outside the half-open range).
-			if sh.index.Contains(hi) {
-				if !haveCeil || hi < ceiling {
-					ceiling, haveCeil = hi, true
-				}
-			} else if c, ok := sh.index.Higher(hi); ok && (!haveCeil || c < ceiling) {
-				ceiling, haveCeil = c, true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return data.MergeKeys(runs...), ceiling
-}
-
-// AppendRangeAnchors is RangeAnchors without the copies: each stripe's
-// in-range run is appended to r (one closed run per stripe, in stripe
-// order), and only the ceiling is returned. A lock manager that recycles r
-// across acquisitions installs a scan's anchors with zero snapshot
-// allocations at steady state; the same between-stripes race as
-// RangeAnchors applies and is benign for the same reason.
+// AppendRangeAnchors appends the anchor set of a key-range scan over
+// [lo, hi) (the whole key space when bounded == false) to r as one closed
+// run — every present key in the range, ascending — and returns the
+// smallest present key at or above hi ("" if none, or when unbounded):
+// the existing key that anchors the scan's above-range gap coverage. Both
+// are read under one hold of the index's read latch, so they agree. A lock
+// manager that recycles r across acquisitions installs a scan's anchors
+// with zero snapshot allocations at steady state.
 func (s *Store) AppendRangeAnchors(r *data.KeyRuns, lo, hi data.Key, bounded bool) (ceiling data.Key) {
-	haveCeil := false
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		r.Keys = sh.index.AppendRange(r.Keys, lo, hi, bounded)
-		r.EndRun()
-		if bounded {
-			if sh.index.Contains(hi) {
-				if !haveCeil || hi < ceiling {
-					ceiling, haveCeil = hi, true
-				}
-			} else if c, ok := sh.index.Higher(hi); ok && (!haveCeil || c < ceiling) {
-				ceiling, haveCeil = c, true
-			}
-		}
-		sh.mu.RUnlock()
+	s.idx.RLock()
+	r.Keys = s.index.AppendRange(r.Keys, lo, hi, bounded)
+	r.EndRun()
+	if bounded {
+		ceiling, _ = s.index.Ceiling(hi)
 	}
+	s.idx.RUnlock()
 	return ceiling
 }
 
 // Len returns the number of rows.
 func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += len(sh.rows)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.idx.RLock()
+	defer s.idx.RUnlock()
+	return s.index.Len()
 }
 
 // UndoRecord is one entry of a transaction's undo log: the before-image of

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"isolevel/internal/data"
 	"isolevel/internal/predicate"
@@ -249,9 +251,24 @@ func sameTuples(a, b []data.Tuple) bool {
 	return true
 }
 
-// TestIndexHoldsExactlyTheMapKeys: each stripe's ordered index holds
-// exactly its map's keys after every write, now that a Put or Restore
-// over a present key leaves the index alone. The sequence mixes
+// mapKeys returns the union of the stripe maps' keys, sorted: what the
+// index must hold.
+func mapKeys(s *Store) []data.Key {
+	var keys []data.Key
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for k := range sh.rows {
+			keys = append(keys, k)
+		}
+		sh.mu.RUnlock()
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestIndexHoldsExactlyTheMapKeys: the store's ordered index holds exactly
+// the union of the stripe maps' keys after every write, now that a Put or
+// Restore over a present key leaves the index alone. The sequence mixes
 // overwrites, deletes of present and absent keys and Restores over
 // present and absent keys on a small key space, so every case repeats
 // many times.
@@ -271,22 +288,175 @@ func TestIndexHoldsExactlyTheMapKeys(t *testing.T) {
 			case 4:
 				s.Restore(k, nil)
 			}
-			var want []data.Key
-			for i, sh := range s.shards {
-				var mapKeys []data.Key
-				for mk := range sh.rows {
-					mapKeys = append(mapKeys, mk)
-				}
-				slices.Sort(mapKeys)
-				if got := sh.index.Range("", "", false); !slices.Equal(got, mapKeys) {
-					t.Fatalf("shards=%d step %d: stripe %d index %v, map keys %v", shards, step, i, got, mapKeys)
-				}
-				want = append(want, mapKeys...)
+			want := mapKeys(s)
+			if got := s.index.Range("", "", false); !slices.Equal(got, want) {
+				t.Fatalf("shards=%d step %d: index %v, map keys %v", shards, step, got, want)
 			}
-			slices.Sort(want)
 			if got := s.Keys(); !slices.Equal(got, want) {
 				t.Fatalf("shards=%d step %d: Keys = %v, map keys %v", shards, step, got, want)
 			}
+			if s.Len() != len(want) {
+				t.Fatalf("shards=%d step %d: Len = %d, map keys %v", shards, step, s.Len(), want)
+			}
 		}
 	}
+}
+
+// TestPointPathSkipsTheIndexLatch: Get, Exists, and a Put or Restore
+// over a present key never take the index latch, so transfer traffic
+// never waits behind a scan or an insert. They must all finish while
+// another holder keeps the index latch for writing.
+func TestPointPathSkipsTheIndexLatch(t *testing.T) {
+	s := NewStore()
+	s.Put("x", data.Scalar(1))
+	s.idx.Lock()
+	defer s.idx.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Get("x")
+		s.Exists("x")
+		s.Put("x", data.Scalar(2))
+		s.Restore("x", data.Scalar(3))
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a point read or an update of a present key waited on the index latch")
+	}
+}
+
+// TestRacingInsertsOfOneKeyHaveOneWinner: writers Put distinct rows into
+// one absent key at once while a scanner walks the index. An insert
+// re-checks presence once it holds the index and stripe latches, so
+// exactly one Put sees the key absent (a nil before-image), and every
+// other Put's before-image is the row some earlier Put installed: no row
+// is the before-image of two Puts, which is what an undo log needs to
+// restore the right row.
+func TestRacingInsertsOfOneKeyHaveOneWinner(t *testing.T) {
+	const writers, rounds = 4, 200
+	s := NewStoreShards(4)
+	for round := 0; round < rounds; round++ {
+		key := data.Key(fmt.Sprintf("k%03d", round))
+		rows := make([]data.Row, writers)
+		befores := make([]data.Row, writers)
+		for w := range rows {
+			rows[w] = data.Scalar(int64(w))
+		}
+		var start, done sync.WaitGroup
+		start.Add(1)
+		done.Add(writers + 1)
+		for w := 0; w < writers; w++ {
+			go func(w int) {
+				defer done.Done()
+				start.Wait()
+				befores[w] = s.Put(key, rows[w])
+			}(w)
+		}
+		go func() {
+			defer done.Done()
+			start.Wait()
+			for i := 0; i < 4; i++ {
+				s.Select(predicate.KeyRange{Lo: "k", Hi: "l"})
+			}
+		}()
+		start.Done()
+		done.Wait()
+		inserts, seen := 0, map[data.Row]int{}
+		for w, b := range befores {
+			if b == nil {
+				inserts++
+				continue
+			}
+			if !slices.Contains(rows, b) {
+				t.Fatalf("round %d: Put %d returned a before-image no Put installed: %v", round, w, b)
+			}
+			if seen[b]++; seen[b] > 1 {
+				t.Fatalf("round %d: row %v is the before-image of %d Puts", round, b, seen[b])
+			}
+		}
+		if inserts != 1 {
+			t.Fatalf("round %d: %d Puts returned a nil before-image, want exactly 1", round, inserts)
+		}
+	}
+	if got, want := s.Keys(), mapKeys(s); !slices.Equal(got, want) || len(got) != rounds {
+		t.Fatalf("index %v, map keys %v, want %d keys", got, want, rounds)
+	}
+}
+
+// TestRacingKeySetWritesKeepScansExact: Put, Delete and Restore race over
+// 8 keys beside Select and AppendRangeAnchors. Every scan comes back
+// ascending and duplicate-free, every ceiling lies at or above the range,
+// and once the writers stop, the index holds exactly the union of the
+// stripe maps' keys.
+func TestRacingKeySetWritesKeepScansExact(t *testing.T) {
+	const writers, scanners, ops = 3, 2, 2000
+	s := NewStoreShards(4)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(41 + w)))
+			for i := 0; i < ops; i++ {
+				k, row := data.Key(fmt.Sprintf("k%d", rng.Intn(8))), data.Scalar(int64(i))
+				switch rng.Intn(5) {
+				case 0, 1:
+					s.Put(k, row)
+				case 2:
+					s.Delete(k)
+				case 3:
+					s.Restore(k, row)
+				case 4:
+					s.Restore(k, nil)
+				}
+			}
+		}(w)
+	}
+	errs := make(chan error, scanners)
+	for r := 0; r < scanners; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var runs data.KeyRuns
+			for i := 0; i < ops; i++ {
+				var p predicate.P = predicate.KeyRange{Lo: "k2", Hi: "k6"}
+				if i%2 == 0 {
+					p = predicate.True{}
+				}
+				keys := data.Keys(s.Select(p))
+				runs.Reset()
+				ceiling := s.AppendRangeAnchors(&runs, "k2", "k6", true)
+				anchors := runs.Run(0)
+				switch {
+				case !strictlyAscending(keys):
+					errs <- fmt.Errorf("Select returned %v", keys)
+				case runs.NumRuns() != 1 || !strictlyAscending(anchors):
+					errs <- fmt.Errorf("AppendRangeAnchors runs %v, ends %v", runs.Keys, runs.Ends)
+				case ceiling != "" && ceiling < "k6":
+					errs <- fmt.Errorf("AppendRangeAnchors ceiling %q is inside [k2, k6)", ceiling)
+				default:
+					continue
+				}
+				return
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got, want := s.Keys(), mapKeys(s); !slices.Equal(got, want) {
+		t.Fatalf("index %v, map keys %v", got, want)
+	}
+}
+
+func strictlyAscending(keys []data.Key) bool {
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			return false
+		}
+	}
+	return true
 }
