@@ -113,15 +113,16 @@ fuzz-determinism:
 	diff /tmp/isolevel-fuzz-ma.out /tmp/isolevel-fuzz-mb.out
 
 # Byte-for-byte check against another revision: `make fuzz-diff BASE=<rev>`
-# builds cmd/isolevel at BASE in a throwaway git worktree, runs four fuzz
-# campaigns (uniform, mixed, keyrange, DML) and the paper artifacts
-# (paper, tables, remarks, figure2) with it and with the working tree, and
-# cmps each pair. A change that moves no grant decision and no phenomenon
-# verdict leaves all eight identical; a difference prints its first lines
+# builds cmd/isolevel at BASE in a throwaway git worktree, runs five fuzz
+# campaigns (uniform, mixed, keyrange, DML, and mixed SI/RC cursors with
+# inserts and deletes on the mv engine) and the paper artifacts (paper,
+# tables, remarks, figure2) with it and with the working tree, and cmps
+# each pair. A change that moves no grant decision and no phenomenon
+# verdict leaves all nine identical; a difference prints its first lines
 # and fails.
 BASE ?=
 FUZZ_DIFF_DIR ?= /tmp/isolevel-fuzz-diff
-FUZZ_DIFF_CAMPAIGNS = "-seed 1 -n 1000" "-mixed -seed 1 -n 500" "-engines keyrange -seed 1 -n 1000" "-seed 1 -n 500 -mix r:4,w:4,p:1,rc:1,wc:1,i:2,d:2,s:2"
+FUZZ_DIFF_CAMPAIGNS = "-seed 1 -n 1000" "-mixed -seed 1 -n 500" "-engines keyrange -seed 1 -n 1000" "-seed 1 -n 500 -mix r:4,w:4,p:1,rc:1,wc:1,i:2,d:2,s:2" "-engines mv -mixed -seed 1 -n 500 -mix r:4,w:4,p:1,rc:2,wc:2,i:2,d:2,s:2"
 fuzz-diff:
 	@test -n "$(BASE)" || { echo "usage: make fuzz-diff BASE=<rev>"; exit 2; }
 	rm -rf $(FUZZ_DIFF_DIR)

@@ -87,11 +87,11 @@
 //	     │       levels, on every family × level cell
 //	     ▼
 //	   record ─▶ engine.Recorder (conflict-ordered trace) +
-//	     │       timestamped MV exports (SITx.MVTxn, RCTx.SVTrace)
+//	     │       timestamped MV export (mvcc.Tx.Trace)
 //	     ▼
 //	normalize ─▶ deps.MapEventsToSV: the §4.2 MV→SV mapping merges
-//	     │       every transaction's event blocks into one
-//	     │       single-valued history (locking traces pass through)
+//	     │       one event per read and one per commit or abort into
+//	     │       one single-valued history (locking traces pass through)
 //	     ▼
 //	    check ─▶ phenomena.Attribution (P0–A5B with participant
 //	     │       pairs), deps.Builder (serializability), FCW interval,

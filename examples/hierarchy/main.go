@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	isolevel "isolevel"
 )
@@ -20,7 +21,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(res.Report())
+	// The table pads its last column too; print each line without the pad.
+	for _, line := range strings.Split(strings.TrimSuffix(res.Report().String(), "\n"), "\n") {
+		fmt.Println(strings.TrimRight(line, " "))
+	}
 	fmt.Println()
 	h := isolevel.Figure2(res)
 	fmt.Print(h)

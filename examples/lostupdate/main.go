@@ -103,9 +103,9 @@ func describe(db isolevel.DB, res *isolevel.ScheduleResult) {
 	case res.Committed[1] && res.Committed[2] && final == 130:
 		fmt.Println("LOST UPDATE (P4): T2's +20 vanished under T1's stale read-modify-write")
 	case res.Committed[1] && res.Committed[2] && final == 120:
-		fmt.Println("LOST UPDATE (P4): T1's +30 vanished — the cursor protected T1's own",
-			"\nupdate, but T2 still read-modify-wrote from a stale value (the paper's",
-			"\n'Sometimes Possible': only cursor-based clients are protected)")
+		fmt.Println("LOST UPDATE (P4): T1's +30 vanished — the cursor protected T1's own\n" +
+			"update, but T2 still read-modify-wrote from a stale value (the paper's\n" +
+			"'Sometimes Possible': only cursor-based clients are protected)")
 	case res.Committed[1] && res.Committed[2] && final == 150:
 		fmt.Println("both updates applied — fully serial outcome")
 	default:

@@ -19,7 +19,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
+	"runtime"
 
 	isolevel "isolevel"
 )
@@ -67,11 +67,22 @@ func run(level isolevel.Level) {
 		inserted <- writer.Commit()
 	}()
 
-	select {
-	case err := <-inserted:
-		if err != nil {
-			log.Fatal(err)
+	// Let the engine say which way the insert went: it commits, or it
+	// queues behind the scanner's range lock. The lock manager counts the
+	// wait before the writer parks, so no timer has to guess.
+	committed := false
+	for !committed && db.LockStats().Waits == 0 {
+		select {
+		case err := <-inserted:
+			if err != nil {
+				log.Fatal(err)
+			}
+			committed = true
+		default:
+			runtime.Gosched()
 		}
+	}
+	if committed {
 		fmt.Println("writer:  insert of emp:3 committed immediately (no long range lock)")
 		second, err := scanner.Select(pred)
 		if err != nil {
@@ -81,7 +92,7 @@ func run(level isolevel.Level) {
 		if err := scanner.Commit(); err != nil {
 			log.Fatal(err)
 		}
-	case <-time.After(100 * time.Millisecond):
+	} else {
 		fmt.Println("writer:  insert of emp:3 BLOCKED on the covering gap lock")
 		second, err := scanner.Select(pred)
 		if err != nil {

@@ -46,8 +46,9 @@ type SVEvent struct {
 // MapEventsToSV orders the event blocks by (TS, Seq) and concatenates
 // them into a single-valued history, dropping version subscripts. This is
 // the general form of the paper's MV→SV mapping: MapToSV uses it with the
-// transaction-level snapshot (all reads at Start), the Read Consistency
-// exerciser with statement-level read events.
+// transaction-level snapshot (all reads at Start), the fuzz harness with
+// one event per read at the read's own snapshot, which covers Read
+// Consistency's statement-level snapshots.
 func MapEventsToSV(events []SVEvent) history.History {
 	sorted := make([]SVEvent, len(events))
 	copy(sorted, events)
@@ -67,37 +68,21 @@ func MapEventsToSV(events []SVEvent) history.History {
 	return out
 }
 
-// TxEvents returns the two event blocks one transaction contributes to
-// the single-valued mapping: its reads at Start, and — committed — its
-// writes plus commit at Commit, or — aborted — an abort back at Start
-// (its writes never became visible to anyone). Seq and seq+1 are the
-// blocks' tie-breaks; MapToSV and the mixed-run normalizer
-// (internal/exerciser) both build their event streams from this one
-// helper, so the slot placement cannot drift between them.
-func TxEvents(t MVTxn, seq int) [2]SVEvent {
-	reads := append(history.History{}, t.Reads...)
-	var tail history.History
-	tailTS := t.Start
-	if t.Committed {
-		tail = append(append(tail, t.Writes...), history.Op{Tx: t.Tx, Kind: history.Commit, Version: -1})
-		tailTS = t.Commit
-	} else {
-		tail = history.History{{Tx: t.Tx, Kind: history.Abort, Version: -1}}
-	}
-	return [2]SVEvent{{t.Start, seq, reads}, {tailTS, seq + 1, tail}}
-}
-
 // MapToSV maps an SI execution to the paper's single-valued history:
 // committed transactions contribute their reads at Start and their writes
 // plus commit at Commit; aborted transactions contribute their reads at
-// Start and an abort. Events are ordered by timestamp.
+// Start and an abort there too (their writes never became visible to
+// anyone). Events are ordered by timestamp, a transaction's own
+// same-timestamp events in this order.
 func MapToSV(txns []MVTxn) history.History {
 	var events []SVEvent
-	seq := 0
-	for _, t := range txns {
-		ev := TxEvents(t, seq)
-		events = append(events, ev[0], ev[1])
-		seq += 2
+	for i, t := range txns {
+		tail, tailTS := history.History{{Tx: t.Tx, Kind: history.Abort, Version: -1}}, t.Start
+		if t.Committed {
+			tail = append(append(history.History{}, t.Writes...), history.Op{Tx: t.Tx, Kind: history.Commit, Version: -1})
+			tailTS = t.Commit
+		}
+		events = append(events, SVEvent{t.Start, 2 * i, t.Reads}, SVEvent{tailTS, 2*i + 1, tail})
 	}
 	return MapEventsToSV(events)
 }

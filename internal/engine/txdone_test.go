@@ -17,6 +17,7 @@ import (
 	"isolevel/internal/engine"
 	"isolevel/internal/locking"
 	"isolevel/internal/mvcc"
+	"isolevel/internal/predicate"
 )
 
 // families lists one constructor per engine configuration with the level
@@ -48,8 +49,9 @@ func wantTxDone(t *testing.T, op string, err error) {
 }
 
 // TestTerminatedTxUniform drives every family through the four
-// terminate-then-terminate-again orders plus data operations on a dead
-// transaction.
+// terminate-then-terminate-again orders, data operations on a dead
+// transaction, and cursor operations on a closed cursor and on a dead
+// transaction's cursor — none of which may change the row.
 func TestTerminatedTxUniform(t *testing.T) {
 	for name, f := range families() {
 		t.Run(name, func(t *testing.T) {
@@ -89,7 +91,56 @@ func TestTerminatedTxUniform(t *testing.T) {
 			}
 			wantTxDone(t, "Put", tx.Put("x", data.Scalar(4)))
 			wantTxDone(t, "Delete", tx.Delete("x"))
+			_, err = tx.OpenCursor(predicate.True{})
+			wantTxDone(t, "OpenCursor", err)
+
+			// Cursor operations on a closed cursor of a live transaction,
+			// then on an open cursor of a committed one.
+			tx, err = f.db.Begin(f.level)
+			if err != nil {
+				t.Fatalf("Begin: %v", err)
+			}
+			closed := openAndFetch(t, tx)
+			if err := closed.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			wantCursorDone(t, "closed cursor", closed)
+			open := openAndFetch(t, tx)
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("Commit: %v", err)
+			}
+			wantCursorDone(t, "cursor of a committed tx", open)
+			if got := f.db.ReadCommittedRow("x"); got == nil || got.Val() != 2 {
+				t.Errorf("x = %v after refused cursor updates, want 2", got)
+			}
 		})
+	}
+}
+
+// openAndFetch opens a cursor over every row and fetches the first.
+func openAndFetch(t *testing.T, tx engine.Tx) engine.Cursor {
+	t.Helper()
+	cur, err := tx.OpenCursor(predicate.True{})
+	if err != nil {
+		t.Fatalf("OpenCursor: %v", err)
+	}
+	if _, err := cur.Fetch(); err != nil {
+		t.Fatalf("Fetch: %v", err)
+	}
+	return cur
+}
+
+// wantCursorDone checks that every cursor op but Close refuses with
+// ErrTxDone.
+func wantCursorDone(t *testing.T, what string, cur engine.Cursor) {
+	t.Helper()
+	_, fetch := cur.Fetch()
+	_, current := cur.Current()
+	update := cur.UpdateCurrent(data.Scalar(5))
+	for i, err := range []error{fetch, current, update} {
+		if !errors.Is(err, engine.ErrTxDone) {
+			t.Errorf("%s on %s = %v, want ErrTxDone", []string{"Fetch", "Current", "UpdateCurrent"}[i], what, err)
+		}
 	}
 }
 

@@ -93,26 +93,27 @@ type RunResult struct {
 	// Normalized is the single-valued form the oracle checks: the raw
 	// trace for the locking family (recorded under locks, so trace order
 	// is conflict order), and the paper's MV→SV mapping for the
-	// multiversion families — each SNAPSHOT ISOLATION transaction's reads
-	// at its start timestamp and writes at its commit timestamp, each
-	// READ CONSISTENCY transaction's reads at their statement snapshots —
-	// merged into one event stream so mixed runs normalize coherently.
+	// multiversion family — every read at the snapshot it executed at (a
+	// SNAPSHOT ISOLATION transaction's start, a READ CONSISTENCY
+	// statement's own) and every committed write set at its commit
+	// timestamp — merged into one event stream, so mixed runs normalize
+	// coherently.
 	Normalized history.History
 	// Attr is the streaming attributed profile of Normalized: exhibited
 	// phenomena with their participating transaction pairs.
 	Attr map[phenomena.ID]map[phenomena.Pair]bool
 	// Profile is Attr's key set (kept for stats and divergence checks).
 	Profile map[phenomena.ID]bool
-	// MVTxns are the SNAPSHOT ISOLATION transactions' timestamped exports
-	// (nil for other families), used for the first-committer-wins interval
-	// invariant.
+	// MVTxns are the SNAPSHOT ISOLATION transactions' execution intervals
+	// and actions (nil for other families), used for the
+	// first-committer-wins interval invariant.
 	MVTxns []deps.MVTxn
-	// mvReads / mvCommits are the multiversion families' timestamped
+	// mvReads / mvCommits are the multiversion family's timestamped
 	// reads and committed write sets (nil for locking), for the
 	// snapshot-read value certification.
 	mvReads   []mvRead
 	mvCommits []mvCommit
-	// rangeReads are the multiversion families' timestamped range-scan
+	// rangeReads are the multiversion family's timestamped range-scan
 	// result sets, for the range-read (phantom) certification.
 	rangeReads []rangeRead
 	// Committed / Aborted index script transaction outcomes.
@@ -155,29 +156,11 @@ type mvCommit struct {
 	writes map[data.Key]mvVersion
 }
 
-// rangeRead is one exported range scan: the snapshot slot it executed
-// at, the scanned interval, and the result set it returned.
+// rangeRead is one exported range scan and the script transaction that
+// ran it.
 type rangeRead struct {
-	slot   int64
-	tx     int
-	lo, hi data.Key
-	keys   []data.Key
-	vals   []int64
-}
-
-// mvExporter is implemented by mvcc.SITx.
-type mvExporter interface {
-	MVTxn() (start, commit int64, committed bool, reads, writes history.History)
-}
-
-// svExporter is implemented by mvcc.RCTx.
-type svExporter interface {
-	SVTrace() (committed bool, commitSlot int64, reads []mvcc.TimedRead, writes history.History)
-}
-
-// rangeExporter is implemented by mvcc.SITx and mvcc.RCTx.
-type rangeExporter interface {
-	RangeReads() []mvcc.RangeRead
+	mvcc.RangeRead
+	tx int
 }
 
 // RunOne replays the schedule on a fresh engine of the family under the
@@ -236,82 +219,51 @@ func RunOne(s *Schedule, fam Family, assign Assign, shards int) (*RunResult, err
 }
 
 // mvNormalize maps a multiversion run — pure SI, pure RC, or mixed — to
-// its single-valued history: every captured transaction contributes
-// timestamped event blocks (per the slot convention shared by SITx.MVTxn
-// and RCTx.SVTrace: commits at even slots 2*ts, snapshot reads at the odd
-// slot just above, 2*ts+1), and one MapEventsToSV call orders them all.
-// Along the way it collects the SI interval exports (for the FCW
-// invariant) and every timestamped read / committed write set (for the
-// snapshot-read value certification).
+// its single-valued history. Every captured transaction's mvcc.Trace
+// places each read at the odd slot just above its snapshot (2*ts+1), and
+// its writes plus commit, or its abort, at the slot Trace.End gives: a
+// commit at the even slot 2*ts. One MapEventsToSV call orders the events
+// of all transactions. Along the way it collects the SI transactions'
+// intervals (for the FCW invariant) and every timestamped read, range
+// scan and committed write set (for the value certifications).
 func mvNormalize(s *Schedule, cap *capture, rr *RunResult) history.History {
 	var events []deps.SVEvent
-	seq := 0
 	for _, txn := range s.Txns() {
-		if rx, ok := cap.tx(txn).(rangeExporter); ok {
-			for _, x := range rx.RangeReads() {
-				rr.rangeReads = append(rr.rangeReads, rangeRead{
-					slot: x.Slot, tx: txn, lo: x.Lo, hi: x.Hi, keys: x.Keys, vals: x.Vals,
-				})
-			}
+		tx, ok := cap.tx(txn).(*mvcc.Tx)
+		if !ok {
+			continue
 		}
-		switch tx := cap.tx(txn).(type) {
-		case svExporter:
-			committed, commitSlot, reads, writes := tx.SVTrace()
-			lastRead := int64(0)
-			for _, r := range reads {
-				op := r.Op
-				op.Tx = txn
-				events = append(events, deps.SVEvent{TS: int64(r.TS), Seq: seq, Ops: history.History{op}})
-				seq++
-				lastRead = int64(r.TS)
-				rr.mvReads = append(rr.mvReads, mvRead{slot: int64(r.TS), tx: txn, key: op.Item, val: op.Value, hasVal: op.HasValue})
-			}
-			var tail history.History
-			ts := lastRead
-			if committed {
-				for _, op := range writes {
-					op.Tx = txn
-					tail = append(tail, op)
-				}
-				tail = append(tail, history.Op{Tx: txn, Kind: history.Commit, Version: -1})
-				ts = commitSlot
-				if len(writes) > 0 {
-					c := mvCommit{slot: commitSlot, writes: map[data.Key]mvVersion{}}
-					for _, op := range writes {
-						c.writes[op.Item] = commitVersion(op)
-					}
-					rr.mvCommits = append(rr.mvCommits, c)
-				}
-			} else {
-				tail = history.History{{Tx: txn, Kind: history.Abort, Version: -1}}
-			}
-			events = append(events, deps.SVEvent{TS: ts, Seq: seq, Ops: tail})
-			seq++
-		case mvExporter:
-			start, commit, committed, reads, writes := tx.MVTxn()
-			t := deps.MVTxn{Tx: txn, Start: start, Commit: commit, Committed: committed}
-			for _, op := range reads {
-				op.Tx = txn
-				t.Reads = append(t.Reads, op)
-			}
-			for _, op := range writes {
-				op.Tx = txn
-				t.Writes = append(t.Writes, op)
-			}
-			rr.MVTxns = append(rr.MVTxns, t)
-			ev := deps.TxEvents(t, seq)
-			events = append(events, ev[0], ev[1])
-			seq += 2
-			for _, op := range t.Reads {
-				rr.mvReads = append(rr.mvReads, mvRead{slot: t.Start, tx: txn, key: op.Item, val: op.Value, hasVal: op.HasValue})
-			}
-			if committed && len(t.Writes) > 0 {
-				c := mvCommit{slot: t.Commit, writes: map[data.Key]mvVersion{}}
-				for _, op := range t.Writes {
+		tr := tx.Trace()
+		for _, x := range tr.Ranges {
+			rr.rangeReads = append(rr.rangeReads, rangeRead{x, txn})
+		}
+		for i := range tr.Reads {
+			op := &tr.Reads[i]
+			op.Tx = txn
+			events = append(events, deps.SVEvent{TS: tr.Slots[i], Seq: len(events), Ops: history.History{*op}})
+			rr.mvReads = append(rr.mvReads, mvRead{slot: tr.Slots[i], tx: txn, key: op.Item, val: op.Value, hasVal: op.HasValue})
+		}
+		for i := range tr.Writes {
+			tr.Writes[i].Tx = txn
+		}
+		tail := history.History{{Tx: txn, Kind: history.Abort, Version: -1}}
+		if tr.Committed {
+			tail = append(append(history.History{}, tr.Writes...), history.Op{Tx: txn, Kind: history.Commit, Version: -1})
+			if len(tr.Writes) > 0 {
+				c := mvCommit{slot: tr.End, writes: map[data.Key]mvVersion{}}
+				for _, op := range tr.Writes {
 					c.writes[op.Item] = commitVersion(op)
 				}
 				rr.mvCommits = append(rr.mvCommits, c)
 			}
+		}
+		events = append(events, deps.SVEvent{TS: tr.End, Seq: len(events), Ops: tail})
+		if tx.Level() == engine.SnapshotIsolation {
+			t := deps.MVTxn{Tx: txn, Start: tr.Start, Committed: tr.Committed, Reads: tr.Reads, Writes: tr.Writes}
+			if tr.Committed {
+				t.Commit = tr.End
+			}
+			rr.MVTxns = append(rr.MVTxns, t)
 		}
 	}
 	return deps.MapEventsToSV(events)
@@ -614,20 +566,20 @@ func checkRangeReads(s *Schedule, rr *RunResult) string {
 		// write set below the scan's slot applied in commit order.
 		expect := map[data.Key]int64{}
 		for i := 0; i < s.Params.Items; i++ {
-			if k := itemName(i); k >= r.lo && k < r.hi {
+			if k := itemName(i); k >= r.Lo && k < r.Hi {
 				expect[k] = InitialValue(i)
 			}
 		}
 		var below []mvCommit
 		for _, c := range rr.mvCommits {
-			if c.slot < r.slot {
+			if c.slot < r.Slot {
 				below = append(below, c)
 			}
 		}
 		sort.Slice(below, func(i, j int) bool { return below[i].slot < below[j].slot })
 		for _, c := range below {
 			for k, v := range c.writes {
-				if k < r.lo || k >= r.hi {
+				if k < r.Lo || k >= r.Hi {
 					continue
 				}
 				if v.deleted {
@@ -638,8 +590,8 @@ func checkRangeReads(s *Schedule, rr *RunResult) string {
 			}
 		}
 		actual := map[data.Key]int64{}
-		for i, k := range r.keys {
-			actual[k] = r.vals[i]
+		for i, k := range r.Keys {
+			actual[k] = r.Vals[i]
 		}
 		// Compare both directions in key order so a violation message is
 		// deterministic across reruns.
@@ -663,11 +615,11 @@ func checkRangeReads(s *Schedule, rr *RunResult) string {
 			got, inScan := actual[k]
 			switch {
 			case inSnap && !inScan:
-				return fmt.Sprintf("T%d scanned [%s, %s) at slot %d and missed %s; the snapshot holds %s=%d", r.tx, r.lo, r.hi, r.slot, k, k, want)
+				return fmt.Sprintf("T%d scanned [%s, %s) at slot %d and missed %s; the snapshot holds %s=%d", r.tx, r.Lo, r.Hi, r.Slot, k, k, want)
 			case !inSnap && inScan:
-				return fmt.Sprintf("T%d scanned [%s, %s) at slot %d and saw %s=%d; the snapshot holds no such row", r.tx, r.lo, r.hi, r.slot, k, got)
+				return fmt.Sprintf("T%d scanned [%s, %s) at slot %d and saw %s=%d; the snapshot holds no such row", r.tx, r.Lo, r.Hi, r.Slot, k, got)
 			case inSnap && inScan && got != want:
-				return fmt.Sprintf("T%d scanned [%s, %s) at slot %d and saw %s=%d; the snapshot holds %d", r.tx, r.lo, r.hi, r.slot, k, got, want)
+				return fmt.Sprintf("T%d scanned [%s, %s) at slot %d and saw %s=%d; the snapshot holds %d", r.tx, r.Lo, r.Hi, r.Slot, k, got, want)
 			}
 		}
 	}

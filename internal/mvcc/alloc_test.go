@@ -9,21 +9,17 @@ import (
 	"isolevel/internal/predicate"
 )
 
-// siTransferAllocs is the allocation count of one SNAPSHOT ISOLATION
-// Get/Get/Put/Put/Commit on a warmed DB: the Tx (1) and its write-set map
-// (2: the map and its first group). Nothing else allocates: rows are
-// immutable values, so Get hands out the stored row, Put buffers the row it
-// is given and Install keeps it as the version; the read and write records
-// and the write set's stripe list fit the Tx's inline buffers; and the
-// stripe latches take no closure.
-const siTransferAllocs = 3
+// transferAllocs is the allocation count of one Get/Get/Put/Put/Commit on
+// a warmed DB, at either level: the Tx (1) and its write-set map (2: the
+// map and its first group). Nothing else allocates: rows are immutable
+// values, so Get hands out the stored row, Put buffers the row it is given
+// and Install keeps it as the version; the read and write records and the
+// write set's stripe list fit the Tx's inline buffers; the stripe latches
+// take no closure; and RC's write locks, granted at once, allocate
+// nothing.
+const transferAllocs = 3
 
-// rcTransferAllocs is the same transaction at READ CONSISTENCY: the SI
-// count plus the two statement reads' records, a slice that grows twice.
-// The write locks' immediate grants allocate nothing.
-const rcTransferAllocs = 5
-
-func transferAllocs(t *testing.T, level engine.Level) float64 {
+func measureTransferAllocs(t *testing.T, level engine.Level) float64 {
 	t.Helper()
 	db := NewDB()
 	load(db)
@@ -58,11 +54,10 @@ func transferAllocs(t *testing.T, level engine.Level) float64 {
 }
 
 func TestTransferAllocs(t *testing.T) {
-	if n := transferAllocs(t, engine.SnapshotIsolation); n > siTransferAllocs {
-		t.Errorf("SNAPSHOT ISOLATION Get/Get/Put/Put/Commit: %.0f allocs, want <= %d", n, siTransferAllocs)
-	}
-	if n := transferAllocs(t, engine.ReadConsistency); n > rcTransferAllocs {
-		t.Errorf("READ CONSISTENCY Get/Get/Put/Put/Commit: %.0f allocs, want <= %d", n, rcTransferAllocs)
+	for _, level := range []engine.Level{engine.SnapshotIsolation, engine.ReadConsistency} {
+		if n := measureTransferAllocs(t, level); n > transferAllocs {
+			t.Errorf("%s Get/Get/Put/Put/Commit: %.0f allocs, want <= %d", level, n, transferAllocs)
+		}
 	}
 }
 

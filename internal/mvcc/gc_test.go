@@ -183,8 +183,8 @@ func TestReadersUnderFire(t *testing.T) {
 			}
 			return true
 		})
-		if db.oracle.Horizon() != si.(*SITx).StartTS() {
-			t.Errorf("Horizon = %d with an SI transaction open at %d", db.oracle.Horizon(), si.(*SITx).StartTS())
+		if db.oracle.Horizon() != si.(*Tx).start {
+			t.Errorf("Horizon = %d with an SI transaction open at %d", db.oracle.Horizon(), si.(*Tx).start)
 		}
 		if err := si.Commit(); err != nil {
 			t.Fatal(err)

@@ -1,30 +1,34 @@
-// Package mvcc is the unified multiversion engine behind both of the
-// paper's multiversion isolation levels: Snapshot Isolation (§4.2) and
-// Oracle-style Read Consistency (§4.3). One DB holds one mv.Store, one
-// timestamp mv.Oracle and one write-lock manager, and Begin hands out
-// either transaction kind — so SI and RC transactions genuinely interleave
-// against the same committed version chains, the way the paper's histories
-// mix isolation degrees inside a single scheduler.
+// Package mvcc is the multiversion engine behind both of the paper's
+// multiversion isolation levels: Snapshot Isolation (§4.2) and Oracle-style
+// Read Consistency (§4.3). One DB holds one mv.Store, one timestamp
+// mv.Oracle and one write-lock manager. Begin hands out one transaction
+// type, Tx, which carries its level — so SI and RC transactions genuinely
+// interleave against the same committed version chains, the way the
+// paper's histories mix isolation degrees inside a single scheduler.
 //
-//   - A SNAPSHOT ISOLATION transaction (SITx) pins its snapshot at its
-//     Start-Timestamp, buffers writes privately, and commits through the
-//     striped First-Committer-Wins critical section: latch the store
-//     stripes of the write set, validate per-key LatestCommitTS against
-//     the start timestamp, install, release.
-//   - A READ CONSISTENCY transaction (RCTx) takes a fresh statement-level
-//     snapshot per Get/Select/OpenCursor, covers writes with long
-//     exclusive locks (first-writer-wins: block, don't abort), and
-//     installs its versions at commit.
+// The paper defines Read Consistency by how it differs from Snapshot
+// Isolation, and Tx differs by level in exactly those places:
 //
-// Because both kinds commit into the same store, RC commits also install
-// under the store's write-set stripe latches (mv.Store.LockWriteSet): an
-// RC commit that merely relied on its write locks could otherwise slip a
-// version under a concurrent SI validate+install critical section — SI
+//   - Read snapshot. SI reads at its Start-Timestamp; RC takes a fresh
+//     statement-level snapshot per Get, Select and OpenCursor ("as if the
+//     start-timestamp of the transaction is advanced at each SQL
+//     statement").
+//   - Write lock. RC covers Put and UpdateCurrent with long exclusive locks
+//     (first-writer-wins: block, don't abort), and its UpdateCurrent
+//     re-checks the row against the cursor snapshot. SI takes no locks.
+//   - Commit. SI runs First-Committer-Wins under the write set's store
+//     stripe latches: validate per-key LatestCommitTS against the start
+//     timestamp, install, release.
+//
+// Because both levels commit into the same store, RC commits install
+// under the store's write-set stripe latches (mv.Store.LockWriteSet) too:
+// an RC commit that merely relied on its write locks could otherwise slip
+// a version under a concurrent SI validate+install critical section — SI
 // transactions take no write locks, so the stripe latch is the only fence
 // between an RC install and an SI validation of the same key. Snapshots
 // (transaction- and statement-level alike) start at the oracle's
-// installed watermark (Oracle.Safe), so neither kind can observe half of
-// a concurrent commit; and a Commit of either kind returns only once the
+// installed watermark (Oracle.Safe), so neither level can observe half of
+// a concurrent commit; and a Commit at either level returns only once the
 // watermark has reached its commit timestamp, so a session's next
 // snapshot always contains its own last commit.
 //
@@ -47,14 +51,14 @@
 // same key forget the version the read was about to see, and it would
 // report a live row missing.
 //
-//   - An SITx registers its Start-Timestamp at Begin (BeginAsOf: at the
+//   - An SI Tx registers its Start-Timestamp at Begin (BeginAsOf: at the
 //     historical timestamp, refused with engine.ErrSnapshotTooOld below the
 //     horizon) and releases it exactly once, at whichever transition ends
 //     it: read-only commit, first-committer-wins abort, commit, Abort.
 //     The registration spans validation: LatestCommitTS of a reclaimed
 //     tombstone chain reads 0, which is only "no conflict" for a
 //     transaction the horizon has not passed.
-//   - An RCTx registers per statement — Get, the before-image read of a
+//   - An RC Tx registers per statement — Get, the before-image read of a
 //     write, Select, the before-image read of UpdateCurrent — and never
 //     across a lock wait. DB.ReadCommittedRow does the same.
 //   - An RC cursor keeps the snapshot of its OpenCursor registered until
@@ -215,29 +219,19 @@ func (db *DB) install(id int, writes map[data.Key]data.Row, stripes []int) mv.TS
 	return ts
 }
 
-// readCommitted reads key at the installed watermark, registered from
-// before the timestamp is chosen until the read has returned — unregistered,
-// a commit in between could forget the version visible there and the read
-// would report a live row missing. It returns the timestamp it read at,
-// and the stored row.
-func (db *DB) readCommitted(key data.Key) (v mv.Version, ok bool, ts mv.TS) {
-	ts = db.oracle.Acquire()
-	defer db.oracle.Release(ts)
-	v, ok = db.store.ReadAt(key, ts)
-	return v, ok, ts
-}
-
-// ReadCommittedRow implements engine.DB.
+// ReadCommittedRow implements engine.DB: key's row at the installed
+// watermark, read at a registered timestamp like an RC statement's.
 func (db *DB) ReadCommittedRow(key data.Key) data.Row {
-	v, ok, _ := db.readCommitted(key)
-	if !ok {
-		return nil
+	ts := db.oracle.Acquire()
+	defer db.oracle.Release(ts)
+	if v, ok := db.store.ReadAt(key, ts); ok {
+		return v.Row
 	}
-	return v.Row
+	return nil
 }
 
-// Begin implements engine.DB: either multiversion transaction kind, per
-// the requested level; a locking level is ErrUnsupported.
+// Begin implements engine.DB: a transaction at either multiversion level;
+// a locking level is ErrUnsupported.
 func (db *DB) Begin(level engine.Level) (engine.Tx, error) {
 	switch level {
 	case engine.SnapshotIsolation:
@@ -246,13 +240,9 @@ func (db *DB) Begin(level engine.Level) (engine.Tx, error) {
 		// installing, and a snapshot taken in that window would watch the
 		// commit appear piecemeal (and could even slip past
 		// first-committer-wins validation).
-		return db.beginSI(db.oracle.Acquire()), nil
+		return db.begin(level, db.oracle.Acquire()), nil
 	case engine.ReadConsistency:
-		id := int(db.seq.Add(1))
-		db.obs.Begin(id, level.Code())
-		t := &RCTx{db: db, id: id, writes: map[data.Key]data.Row{}}
-		t.order = t.orderBuf[:0]
-		return t, nil
+		return db.begin(level, 0), nil
 	}
 	return nil, fmt.Errorf("%w: %s is not a multiversion level", engine.ErrUnsupported, level)
 }
@@ -274,22 +264,12 @@ func (db *DB) BeginAsOf(ts mv.TS) (engine.Tx, error) {
 		return nil, fmt.Errorf("%w: as of ts %d, history kept from ts %d",
 			engine.ErrSnapshotTooOld, ts, db.oracle.Horizon())
 	}
-	return db.beginSI(ts), nil
+	return db.begin(engine.SnapshotIsolation, ts), nil
 }
 
 // CurrentTS returns the newest fully installed committed timestamp (for
 // AsOf bookkeeping).
 func (db *DB) CurrentTS() mv.TS { return db.oracle.Safe() }
-
-// beginSI starts an SI transaction at start, which the caller registered
-// with the oracle; the transaction releases it when it terminates.
-func (db *DB) beginSI(start mv.TS) *SITx {
-	id := int(db.seq.Add(1))
-	db.obs.Begin(id, engine.SnapshotIsolation.Code())
-	t := &SITx{db: db, id: id, start: start, writes: map[data.Key]data.Row{}}
-	t.order, t.reads = t.orderBuf[:0], t.readsBuf[:0]
-	return t
-}
 
 // overlay lays a transaction's own uncommitted writes over base, the
 // store's answer to p at the transaction's snapshot, sorted by key. A

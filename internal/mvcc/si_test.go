@@ -369,10 +369,10 @@ func TestReadOnlyAlwaysCommits(t *testing.T) {
 func TestLiveH1SIMappingSerializable(t *testing.T) {
 	db := NewDB()
 	loadKV(db, map[string]int64{"x": 50, "y": 50})
-	t1 := beginSI(t, db).(*SITx)
+	t1 := beginSI(t, db)
 	v, _ := engine.GetVal(t1, "x") // r1[x=50]
 	_ = engine.PutVal(t1, "x", v-40)
-	t2 := beginSI(t, db).(*SITx)
+	t2 := beginSI(t, db)
 	x2, _ := engine.GetVal(t2, "x") // r2[x0=50]: snapshot!
 	y2, _ := engine.GetVal(t2, "y")
 	if x2 != 50 || y2 != 50 {
@@ -396,8 +396,8 @@ func TestLiveH1SIMappingSerializable(t *testing.T) {
 func TestLiveWriteSkewMappingNotSerializable(t *testing.T) {
 	db := NewDB()
 	loadKV(db, map[string]int64{"x": 50, "y": 50})
-	t1 := beginSI(t, db).(*SITx)
-	t2 := beginSI(t, db).(*SITx)
+	t1 := beginSI(t, db)
+	t2 := beginSI(t, db)
 	x1, _ := engine.GetVal(t1, "x")
 	y1, _ := engine.GetVal(t1, "y")
 	_, _ = engine.GetVal(t2, "x")
@@ -416,9 +416,9 @@ func TestLiveWriteSkewMappingNotSerializable(t *testing.T) {
 	}
 }
 
-func mvTxnOf(t *SITx) deps.MVTxn {
-	start, commit, committed, reads, writes := t.MVTxn()
-	return deps.MVTxn{Tx: t.ID(), Start: start, Commit: commit, Committed: committed, Reads: reads, Writes: writes}
+func mvTxnOf(t engine.Tx) deps.MVTxn {
+	tr := t.(*Tx).Trace()
+	return deps.MVTxn{Tx: t.ID(), Start: tr.Start, Commit: tr.End, Committed: tr.Committed, Reads: tr.Reads, Writes: tr.Writes}
 }
 
 // Concurrent stress: total balance is preserved by transfer transactions
